@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices called out in `DESIGN.md`:
-//! CDCL features (VSIDS, clause learning, restarts) and the `ET` subtask
-//! heuristic, measured on the surface-code general-verification workload.
+//! CDCL features (VSIDS, clause learning, restarts) and the size of the
+//! solver race, measured on the surface-code general-verification workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use veriqec::parallel::{check_parallel, ParallelConfig};
@@ -46,19 +46,18 @@ fn bench_solver_features(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_et_heuristic(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_et_heuristic");
+fn bench_race_size(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_race_size");
     group.sample_size(10);
-    let (scenario, problem) = surface_problem(5);
-    for (name, threshold) in [("shallow", 6usize), ("paper_et", 14), ("deep", 20)] {
+    let (_, problem) = surface_problem(5);
+    for workers in [1usize, 2, 4] {
         let cfg = ParallelConfig {
-            heuristic_distance: 5,
-            et_threshold: threshold,
+            workers,
             ..ParallelConfig::default()
         };
-        group.bench_function(format!("d5_{name}"), |b| {
+        group.bench_function(format!("d5_racers_{workers}"), |b| {
             b.iter(|| {
-                let r = check_parallel(&problem, &scenario.error_vars, &cfg);
+                let r = check_parallel(&problem, &cfg);
                 assert!(r.outcome.is_verified());
             })
         });
@@ -66,5 +65,5 @@ fn bench_et_heuristic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver_features, bench_et_heuristic);
+criterion_group!(benches, bench_solver_features, bench_race_size);
 criterion_main!(benches);

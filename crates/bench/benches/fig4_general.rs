@@ -8,13 +8,6 @@ use veriqec::engine::{Engine, EngineConfig, Job};
 use veriqec::parallel::SplitConfig;
 use veriqec_bench::surface_problem;
 
-fn split_for(d: usize) -> SplitConfig {
-    SplitConfig {
-        heuristic_distance: d,
-        et_threshold: 2 * d + 4,
-    }
-}
-
 fn bench_fig4(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_general_verification");
     group.sample_size(10);
@@ -33,7 +26,7 @@ fn bench_fig4(c: &mut Criterion) {
                     format!("surface_d{d}"),
                     problem.clone(),
                     scenario.error_vars.clone(),
-                    split_for(d),
+                    SplitConfig::default(),
                 )]);
                 assert!(report.jobs[0].outcome.is_verified());
             })
@@ -49,7 +42,7 @@ fn bench_fig4(c: &mut Criterion) {
                         format!("surface_d{d}"),
                         problem,
                         scenario.error_vars,
-                        split_for(d),
+                        SplitConfig::default(),
                     )
                 })
                 .collect();

@@ -608,13 +608,14 @@ fn enumerators(quick: bool) {
 fn fig4(max_d: usize) {
     println!("\n### Fig. 4 — general verification of the rotated surface code\n");
     println!(
-        "| d | qubits | sequential | engine busy | subtasks | conflicts | decisions | propagations |"
+        "| d | qubits | sequential | engine busy | racers | conflicts | decisions | propagations |"
     );
     println!(
-        "|---|--------|-----------|-------------|----------|-----------|-----------|--------------|"
+        "|---|--------|-----------|-------------|--------|-----------|-----------|--------------|"
     );
     // Sequential baseline per distance, then the whole family as one engine
-    // batch on a shared worker pool.
+    // batch on a shared worker pool (each job a race of one solver per
+    // worker).
     let ds: Vec<usize> = (3..=max_d).step_by(2).collect();
     let mut seq_times = Vec::new();
     let mut jobs = Vec::new();
@@ -628,10 +629,7 @@ fn fig4(max_d: usize) {
             format!("surface_d{d}"),
             problem,
             scenario.error_vars,
-            SplitConfig {
-                heuristic_distance: d,
-                et_threshold: 2 * d + 4,
-            },
+            SplitConfig::default(),
         ));
     }
     let engine = Engine::new(EngineConfig::default());

@@ -2,9 +2,9 @@
 //! assumption-driven weight sweeps, and the shared batch driver.
 //!
 //! The paper's workloads are *families* of closely related SAT queries —
-//! distance discovery sweeps a weight threshold, the §6 parallel task sweeps
-//! enumeration cubes, the evaluation sweeps a whole code zoo. This module
-//! makes the family, not the single query, the unit of work:
+//! distance discovery sweeps a weight threshold, the fault-tolerance task
+//! sweeps a budget grid, the evaluation sweeps a whole code zoo. This
+//! module makes the family, not the single query, the unit of work:
 //!
 //! * [`DetectionSession`] — the precise-detection formula (Eqn. 15) encoded
 //!   once per code; every threshold `dt` is an assumption on one shared
@@ -17,13 +17,14 @@
 //!   of heterogeneous [`Job`]s (code-zoo × error-model × task sweeps,
 //!   including [`JobKind::Count`] failure-enumerator jobs served by the
 //!   decision-diagram backend).
-//!   Correction jobs stream their enumeration cubes lazily from
-//!   [`SubtaskIter`]; each worker keeps one persistent session per job.
+//!   A correction job is a race: every worker takes one racer, which
+//!   encodes the whole problem with its own solver configuration
+//!   ([`crate::parallel`]); the racers share short learnt clauses through
+//!   a per-job [`ClausePool`], and the first verdict cancels the rest.
 //!   Cancellation is cooperative at both levels (whole batch, single job on
-//!   its first counterexample), statistics are per-job, and
-//!   [`BatchReport`] renders as markdown or machine-readable JSON.
+//!   its first verdict), statistics are per-job, and [`BatchReport`]
+//!   renders as markdown or machine-readable JSON.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -31,12 +32,12 @@ use std::time::{Duration, Instant};
 use veriqec_cexpr::{BExp, CMem, VarId};
 use veriqec_codes::StabilizerCode;
 use veriqec_dd::{CompileConfig, CompileError, DdStats};
-use veriqec_sat::{Lit, SolverConfig, SolverStats};
+use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats};
 use veriqec_smt::{CardinalityHandle, CheckResult, SmtContext};
 use veriqec_vcgen::{VcOutcome, VcProblem, VcSession};
 
 use crate::enumerator::{FailureEnumerator, WeightEnumerator};
-use crate::parallel::{SplitConfig, SubtaskIter};
+use crate::parallel::{racer_config, SplitConfig};
 use crate::scenario::Scenario;
 use crate::tasks::{build_problem_unbounded, DetectionOutcome, DistanceOutcome};
 
@@ -392,7 +393,8 @@ impl FaultToleranceFrontier {
 /// Configuration of the batch [`Engine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker threads in the engine-owned pool.
+    /// Worker threads in the engine-owned pool (and racers per correction
+    /// job).
     pub workers: usize,
     /// Solver configuration for every session the engine opens.
     pub solver: SolverConfig,
@@ -421,16 +423,13 @@ pub struct Job {
 /// The task behind a [`Job`].
 #[derive(Clone, Debug)]
 pub enum JobKind {
-    /// General verification by parallel enumeration over `enum_vars`
-    /// (typically the scenario's error indicators): cubes stream lazily to
-    /// the pool, every worker holds one persistent session for the problem.
+    /// General verification as a race: every worker encodes the whole
+    /// problem into its own session with a different solver configuration,
+    /// the racers share short learnt clauses, and the first verdict wins
+    /// (see [`crate::parallel`]).
     Correction {
         /// The assembled problem (error model baked in).
         problem: VcProblem,
-        /// Variables enumerated by the `ET` split.
-        enum_vars: Vec<VarId>,
-        /// Split parameters.
-        split: SplitConfig,
     },
     /// One precise-detection query at threshold `dt`.
     Detection {
@@ -495,19 +494,20 @@ impl std::fmt::Debug for CustomJobFn {
 
 impl Job {
     /// A general-verification job.
+    ///
+    /// The last two parameters (the variables to enumerate and the split
+    /// parameters) are unused: they parametrized the paper's `ET`
+    /// enumeration split, which the race replaced, and stay only so that
+    /// existing callers keep compiling.
     pub fn correction(
         name: impl Into<String>,
         problem: VcProblem,
-        enum_vars: Vec<VarId>,
-        split: SplitConfig,
+        _enum_vars: Vec<VarId>,
+        _split: SplitConfig,
     ) -> Job {
         Job {
             name: name.into(),
-            kind: JobKind::Correction {
-                problem,
-                enum_vars,
-                split,
-            },
+            kind: JobKind::Correction { problem },
         }
     }
 
@@ -582,11 +582,12 @@ impl Job {
 /// Outcome of one [`Job`].
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
-    /// Correction: every subtask refuted.
+    /// Correction: a racer refuted the problem.
     Verified,
     /// Correction: a violating assignment was found.
     CounterExample(CMem),
-    /// Correction: some subtask exhausted its solver budget.
+    /// Correction: every racer exhausted its solver budget (or the job
+    /// failed; see [`JobReport::reason`]).
     Unknown,
     /// Detection result.
     Detection(DetectionOutcome),
@@ -718,6 +719,16 @@ const MD_COLUMNS: &[MdColumn] = &[
         metric: "dd_reorder_swaps",
         style: ColStyle::Count,
     },
+    MdColumn {
+        header: "exported",
+        metric: "exported",
+        style: ColStyle::Count,
+    },
+    MdColumn {
+        header: "imported",
+        metric: "imported",
+        style: ColStyle::Count,
+    },
 ];
 
 /// Per-job result within a [`BatchReport`].
@@ -727,8 +738,9 @@ pub struct JobReport {
     pub name: String,
     /// The job's outcome.
     pub outcome: JobOutcome,
-    /// Work items issued (enumeration cubes for correction jobs, 1 for
-    /// detection/distance jobs claimed by a worker, 0 if never started).
+    /// Work items issued: racers started for a correction job (at most one
+    /// per worker), 1 for any other job a worker claimed, 0 if never
+    /// started.
     pub subtasks: usize,
     /// Summed worker time spent on this job (CPU-side, not wall clock;
     /// excludes queue wait — each item is timed from its claim).
@@ -1015,36 +1027,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 // ----------------------------------------------------------- the work queue
 
-/// A claimable work item: one enumeration cube of a correction job, or the
-/// whole of a detection/distance job.
-enum WorkItem {
-    Cube(usize, Vec<(VarId, bool)>),
-    Whole(usize),
-}
-
-/// Where a job's remaining work comes from.
-enum JobSource {
-    /// Lazily streamed enumeration cubes.
-    Cubes(SubtaskIter),
-    /// A single indivisible item, claimed at most once.
-    Whole { claimed: bool },
-    /// Nothing left to hand out.
-    Exhausted,
-}
-
 /// Shared per-job state while a batch runs.
 struct JobState {
     name: String,
     kind: JobKind,
-    /// Raised on the job's first counterexample or on batch cancellation;
-    /// doubles as the cooperative stop flag of every session serving the job.
+    /// Raised on the job's first verdict, on a panic, or on batch
+    /// cancellation; doubles as the cooperative stop flag of every session
+    /// serving the job.
     cancel: Arc<AtomicBool>,
-    source: Mutex<JobSource>,
+    /// Work items the job splits into: one racer per worker for a
+    /// correction job, a single item for every other kind.
+    racers: usize,
+    /// The learnt-clause pool of a correction job's racers (none when one
+    /// racer runs alone).
+    pool: Option<Arc<ClausePool>>,
+    /// Work items handed out so far; the next item's racer index.
+    issued: AtomicUsize,
+    /// Work items finished (returned or panicked).
+    finished: AtomicUsize,
+    /// Set once the job counted towards the heartbeat's jobs-done total.
+    concluded: AtomicBool,
     outcome: Mutex<Option<JobOutcome>>,
     stats: Mutex<SolverStats>,
     dd: Mutex<DdStats>,
     busy: Mutex<Duration>,
-    issued: AtomicUsize,
     /// When the job entered the queue (batch start).
     queued_at: Instant,
     /// Time from enqueue to the first worker claim; `None` until claimed.
@@ -1054,31 +1060,37 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(job: Job) -> Self {
-        let source = match &job.kind {
-            JobKind::Correction {
-                enum_vars, split, ..
-            } => JobSource::Cubes(SubtaskIter::new(enum_vars.clone(), *split)),
-            JobKind::Detection { .. }
-            | JobKind::Distance { .. }
-            | JobKind::Count { .. }
-            | JobKind::FaultTolerance { .. }
-            | JobKind::Custom { .. } => JobSource::Whole { claimed: false },
+    fn new(job: Job, workers: usize) -> Self {
+        let racers = match job.kind {
+            JobKind::Correction { .. } => workers,
+            _ => 1,
         };
         JobState {
             name: job.name,
             kind: job.kind,
             cancel: Arc::new(AtomicBool::new(false)),
-            source: Mutex::new(source),
+            racers,
+            pool: (racers > 1).then(ClausePool::new),
+            issued: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            concluded: AtomicBool::new(false),
             outcome: Mutex::new(None),
             stats: Mutex::new(SolverStats::default()),
             dd: Mutex::new(DdStats::default()),
             busy: Mutex::new(Duration::ZERO),
-            issued: AtomicUsize::new(0),
             queued_at: Instant::now(),
             queue_wait: Mutex::new(None),
             reason: Mutex::new(None),
         }
+    }
+
+    /// Hands out the job's next racer index, if one is left.
+    fn claim(&self) -> Option<usize> {
+        self.issued
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.racers).then_some(n + 1)
+            })
+            .ok()
     }
 
     /// Records how long the job waited in the queue, on its first claim.
@@ -1099,47 +1111,48 @@ impl JobState {
     }
 
     /// Records `outcome` unless one is already present — except that a
-    /// counterexample always wins over a previously recorded `Unknown`
-    /// (another worker's budget exhaustion must not mask a real violation).
-    fn record(&self, outcome: JobOutcome) {
+    /// verdict (`Verified` or a counterexample) always wins over a
+    /// previously recorded `Unknown`: one racer's budget exhaustion must
+    /// not mask a sibling's result. Returns whether `outcome` was stored.
+    fn record(&self, outcome: JobOutcome) -> bool {
         let mut o = lock_unpoisoned(&self.outcome);
-        let displaces = matches!(outcome, JobOutcome::CounterExample(_))
-            && matches!(*o, Some(JobOutcome::Unknown));
+        let displaces = matches!(
+            outcome,
+            JobOutcome::Verified | JobOutcome::CounterExample(_)
+        ) && matches!(*o, Some(JobOutcome::Unknown));
         if o.is_none() || displaces {
             *o = Some(outcome);
+            return true;
+        }
+        false
+    }
+
+    /// Counts the job as done on the progress heartbeat, once: when its
+    /// race is won, or when its last work item finishes.
+    fn conclude(&self) {
+        if !self.concluded.swap(true, Ordering::Relaxed) {
+            veriqec_obs::heartbeat::JOBS_DONE.add(1);
+        }
+    }
+
+    /// Marks one work item finished.
+    fn finish_item(&self) {
+        if self.finished.fetch_add(1, Ordering::Relaxed) + 1 == self.racers {
+            self.conclude();
         }
     }
 }
 
-/// Claims the next work item, scanning jobs in submission order (so a batch
-/// drains front-to-back, with later jobs picked up as soon as workers free
-/// up or earlier jobs cancel).
-fn next_item(states: &[JobState]) -> Option<WorkItem> {
-    for (j, st) in states.iter().enumerate() {
+/// Claims the next work item as `(job index, racer index)`, scanning jobs
+/// in submission order (so a batch drains front-to-back, with later jobs
+/// picked up as soon as workers free up or earlier jobs conclude).
+fn next_item(states: &[JobState]) -> Option<(usize, usize)> {
+    states.iter().enumerate().find_map(|(j, st)| {
         if st.cancel.load(Ordering::Relaxed) {
-            continue;
+            return None;
         }
-        let mut src = lock_unpoisoned(&st.source);
-        match &mut *src {
-            JobSource::Cubes(iter) => {
-                if let Some(cube) = iter.next() {
-                    st.issued.fetch_add(1, Ordering::Relaxed);
-                    return Some(WorkItem::Cube(j, cube));
-                }
-                *src = JobSource::Exhausted;
-                // Last cube issued ≈ job done: close enough for the
-                // heartbeat's ETA (in-flight cubes finish within one claim).
-                veriqec_obs::heartbeat::JOBS_DONE.add(1);
-            }
-            JobSource::Whole { claimed } if !*claimed => {
-                *claimed = true;
-                st.issued.fetch_add(1, Ordering::Relaxed);
-                return Some(WorkItem::Whole(j));
-            }
-            _ => {}
-        }
-    }
-    None
+        st.claim().map(|racer| (j, racer))
+    })
 }
 
 /// The shared batch driver: one worker pool serving a queue of heterogeneous
@@ -1177,7 +1190,11 @@ impl Engine {
     pub fn run(&self, jobs: Vec<Job>) -> BatchReport {
         let start = Instant::now();
         let _batch_span = veriqec_obs::span("engine", "batch");
-        let states: Vec<JobState> = jobs.into_iter().map(JobState::new).collect();
+        let workers = self.config.workers.max(1);
+        let states: Vec<JobState> = jobs
+            .into_iter()
+            .map(|job| JobState::new(job, workers))
+            .collect();
         // Unconditional (the stores are relaxed atomics, cheap either way):
         // a resident process runs many batches in one lifetime, and stale
         // conflict/DD/phase state from the previous batch would otherwise
@@ -1192,7 +1209,6 @@ impl Engine {
                 veriqec_obs::instant("engine", "job_queued", &[("job", i as f64)]);
             }
         }
-        let workers = self.config.workers.max(1);
         let active = AtomicUsize::new(workers);
         let done = Mutex::new(false);
         let done_cv = std::sync::Condvar::new();
@@ -1250,33 +1266,26 @@ impl Engine {
                 }
             });
         });
-        let batch_cancelled = self.cancel.load(Ordering::Relaxed);
         let jobs = states
             .into_iter()
             .map(|st| {
-                let recorded = st
+                // Every item that runs to an answer records one, so a job
+                // without an outcome was cancelled before it finished.
+                let outcome = st
                     .outcome
                     .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let cancelled = batch_cancelled || st.cancel.load(Ordering::Relaxed);
-                let outcome = match recorded {
-                    Some(o) => o,
-                    // No recorded outcome: either the job ran all its cubes
-                    // without a violation (correction ⇒ verified) or it was
-                    // cancelled before completing.
-                    None if cancelled => JobOutcome::Cancelled,
-                    None => match st.kind {
-                        JobKind::Correction { .. } => JobOutcome::Verified,
-                        _ => JobOutcome::Cancelled,
-                    },
-                };
-                let mut reason = st
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .unwrap_or(JobOutcome::Cancelled);
+                let reason = st
                     .reason
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner);
-                if reason.is_none() && matches!(outcome, JobOutcome::Cancelled) {
-                    reason = Some("cancelled".to_string());
-                }
+                // A sibling racer's budget trip does not qualify a verdict.
+                let reason = match outcome {
+                    _ if outcome.is_conclusive() => None,
+                    JobOutcome::Cancelled => reason.or_else(|| Some("cancelled".to_string())),
+                    _ => reason,
+                };
                 JobReport {
                     name: st.name,
                     outcome,
@@ -1306,10 +1315,7 @@ impl Engine {
     }
 
     /// One worker: claim items until the queue drains or the batch cancels.
-    /// Correction jobs get one persistent [`VcSession`] per worker (base
-    /// encoded once, cubes arrive as assumptions).
     fn worker(&self, states: &[JobState]) {
-        let mut sessions: HashMap<usize, VcSession> = HashMap::new();
         loop {
             if self.cancel.load(Ordering::Relaxed) {
                 for st in states {
@@ -1317,192 +1323,33 @@ impl Engine {
                 }
                 break;
             }
-            let Some(item) = next_item(states) else {
+            let Some((idx, racer)) = next_item(states) else {
                 break;
             };
-            let idx = match &item {
-                WorkItem::Cube(j, _) | WorkItem::Whole(j) => *j,
-            };
-            let is_whole = matches!(item, WorkItem::Whole(_));
+            let st = &states[idx];
             // Queue wait ends at the first claim and busy time starts
             // after it, so the two never overlap: busy measures work, not
             // time spent parked behind earlier jobs.
-            states[idx].mark_claimed();
+            st.mark_claimed();
             if veriqec_obs::heartbeat::progress_enabled() {
-                veriqec_obs::heartbeat::set_phase(&states[idx].name);
+                veriqec_obs::heartbeat::set_phase(&st.name);
             }
-            let _job_span =
-                veriqec_obs::span_with("engine", || format!("job:{}", states[idx].name));
+            let _job_span = veriqec_obs::span_with("engine", || format!("job:{}", st.name));
             let t0 = Instant::now();
             // One work item is the panic-containment unit: a panicking job
             // (bad input, a bug in one backend) must degrade to that job
             // erroring with a recorded reason — never to a dead worker or a
             // poisoned-mutex cascade, which a resident server cannot afford.
-            let work = std::panic::AssertUnwindSafe(|| match item {
-                WorkItem::Cube(j, cube) => {
-                    let st = &states[j];
-                    let session = sessions.entry(j).or_insert_with(|| {
-                        let JobKind::Correction { problem, .. } = &st.kind else {
-                            unreachable!("cubes only stream from correction jobs")
-                        };
-                        let mut s = problem.session(self.config.solver);
-                        s.set_stop_flag(Arc::clone(&st.cancel));
-                        s
-                    });
-                    let assumptions: Vec<Lit> = cube
-                        .iter()
-                        .map(|&(v, val)| {
-                            let l = session.ctx_mut().lit_of(v);
-                            if val {
-                                l
-                            } else {
-                                !l
-                            }
-                        })
-                        .collect();
-                    match session.query(&assumptions) {
-                        VcOutcome::Verified => {}
-                        VcOutcome::CounterExample(m) => {
-                            st.record(JobOutcome::CounterExample(m));
-                            st.cancel.store(true, Ordering::Relaxed);
-                        }
-                        VcOutcome::Unknown => {
-                            // Either a genuine budget exhaustion or a
-                            // cooperative abort after cancellation; in the
-                            // latter case a real outcome is already recorded
-                            // and wins.
-                            if !st.cancel.load(Ordering::Relaxed) {
-                                st.record(JobOutcome::Unknown);
-                                if let Some(cause) = session.unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                        }
-                    }
-                }
-                WorkItem::Whole(j) => {
-                    let st = &states[j];
-                    match &st.kind {
-                        JobKind::Detection { code, dt } => {
-                            let mut s = DetectionSession::new(code, self.config.solver);
-                            s.set_stop_flag(Arc::clone(&st.cancel));
-                            let out = s.check(*dt);
-                            if matches!(out, DetectionOutcome::Inconclusive) {
-                                if let Some(cause) = s.unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                            *lock_unpoisoned(&st.stats) += s.solver_stats();
-                            st.record(JobOutcome::Detection(out));
-                        }
-                        JobKind::Distance { code, max } => {
-                            let mut s = DetectionSession::new(code, self.config.solver);
-                            s.set_stop_flag(Arc::clone(&st.cancel));
-                            let out = s.find_distance(*max);
-                            if matches!(out, DistanceOutcome::Inconclusive { .. }) {
-                                if let Some(cause) = s.unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                            *lock_unpoisoned(&st.stats) += s.solver_stats();
-                            st.record(JobOutcome::Distance(out));
-                        }
-                        JobKind::Count { code, config } => {
-                            // Layer the job's cancel flag on top of any
-                            // caller-supplied stop flags.
-                            let mut config = config.clone();
-                            config.stop_flags.push(Arc::clone(&st.cancel));
-                            match FailureEnumerator::new(code, &config) {
-                                Ok(mut fe) => {
-                                    let out = fe.enumerator();
-                                    *lock_unpoisoned(&st.dd) += fe.dd_stats();
-                                    st.record(JobOutcome::Enumerator(out));
-                                }
-                                Err(CompileError::NodeLimit { nodes }) => {
-                                    // Surface how far the diagram got so a
-                                    // report consumer can tune the budget.
-                                    lock_unpoisoned(&st.dd).nodes += nodes as u64;
-                                    st.record_reason(format!("node_limit({nodes} nodes)"));
-                                    st.record(JobOutcome::Unknown);
-                                }
-                                // Cancelled: a real outcome or the cancel
-                                // flag already explains the job; record
-                                // nothing.
-                                Err(CompileError::Cancelled) => {}
-                            }
-                        }
-                        JobKind::FaultTolerance {
-                            problem,
-                            data_vars,
-                            meas_vars,
-                            max_t_data,
-                            max_t_meas,
-                        } => {
-                            let mut sweep = FaultToleranceSweep::from_problem(
-                                problem,
-                                data_vars,
-                                meas_vars,
-                                self.config.solver,
-                            );
-                            sweep.set_stop_flag(Arc::clone(&st.cancel));
-                            let mut points = Vec::new();
-                            'grid: for td in 0..=*max_t_data {
-                                for tm in 0..=*max_t_meas {
-                                    let correctable = match sweep.check(td as i64, tm as i64) {
-                                        VcOutcome::Verified => Some(true),
-                                        VcOutcome::CounterExample(_) => Some(false),
-                                        VcOutcome::Unknown => None,
-                                    };
-                                    points.push(FrontierPoint {
-                                        t_data: td,
-                                        t_meas: tm,
-                                        correctable,
-                                    });
-                                    if correctable.is_none() && st.cancel.load(Ordering::Relaxed) {
-                                        break 'grid;
-                                    }
-                                }
-                            }
-                            *lock_unpoisoned(&st.stats) += sweep.session().solver_stats();
-                            if points.iter().any(|p| p.correctable.is_none()) {
-                                if let Some(cause) = sweep.session().unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                            // A batch cancellation mid-grid is not a result;
-                            // leaving the outcome empty reports Cancelled.
-                            if !st.cancel.load(Ordering::Relaxed) {
-                                st.record(JobOutcome::Frontier(FaultToleranceFrontier { points }));
-                            }
-                        }
-                        JobKind::Custom { run } => {
-                            let out = (run.0)(&st.cancel);
-                            st.record(out);
-                        }
-                        JobKind::Correction { .. } => {
-                            unreachable!("correction jobs stream cubes")
-                        }
-                    }
-                }
-            });
+            let work = std::panic::AssertUnwindSafe(|| self.run_item(st, racer));
             if let Err(payload) = std::panic::catch_unwind(work) {
-                let st = &states[idx];
                 st.record_reason(format!("panicked: {}", panic_message(payload.as_ref())));
                 st.record(JobOutcome::Unknown);
-                // The job's state is suspect: stop handing it work, abort
-                // its in-flight queries on other workers, drop any session
-                // this worker kept for it.
+                // The job's state is suspect: stop handing it work and
+                // abort its racers on other workers.
                 st.cancel.store(true, Ordering::Relaxed);
-                sessions.remove(&idx);
             }
-            *lock_unpoisoned(&states[idx].busy) += t0.elapsed();
-            if is_whole {
-                veriqec_obs::heartbeat::JOBS_DONE.add(1);
-            }
-        }
-        // Fold this worker's session statistics into their jobs.
-        for (j, s) in sessions {
-            *lock_unpoisoned(&states[j].stats) += s.solver_stats();
+            *lock_unpoisoned(&st.busy) += t0.elapsed();
+            st.finish_item();
         }
         // Hand this worker's buffered trace events to the global sink
         // before the closure returns. `thread::scope` considers a thread
@@ -1510,6 +1357,149 @@ impl Engine {
         // still be running after the scope joins — so relying on the
         // buffer's drop-flush would race with a post-run drain.
         veriqec_obs::flush_thread();
+    }
+
+    /// Runs one work item: racer `racer` of a correction job, or the whole
+    /// of any other job.
+    fn run_item(&self, st: &JobState, racer: usize) {
+        match &st.kind {
+            JobKind::Correction { problem } => self.race(st, problem, racer),
+            JobKind::Detection { code, dt } => {
+                let mut s = DetectionSession::new(code, self.config.solver);
+                s.set_stop_flag(Arc::clone(&st.cancel));
+                let out = s.check(*dt);
+                if matches!(out, DetectionOutcome::Inconclusive) {
+                    if let Some(cause) = s.unknown_cause() {
+                        st.record_reason(cause.to_string());
+                    }
+                }
+                *lock_unpoisoned(&st.stats) += s.solver_stats();
+                st.record(JobOutcome::Detection(out));
+            }
+            JobKind::Distance { code, max } => {
+                let mut s = DetectionSession::new(code, self.config.solver);
+                s.set_stop_flag(Arc::clone(&st.cancel));
+                let out = s.find_distance(*max);
+                if matches!(out, DistanceOutcome::Inconclusive { .. }) {
+                    if let Some(cause) = s.unknown_cause() {
+                        st.record_reason(cause.to_string());
+                    }
+                }
+                *lock_unpoisoned(&st.stats) += s.solver_stats();
+                st.record(JobOutcome::Distance(out));
+            }
+            JobKind::Count { code, config } => {
+                // Layer the job's cancel flag on top of any caller-supplied
+                // stop flags.
+                let mut config = config.clone();
+                config.stop_flags.push(Arc::clone(&st.cancel));
+                match FailureEnumerator::new(code, &config) {
+                    Ok(mut fe) => {
+                        let out = fe.enumerator();
+                        *lock_unpoisoned(&st.dd) += fe.dd_stats();
+                        st.record(JobOutcome::Enumerator(out));
+                    }
+                    Err(CompileError::NodeLimit { nodes }) => {
+                        // Surface how far the diagram got so a report
+                        // consumer can tune the budget.
+                        lock_unpoisoned(&st.dd).nodes += nodes as u64;
+                        st.record_reason(format!("node_limit({nodes} nodes)"));
+                        st.record(JobOutcome::Unknown);
+                    }
+                    // Cancelled: a real outcome or the cancel flag already
+                    // explains the job; record nothing.
+                    Err(CompileError::Cancelled) => {}
+                }
+            }
+            JobKind::FaultTolerance {
+                problem,
+                data_vars,
+                meas_vars,
+                max_t_data,
+                max_t_meas,
+            } => {
+                let mut sweep = FaultToleranceSweep::from_problem(
+                    problem,
+                    data_vars,
+                    meas_vars,
+                    self.config.solver,
+                );
+                sweep.set_stop_flag(Arc::clone(&st.cancel));
+                let mut points = Vec::new();
+                'grid: for td in 0..=*max_t_data {
+                    for tm in 0..=*max_t_meas {
+                        let correctable = match sweep.check(td as i64, tm as i64) {
+                            VcOutcome::Verified => Some(true),
+                            VcOutcome::CounterExample(_) => Some(false),
+                            VcOutcome::Unknown => None,
+                        };
+                        points.push(FrontierPoint {
+                            t_data: td,
+                            t_meas: tm,
+                            correctable,
+                        });
+                        if correctable.is_none() && st.cancel.load(Ordering::Relaxed) {
+                            break 'grid;
+                        }
+                    }
+                }
+                *lock_unpoisoned(&st.stats) += sweep.session().solver_stats();
+                if points.iter().any(|p| p.correctable.is_none()) {
+                    if let Some(cause) = sweep.session().unknown_cause() {
+                        st.record_reason(cause.to_string());
+                    }
+                }
+                // A batch cancellation mid-grid is not a result; leaving
+                // the outcome empty reports Cancelled.
+                if !st.cancel.load(Ordering::Relaxed) {
+                    st.record(JobOutcome::Frontier(FaultToleranceFrontier { points }));
+                }
+            }
+            JobKind::Custom { run } => {
+                let out = (run.0)(&st.cancel);
+                st.record(out);
+            }
+        }
+    }
+
+    /// One racer of a correction job: encodes the whole problem with the
+    /// racer's solver configuration, joins the job's clause pool and
+    /// solves. The first verdict is recorded and cancels the other racers
+    /// through the job's flag, which is every racer's stop flag.
+    fn race(&self, st: &JobState, problem: &VcProblem, racer: usize) {
+        let span = veriqec_obs::span("engine", "racer");
+        let mut session = problem.session(racer_config(self.config.solver, racer));
+        session.set_stop_flag(Arc::clone(&st.cancel));
+        if let Some(pool) = &st.pool {
+            session.join_pool(Arc::clone(pool));
+        }
+        let won = match session.query(&[]) {
+            VcOutcome::Verified => st.record(JobOutcome::Verified),
+            VcOutcome::CounterExample(m) => st.record(JobOutcome::CounterExample(m)),
+            VcOutcome::Unknown => {
+                // A budget trip, or a cooperative abort after a sibling's
+                // verdict or a batch cancel — those leave nothing to say.
+                if !st.cancel.load(Ordering::Relaxed) {
+                    st.record(JobOutcome::Unknown);
+                    if let Some(cause) = session.unknown_cause() {
+                        st.record_reason(cause.to_string());
+                    }
+                }
+                false
+            }
+        };
+        if won {
+            st.cancel.store(true, Ordering::Relaxed);
+            st.conclude();
+        }
+        let stats = session.solver_stats();
+        *lock_unpoisoned(&st.stats) += stats;
+        span.close_with(&[
+            ("racer", racer as f64),
+            ("won", f64::from(u8::from(won))),
+            ("exported", stats.exported as f64),
+            ("imported", stats.imported as f64),
+        ]);
     }
 }
 
@@ -1680,87 +1670,152 @@ mod tests {
         assert!(report.to_markdown().contains("| steane_r3 | frontier |"));
     }
 
+    /// Checks a counterexample model against the problem it refutes: the
+    /// errors fit the budget `Σe ≤ t`, every guard holds (evaluates to 0),
+    /// and some target is violated (evaluates to 1).
+    fn assert_genuine_counterexample(scenario: &Scenario, problem: &VcProblem, t: i64, m: &CMem) {
+        let weight = scenario
+            .error_vars
+            .iter()
+            .filter(|&&v| m.get(v).as_bool())
+            .count();
+        assert!(weight as i64 <= t, "{weight} errors exceed the budget {t}");
+        assert!(problem.error_constraints.iter().all(|c| c.eval(m)));
+        assert!(problem.vc.guards.iter().all(|g| !g.eval(m)));
+        assert!(problem.vc.targets.iter().any(|t| t.eval(m)));
+    }
+
     #[test]
     fn batch_agrees_with_sequential_on_steane_and_surface() {
-        let steane_scenario = memory_scenario(&steane(), ErrorModel::YErrors);
-        let surface_scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
-        let jobs = vec![
-            Job::correction(
-                "steane_t1",
-                build_problem(&steane_scenario, 1, vec![]),
-                steane_scenario.error_vars.clone(),
-                SplitConfig {
-                    heuristic_distance: 3,
-                    et_threshold: 8,
-                },
-            ),
-            Job::correction(
-                "steane_t2",
-                build_problem(&steane_scenario, 2, vec![]),
-                steane_scenario.error_vars.clone(),
-                SplitConfig::default(),
-            ),
-            Job::correction(
-                "surface3_t1",
-                build_problem(&surface_scenario, 1, vec![]),
-                surface_scenario.error_vars.clone(),
-                SplitConfig::default(),
-            ),
-            Job::detection("steane_dt3", steane(), 3),
-            Job::distance("surface3_distance", rotated_surface(3), 4),
-            Job::count("steane_enumerator", steane()),
-        ];
-        let engine = Engine::new(EngineConfig {
-            workers: 4,
-            solver: SolverConfig::default(),
-        });
-        let report = engine.run(jobs);
-        assert_eq!(report.jobs.len(), 6);
-        // Sequential ground truth.
-        assert!(report.jobs[0].outcome.is_verified(), "steane t=1 verifies");
-        assert!(
-            matches!(report.jobs[1].outcome, JobOutcome::CounterExample(_)),
-            "steane t=2 must fail: {:?}",
-            report.jobs[1].outcome
-        );
-        assert!(report.jobs[2].outcome.is_verified(), "surface3 t=1");
-        assert!(matches!(
-            report.jobs[3].outcome,
-            JobOutcome::Detection(DetectionOutcome::AllDetected)
-        ));
-        assert!(matches!(
-            report.jobs[4].outcome,
-            JobOutcome::Distance(DistanceOutcome::Exact(3))
-        ));
-        // The counting job reports the full Steane enumerator through the
-        // same pool: 192 failures, least weight 3 (the code distance).
-        let JobOutcome::Enumerator(e) = &report.jobs[5].outcome else {
-            panic!("count job must report an enumerator: {:?}", report.jobs[5]);
-        };
-        assert_eq!(e.min_weight, Some(3));
-        assert_eq!(e.total(), 192);
-        assert!(report.jobs[5].dd.nodes > 0, "DD stats flow into the report");
-        // Per-job stats reflect real work; reports render.
-        assert!(report.total_stats().propagations > 0);
-        assert!(report.total_dd_stats().nodes > 0);
-        let json = report.to_json();
-        for name in [
-            "steane_t1",
-            "steane_t2",
-            "surface3_t1",
-            "steane_dt3",
-            "surface3_distance",
-            "steane_enumerator",
-        ] {
-            assert!(json.contains(name), "JSON report must mention {name}");
+        // Each code at t = (d−1)/2 (correctable: Verified) and t = (d+1)/2
+        // (one error too many: CounterExample), raced on 1, 2 and 4 workers
+        // next to the other job kinds.
+        let cases: Vec<(&str, Scenario, i64, bool)> = [
+            ("steane", steane(), 3),
+            ("surface3", rotated_surface(3), 3),
+            ("surface5", rotated_surface(5), 5),
+        ]
+        .into_iter()
+        .flat_map(|(name, code, d)| {
+            let scenario = memory_scenario(&code, ErrorModel::YErrors);
+            [((d - 1) / 2, true), ((d + 1) / 2, false)]
+                .map(|(t, proof)| (name, scenario.clone(), t, proof))
+        })
+        .collect();
+        for workers in [1, 2, 4] {
+            let problems: Vec<VcProblem> = cases
+                .iter()
+                .map(|(_, scenario, t, _)| build_problem(scenario, *t, vec![]))
+                .collect();
+            let mut jobs: Vec<Job> = cases
+                .iter()
+                .zip(&problems)
+                .map(|((name, scenario, t, _), problem)| {
+                    Job::correction(
+                        format!("{name}_t{t}"),
+                        problem.clone(),
+                        scenario.error_vars.clone(),
+                        SplitConfig::default(),
+                    )
+                })
+                .collect();
+            jobs.push(Job::detection("steane_dt3", steane(), 3));
+            jobs.push(Job::distance("surface3_distance", rotated_surface(3), 4));
+            jobs.push(Job::count("steane_enumerator", steane()));
+            let engine = Engine::new(EngineConfig {
+                workers,
+                solver: SolverConfig::default(),
+            });
+            let report = engine.run(jobs);
+            assert_eq!(report.jobs.len(), cases.len() + 3);
+            // Sequential ground truth.
+            for (((name, scenario, t, proof), problem), job) in
+                cases.iter().zip(&problems).zip(&report.jobs)
+            {
+                let (seq, _) = problem.check();
+                assert_eq!(seq.is_verified(), *proof, "sequential {name} t={t}");
+                match &job.outcome {
+                    JobOutcome::Verified => assert!(proof, "{workers} workers: {name} t={t}"),
+                    JobOutcome::CounterExample(m) => {
+                        assert!(!proof, "{workers} workers: {name} t={t}");
+                        assert_genuine_counterexample(scenario, problem, *t, m);
+                    }
+                    other => panic!("{workers} workers: {name} t={t}: {other:?}"),
+                }
+                assert_eq!(job.reason, None);
+                assert!((1..=workers).contains(&job.subtasks));
+            }
+            let rest = &report.jobs[cases.len()..];
+            assert!(matches!(
+                rest[0].outcome,
+                JobOutcome::Detection(DetectionOutcome::AllDetected)
+            ));
+            assert!(matches!(
+                rest[1].outcome,
+                JobOutcome::Distance(DistanceOutcome::Exact(3))
+            ));
+            // The counting job reports the full Steane enumerator through
+            // the same pool: 192 failures, least weight 3 (the distance).
+            let JobOutcome::Enumerator(e) = &rest[2].outcome else {
+                panic!("count job must report an enumerator: {:?}", rest[2]);
+            };
+            assert_eq!(e.min_weight, Some(3));
+            assert_eq!(e.total(), 192);
+            assert!(rest[2].dd.nodes > 0, "DD stats flow into the report");
+            // Per-job stats reflect real work; reports render.
+            assert!(report.total_stats().propagations > 0);
+            assert!(report.total_dd_stats().nodes > 0);
+            let json = report.to_json();
+            for job in &report.jobs {
+                assert!(
+                    json.contains(&job.name),
+                    "JSON report must mention {}",
+                    job.name
+                );
+            }
+            assert!(json.contains("\"distance\":3"));
+            assert!(json.contains("\"min_weight\":3"));
+            assert!(json.contains("\"dd_nodes\":"));
+            assert!(json.contains("\"exported\":"));
+            assert!(json.contains("\"imported\":"));
+            let md = report.to_markdown();
+            assert!(md.contains("| steane_t1 | verified |"));
+            assert!(md.contains("| steane_t2 | counterexample |"));
+            assert!(md.contains("| steane_enumerator | enumerator |"));
+            assert!(md.contains(" exported | imported |"));
         }
-        assert!(json.contains("\"distance\":3"));
-        assert!(json.contains("\"min_weight\":3"));
-        assert!(json.contains("\"dd_nodes\":"));
-        assert!(report.to_markdown().contains("| steane_t1 | verified |"));
-        assert!(report
-            .to_markdown()
-            .contains("| steane_enumerator | enumerator |"));
+    }
+
+    #[test]
+    fn exhausted_racers_report_unknown_never_verified() {
+        // With one conflict per racer the race cannot finish; every racer
+        // gives up, and the job must say so — an undecided race is never a
+        // proof.
+        let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
+        let problem = build_problem(&scenario, 1, vec![]);
+        for workers in [1, 2] {
+            let engine = Engine::new(EngineConfig {
+                workers,
+                solver: SolverConfig {
+                    conflict_budget: Some(1),
+                    ..SolverConfig::default()
+                },
+            });
+            let report = engine.run(vec![Job::correction(
+                "starved",
+                problem.clone(),
+                vec![],
+                SplitConfig::default(),
+            )]);
+            let job = &report.jobs[0];
+            assert!(
+                matches!(job.outcome, JobOutcome::Unknown),
+                "{workers} workers: {:?}",
+                job.outcome
+            );
+            assert_eq!(job.reason.as_deref(), Some("conflict_budget"));
+            assert_eq!(job.subtasks, workers);
+        }
     }
 
     #[test]

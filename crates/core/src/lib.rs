@@ -9,9 +9,10 @@
 //! built-in CDCL solver with the minimum-weight decoder specification `P_f`;
 //! [`engine`] makes query *families* the unit of work — persistent solver
 //! sessions, assumption-driven weight sweeps, and a batch driver whose
-//! worker pool serves heterogeneous jobs; [`parallel`] splits the general
-//! task with the paper's `ET` enumeration heuristic (streamed lazily to that
-//! pool); [`enumerator`] goes beyond the paper's SAT queries to *counting* —
+//! worker pool serves heterogeneous jobs; [`parallel`] solves the general
+//! task on that pool by racing diversified solvers that share short learnt
+//! clauses (in place of the paper's `ET` enumeration split); [`enumerator`]
+//! goes beyond the paper's SAT queries to *counting* —
 //! exact failure weight enumerators through the decision-diagram backend
 //! (`veriqec_dd`); [`sampling`] provides the simulation/testing baseline of
 //! the §7.2 comparison. Beyond the paper's perfect-measurement model, the
@@ -52,7 +53,7 @@ pub use engine::{
 pub use enumerator::{
     sat_enumerator, sat_enumerator_with_schedule, FailureEnumerator, WeightEnumerator,
 };
-pub use parallel::{check_parallel, ParallelConfig, ParallelReport, SplitConfig, SubtaskIter};
+pub use parallel::{check_parallel, ParallelConfig, ParallelReport, SplitConfig};
 pub use sampling::{
     exhaustive_frame_check, faulty_memory_frame, prepare_codeword_state, sample_scenario,
     subsets_up_to, FaultyMemoryFrame, SamplingReport,

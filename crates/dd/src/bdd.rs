@@ -811,8 +811,9 @@ impl BddManager {
             marker[l] = Mark::Ind(positive);
         }
         let width = indicators.len() + 1;
-        let poly = self.count_iter(f.0, &marker, width);
-        lift(poly, 0, self.cut_level(f.0), &marker, width)
+        let levels = LevelCounts::new(&marker);
+        let poly = self.count_iter(f.0, &marker, &levels, width);
+        levels.lift(poly, 0, self.cut_level(f.0))
     }
 
     /// The level of `f` clamped to the counting range (terminals sit on
@@ -823,8 +824,8 @@ impl BddManager {
 
     /// Iterative bottom-up weight polynomial of `f` over the levels
     /// `level(f)..num_vars` (levels above `f`'s root are the caller's to
-    /// account for via [`lift`]). Memoized per arena index.
-    fn count_iter(&self, f: u32, marker: &[Mark], width: usize) -> Vec<u128> {
+    /// account for via [`LevelCounts::lift`]). Memoized per arena index.
+    fn count_iter(&self, f: u32, marker: &[Mark], levels: &LevelCounts, width: usize) -> Vec<u128> {
         if f == 0 {
             return vec![0; width];
         }
@@ -866,20 +867,8 @@ impl BddManager {
                 CFrame::Build(g) => {
                     let level = self.level(g);
                     let (lo, hi) = (self.arena.los[g as usize], self.arena.his[g as usize]);
-                    let lo_p = lift(
-                        poly_of(&memo, lo),
-                        level + 1,
-                        self.cut_level(lo),
-                        marker,
-                        width,
-                    );
-                    let hi_p = lift(
-                        poly_of(&memo, hi),
-                        level + 1,
-                        self.cut_level(hi),
-                        marker,
-                        width,
-                    );
+                    let lo_p = levels.lift(poly_of(&memo, lo), level + 1, self.cut_level(lo));
+                    let hi_p = levels.lift(poly_of(&memo, hi), level + 1, self.cut_level(hi));
                     let mut p = vec![0u128; width];
                     for w in 0..width {
                         let (lo_w, hi_w) = match marker[level as usize] {
@@ -966,7 +955,8 @@ pub(crate) enum Mark {
 /// Accounts for the free variables at levels `from..to`: a counted level
 /// doubles every coefficient, an indicator level convolves with `(1 + x)`
 /// (the free variable contributes weight 0 or 1), a projected-out level
-/// contributes nothing.
+/// contributes nothing. One step per level: the differential oracle's
+/// reference for [`LevelCounts::lift`].
 pub(crate) fn lift(
     mut p: Vec<u128>,
     from: u32,
@@ -996,6 +986,57 @@ pub(crate) fn lift(
         }
     }
     p
+}
+
+/// Prefix counts of the counted and indicator levels, which let the arena
+/// kernel lift across any level range without visiting each level: with
+/// [`lift`]'s walk, every edge to `FALSE` paid for all the levels below it,
+/// which made counting a long chain quadratic.
+struct LevelCounts {
+    /// `counted[l]`: the counted levels among `0..l`.
+    counted: Vec<u32>,
+    /// `indicators[l]`: the indicator levels among `0..l`.
+    indicators: Vec<u32>,
+}
+
+impl LevelCounts {
+    fn new(marker: &[Mark]) -> Self {
+        let prefix = |pick: fn(&Mark) -> bool| -> Vec<u32> {
+            let running = marker.iter().scan(0, |n, m| {
+                *n += u32::from(pick(m));
+                Some(*n)
+            });
+            std::iter::once(0).chain(running).collect()
+        };
+        LevelCounts {
+            counted: prefix(|m| matches!(m, Mark::Count)),
+            indicators: prefix(|m| matches!(m, Mark::Ind(_))),
+        }
+    }
+
+    /// [`lift`] in `O(width · indicator levels)`: doubling and convolving
+    /// with `(1 + x)` commute, so only how many counted and indicator
+    /// levels `from..to` holds matters. Both steps only grow coefficients,
+    /// so this overflows exactly when [`lift`] does.
+    fn lift(&self, mut p: Vec<u128>, from: u32, to: u32) -> Vec<u128> {
+        let (from, to) = (from as usize, to as usize);
+        if from >= to {
+            return p;
+        }
+        for _ in self.indicators[from]..self.indicators[to] {
+            for w in (1..p.len()).rev() {
+                p[w] = p[w]
+                    .checked_add(p[w - 1])
+                    .expect("model count overflows u128");
+            }
+        }
+        let doublings = self.counted[to] - self.counted[from];
+        for c in p.iter_mut().filter(|c| **c != 0) {
+            assert!(c.leading_zeros() >= doublings, "model count overflows u128");
+            *c <<= doublings;
+        }
+        p
+    }
 }
 
 #[cfg(test)]
@@ -1249,6 +1290,40 @@ mod tests {
         // A raised flag aborts as soon as the first poll fires.
         let err = m.xor_budgeted(f, g, &budget).unwrap_err();
         assert_eq!(err, CompileError::Cancelled);
+    }
+
+    #[test]
+    fn level_counts_lift_matches_the_level_walk() {
+        let marker = [
+            Mark::Count,
+            Mark::Ind(true),
+            Mark::Skip,
+            Mark::Count,
+            Mark::Ind(false),
+            Mark::Skip,
+            Mark::Count,
+        ];
+        let levels = LevelCounts::new(&marker);
+        let top = marker.len() as u32;
+        // The last polynomial overflows u128 once lifted over all three
+        // counted levels: both lifts must panic on exactly the same ranges.
+        let polys = [
+            vec![0, 0, 0],
+            vec![1, 0, 0],
+            vec![3, 0, 5],
+            vec![0, 2, 1],
+            vec![1 << 125, 0, 1],
+        ];
+        for from in 0..=top {
+            for to in from..=top {
+                for p in &polys {
+                    let fast = std::panic::catch_unwind(|| levels.lift(p.clone(), from, to)).ok();
+                    let walk =
+                        std::panic::catch_unwind(|| lift(p.clone(), from, to, &marker, 3)).ok();
+                    assert_eq!(fast, walk, "lift of {p:?} over {from}..{to}");
+                }
+            }
+        }
     }
 
     #[test]

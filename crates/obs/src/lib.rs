@@ -213,8 +213,15 @@ pub struct SpanGuard {
     live: Option<(&'static str, Cow<'static, str>)>,
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
+impl SpanGuard {
+    /// Closes the span now, attaching `args` to its end event (Chrome and
+    /// Perfetto merge them into the span's arguments) — for results known
+    /// only when the span ends, such as which racer won.
+    pub fn close_with(mut self, args: &[(&'static str, f64)]) {
+        self.end(args.to_vec());
+    }
+
+    fn end(&mut self, args: Vec<(&'static str, f64)>) {
         if let Some((cat, name)) = self.live.take() {
             let _ = BUF.try_with(|b| b.depth.set(b.depth.get().saturating_sub(1)));
             push(Event {
@@ -223,9 +230,15 @@ impl Drop for SpanGuard {
                 kind: EventKind::End,
                 ts_us: now_us(),
                 tid: current_tid(),
-                args: Vec::new(),
+                args,
             });
         }
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.end(Vec::new());
     }
 }
 
@@ -337,8 +350,9 @@ mod tests {
         {
             let _a = span("test", "outer");
             {
-                let _b = span_owned("test", "inner".to_string());
+                let b = span_owned("test", "inner".to_string());
                 instant("test", "mark", &[]);
+                b.close_with(&[("won", 1.0)]);
             }
             counter("test", "c", 3.0);
         }
@@ -364,6 +378,9 @@ mod tests {
         // validator can pair them without a stack.
         assert_eq!(events[3].name, "inner");
         assert_eq!(events[5].name, "outer");
+        // Results known only at the end ride on the end event.
+        assert_eq!(events[3].args, vec![("won", 1.0)]);
+        assert!(events[5].args.is_empty());
         assert!(events.iter().all(|e| e.tid == events[0].tid));
     }
 

@@ -11,7 +11,8 @@
 //! compacting garbage collection, first-UIP clause learning with recursive
 //! clause minimization, VSIDS branching with phase saving, Luby restarts,
 //! glue-tiered (LBD) learned-clause deletion, incremental solving under
-//! assumptions, and per-feature switches for ablation experiments.
+//! assumptions, learnt-clause sharing between solvers racing on one formula
+//! ([`ClausePool`]), and per-feature switches for ablation experiments.
 //!
 //! # Examples
 //!
@@ -32,10 +33,12 @@ mod arena;
 mod dimacs;
 mod heap;
 mod lit;
+mod share;
 mod solver;
 
 pub use dimacs::{Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
+pub use share::ClausePool;
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats, UnknownCause};
 
 #[cfg(test)]

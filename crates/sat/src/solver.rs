@@ -1,12 +1,14 @@
 //! A CDCL SAT solver: two-watched literals, first-UIP learning, VSIDS
 //! branching with phase saving, Luby restarts and glue-tiered learned-clause
-//! reduction over a flat clause arena.
+//! reduction over a flat clause arena, with optional learnt-clause sharing
+//! between solvers racing on one formula ([`ClausePool`]).
 //!
 //! This is the engine behind the `veriqec_smt` formula layer and thus the
 //! reproduction's stand-in for the paper's Z3/CVC5 back end.
 
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::heap::ActivityHeap;
+use crate::share::{ClausePool, Membership, SHARE_LBD};
 use crate::{LBool, Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -153,6 +155,11 @@ pub struct SolverStats {
     /// summing reports (worker pools, batch jobs) yields the combined
     /// footprint of all live sessions.
     pub arena_bytes: u64,
+    /// Learnt clauses published to a [`ClausePool`].
+    pub exported: u64,
+    /// Clauses taken from other members of a [`ClausePool`] (those already
+    /// satisfied at the root are skipped and not counted).
+    pub imported: u64,
 }
 
 impl SolverStats {
@@ -183,6 +190,8 @@ impl SolverStats {
         m.push_count("minimized_lits", self.minimized_lits);
         m.push_count("gc_runs", self.gc_runs);
         m.push_count("arena_bytes", self.arena_bytes);
+        m.push_count("exported", self.exported);
+        m.push_count("imported", self.imported);
         m.push_value("mean_lbd", self.mean_learnt_lbd());
         m
     }
@@ -200,6 +209,8 @@ impl std::ops::AddAssign for SolverStats {
         self.minimized_lits += rhs.minimized_lits;
         self.gc_runs += rhs.gc_runs;
         self.arena_bytes += rhs.arena_bytes;
+        self.exported += rhs.exported;
+        self.imported += rhs.imported;
     }
 }
 
@@ -274,6 +285,9 @@ pub struct Solver {
     /// Why the last `solve` returned [`SatResult::Unknown`] (see
     /// [`Solver::unknown_cause`]).
     unknown_cause: Option<UnknownCause>,
+    /// The clause pool this solver races in, if any (see
+    /// [`Solver::join_pool`]).
+    share: Option<Membership>,
 }
 
 impl Default for Solver {
@@ -318,15 +332,16 @@ impl Solver {
             lbd_stamp: 0,
             stop: None,
             unknown_cause: None,
+            share: None,
         }
     }
 
     /// Installs a cooperative stop flag, shared with other solvers or a
     /// driving thread. The main CDCL loop polls it between propagations —
-    /// i.e. at every conflict/decision boundary — so a solver stuck deep in
-    /// a long subtask aborts promptly (returning [`SatResult::Unknown`])
-    /// instead of only between subtasks. The flag is not cleared by the
-    /// solver; the owner decides when a stop is rescinded.
+    /// i.e. at every conflict/decision boundary — so a solver deep in a
+    /// long search aborts promptly (returning [`SatResult::Unknown`]), e.g.
+    /// once a racing solver has found the answer. The flag is not cleared
+    /// by the solver; the owner decides when a stop is rescinded.
     pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
         self.stop = Some(flag);
     }
@@ -336,6 +351,64 @@ impl Solver {
         self.stop
             .as_ref()
             .is_some_and(|f| f.load(Ordering::Relaxed))
+    }
+
+    /// Joins a [`ClausePool`] shared with other solvers that hold the same
+    /// formula: from now on this solver publishes every learnt clause of
+    /// LBD ≤ 2 (units and binaries included) and, at decision level 0 — at
+    /// the start of each solve and on every restart — adds the clauses the
+    /// other members published. A solver that joins no pool searches
+    /// exactly as before. Join before the first solve, after the formula is
+    /// complete, and add no clauses afterwards: the pool's soundness rests
+    /// on every member holding the same formula.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this solver's variable or original-clause count differs
+    /// from the pool's first member's.
+    pub fn join_pool(&mut self, pool: Arc<ClausePool>) {
+        self.share = Some(Membership::join(pool, self.num_vars(), self.num_originals));
+    }
+
+    /// Adds the clauses other pool members published since the last
+    /// import. Runs at decision level 0, where a root-false literal is
+    /// false for good and can be dropped, and a root-true one satisfies the
+    /// clause for good. Returns `false` when an imported clause is false at
+    /// the root, i.e. the formula is unsatisfiable. Leaves propagation of
+    /// the imported units to the caller.
+    fn import_shared(&mut self) -> bool {
+        debug_assert_eq!(self.decision_level(), 0);
+        let Some(share) = &mut self.share else {
+            return true;
+        };
+        let pool = Arc::clone(&share.pool);
+        let (id, start) = (share.id, share.cursor);
+        let log = pool.log();
+        share.cursor = log.len();
+        let mut lits = Vec::new();
+        for c in log[start..].iter().filter(|c| c.from != id) {
+            lits.clear();
+            let mut satisfied = false;
+            for &l in c.lits.iter() {
+                match self.value(l) {
+                    LBool::True => satisfied = true,
+                    LBool::False => {}
+                    LBool::Undef => lits.push(l),
+                }
+            }
+            if satisfied {
+                continue;
+            }
+            self.stats.imported += 1;
+            match lits.len() {
+                0 => return false,
+                1 => self.unchecked_enqueue(lits[0], None),
+                _ => {
+                    self.attach_clause(&lits, true, c.lbd);
+                }
+            }
+        }
+        true
     }
 
     /// Why the most recent [`Solver::solve`] returned
@@ -950,7 +1023,7 @@ impl Solver {
         let track = veriqec_obs::active();
         let solve_t0 = track.then(std::time::Instant::now);
         self.backtrack_to(0);
-        if self.propagate().is_some() {
+        if !self.import_shared() || self.propagate().is_some() {
             self.ok = false;
             return SatResult::Unsat;
         }
@@ -992,6 +1065,12 @@ impl Solver {
                         self.unchecked_enqueue(buf[0], Some(cref));
                         self.learnt_buf = buf;
                     }
+                    if lbd <= SHARE_LBD {
+                        if let Some(share) = &self.share {
+                            share.export(&self.learnt_buf, lbd);
+                            self.stats.exported += 1;
+                        }
+                    }
                     self.var_inc /= 0.95;
                     self.cla_inc /= 0.999;
                 } else {
@@ -1026,6 +1105,10 @@ impl Solver {
                     conflicts_until_restart =
                         conflicts_this_solve + self.restart_interval(restart_count);
                     self.backtrack_to(0);
+                    if !self.import_shared() {
+                        self.ok = false;
+                        return SatResult::Unsat;
+                    }
                     veriqec_obs::instant(
                         "sat",
                         "restart",
@@ -1273,6 +1356,8 @@ mod tests {
             minimized_lits: 7,
             gc_runs: 1,
             arena_bytes: 256,
+            exported: 3,
+            imported: 2,
         };
         let total: SolverStats = [a, a].into_iter().sum();
         assert_eq!(total.conflicts, 2);
@@ -1281,6 +1366,7 @@ mod tests {
         assert_eq!(total.minimized_lits, 14);
         assert_eq!(total.gc_runs, 2);
         assert_eq!(total.arena_bytes, 512);
+        assert_eq!((total.exported, total.imported), (6, 4));
         assert!((a.mean_learnt_lbd() - 2.0).abs() < 1e-12);
         assert_eq!(SolverStats::default().mean_learnt_lbd(), 0.0);
     }

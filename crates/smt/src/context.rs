@@ -87,9 +87,17 @@ impl SmtContext {
     /// Installs a cooperative stop flag on the underlying solver: when the
     /// flag is raised, an in-flight [`SmtContext::check`] aborts at the next
     /// conflict/decision boundary with [`CheckResult::Unknown`]. Used by the
-    /// parallel driver to cancel workers stuck inside a long subtask.
+    /// parallel driver to stop the losing racers once one has a verdict.
     pub fn set_stop_flag(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
         self.solver.set_stop_flag(flag);
+    }
+
+    /// Joins a learnt-clause pool shared with other contexts that encoded
+    /// the same formula in the same order (see
+    /// [`veriqec_sat::Solver::join_pool`]). Join once the encoding is
+    /// complete; clauses added afterwards would break that precondition.
+    pub fn join_pool(&mut self, pool: std::sync::Arc<veriqec_sat::ClausePool>) {
+        self.solver.join_pool(pool);
     }
 
     /// The SAT literal representing the constant `true`.

@@ -6,8 +6,8 @@
 //! * [`VcProblem`] / [`VcOutcome`] — assembly with the error model `P_c` and
 //!   decoder specification `P_f`, discharged by one SAT refutation query;
 //! * [`VcSession`] — the incremental form: encode the base formula once,
-//!   then query it repeatedly under assumption literals (weight sweeps,
-//!   enumeration cubes);
+//!   then query it repeatedly under assumption literals (weight sweeps);
+//!   sessions of one problem can share learnt clauses when raced;
 //! * [`CountingInstance`] — the same encoding exported as a CNF +
 //!   indicator-literal map for the decision-diagram counting backend
 //!   (`veriqec_dd`), turning the existence query into an exact count of

@@ -2,15 +2,16 @@
 //! times under different assumptions.
 //!
 //! The paper's headline workloads — distance sweeps, constrained-weight
-//! sweeps, the parallel enumeration of §6 — are families of closely related
-//! queries over one base formula. A [`VcSession`] keeps the CNF and the
-//! solver's learnt state alive across those queries: the base encoding
-//! (`P_c` minus any swept bound, guards, `P_f`, refutation goal) is paid
-//! exactly once, and each subsequent query is a [`SmtContext::check`] under
-//! assumption literals (weight bounds from a
-//! [`veriqec_smt::CardinalityHandle`], enumeration cubes from the parallel
-//! driver). Learnt clauses accumulated by earlier queries prune later ones —
-//! the MiniSat-lineage incremental-solving discipline.
+//! sweeps, fault-tolerance grids — are families of closely related queries
+//! over one base formula. A [`VcSession`] keeps the CNF and the solver's
+//! learnt state alive across those queries: the base encoding (`P_c` minus
+//! any swept bound, guards, `P_f`, refutation goal) is paid exactly once,
+//! and each subsequent query is a [`SmtContext::check`] under assumption
+//! literals (weight bounds from a [`veriqec_smt::CardinalityHandle`]).
+//! Learnt clauses accumulated by earlier queries prune later ones — the
+//! MiniSat-lineage incremental-solving discipline. Sessions of one problem
+//! encode it identically, so racing sessions can also exchange learnt
+//! clauses ([`VcSession::join_pool`]).
 
 use veriqec_sat::{Lit, SolverConfig, SolverStats};
 use veriqec_smt::{CheckResult, SmtContext};
@@ -92,6 +93,15 @@ impl VcSession {
     /// [`VcOutcome::Unknown`].
     pub fn set_stop_flag(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
         self.ctx.set_stop_flag(flag);
+    }
+
+    /// Joins a learnt-clause pool shared with the other sessions of the
+    /// same [`VcProblem`]: their encodings are identical, literal for
+    /// literal, so their learnt clauses can be exchanged (see
+    /// [`veriqec_sat::Solver::join_pool`]). Join before the first query
+    /// and add no clauses through [`VcSession::ctx_mut`] afterwards.
+    pub fn join_pool(&mut self, pool: std::sync::Arc<veriqec_sat::ClausePool>) {
+        self.ctx.join_pool(pool);
     }
 
     /// Number of base encodings performed (always 1 for a live session; the

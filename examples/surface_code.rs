@@ -28,9 +28,9 @@ fn main() {
         let scenario = memory_scenario(&code, ErrorModel::YErrors);
         let seq = verify_correction(&scenario, t, SolverConfig::default());
         let problem = build_problem(&scenario, t, vec![]);
-        let par = check_parallel(&problem, &scenario.error_vars, &ParallelConfig::default());
+        let par = check_parallel(&problem, &ParallelConfig::default());
         println!(
-            "d={d} ({} qubits): sequential {:?} in {:?} | parallel ({} subtasks) {:?} in {:?}",
+            "d={d} ({} qubits): sequential {:?} in {:?} | race ({} racers) {:?} in {:?}",
             code.n(),
             seq.outcome.is_verified(),
             seq.wall_time,

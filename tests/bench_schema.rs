@@ -9,12 +9,14 @@
 //! and assert the keys and invariants the consumers rely on.
 
 use veriqec::engine::{Engine, EngineConfig, Job};
-use veriqec::scenario::{faulty_memory_scenario, ErrorModel};
+use veriqec::parallel::SplitConfig;
+use veriqec::scenario::{faulty_memory_scenario, memory_scenario, ErrorModel};
+use veriqec::tasks::build_problem;
 use veriqec_bench::json::Json;
 use veriqec_bench::kernels::{KernelsReport, Metric};
 use veriqec_bench::solver_bench::{SolverMetric, SolverReport};
-use veriqec_codes::{five_qubit, repetition, steane};
-use veriqec_sat::SolverStats;
+use veriqec_codes::{five_qubit, repetition, rotated_surface, steane};
+use veriqec_sat::{SolverConfig, SolverStats};
 
 /// Every engine batch shares this envelope.
 fn check_envelope(doc: &Json) -> Vec<Json> {
@@ -36,6 +38,10 @@ fn check_envelope(doc: &Json) -> Vec<Json> {
         assert!(job.get("gc_runs").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("arena_bytes").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("mean_lbd").unwrap().as_f64().unwrap() >= 0.0);
+        // Clause-sharing counters of raced correction jobs (zero for every
+        // other kind).
+        assert!(job.get("exported").unwrap().as_f64().unwrap() >= 0.0);
+        assert!(job.get("imported").unwrap().as_f64().unwrap() >= 0.0);
     }
     jobs.to_vec()
 }
@@ -86,6 +92,40 @@ fn enumerators_report_has_counts_matching_group_theory() {
         let expected = ((1u128 << (n + k)) - (1u128 << (n - k))) as f64;
         assert_eq!(total, expected, "{}", code.name());
     }
+}
+
+#[test]
+fn raced_correction_report_carries_sharing_counters() {
+    // A correction job raced by two workers, as `tables quick` and the
+    // fig4 batch run them: the report names the racers it started and the
+    // clauses they exchanged.
+    let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
+    let batch = Engine::new(EngineConfig {
+        workers: 2,
+        solver: SolverConfig::default(),
+    })
+    .run(vec![Job::correction(
+        "surface3_t1",
+        build_problem(&scenario, 1, vec![]),
+        scenario.error_vars.clone(),
+        SplitConfig::default(),
+    )]);
+    assert!(batch.incomplete_jobs().is_empty());
+
+    let doc = Json::parse(&batch.to_json()).expect("engine emits valid JSON");
+    let jobs = check_envelope(&doc);
+    assert_eq!(jobs[0].get("outcome").unwrap().as_str(), Some("verified"));
+    let racers = jobs[0].get("subtasks").unwrap().as_f64().unwrap();
+    assert!((1.0..=2.0).contains(&racers), "{racers} racers");
+    // With two racers, every clause one imports is one the other exported.
+    let exported = jobs[0].get("exported").unwrap().as_f64().unwrap();
+    let imported = jobs[0].get("imported").unwrap().as_f64().unwrap();
+    assert!(
+        imported <= exported,
+        "imported {imported} > exported {exported}"
+    );
+    let md = batch.to_markdown();
+    assert!(md.contains(" exported | imported |"));
 }
 
 #[test]

@@ -12,25 +12,36 @@
 use std::time::Duration;
 
 use veriqec::engine::{Engine, EngineConfig, Job};
+use veriqec::parallel::SplitConfig;
+use veriqec::scenario::{memory_scenario, ErrorModel};
+use veriqec::tasks::build_problem;
 use veriqec_codes::{five_qubit, steane};
 use veriqec_obs::heartbeat;
 
 #[test]
 fn second_batch_in_one_process_reports_only_its_own_jobs() {
     // A larger first batch, then a smaller second one — exactly the shape
-    // that used to leave JOBS_DONE > JOBS_TOTAL.
+    // that used to leave JOBS_DONE > JOBS_TOTAL. The correction job is a
+    // two-racer race and still counts once.
     let engine = Engine::new(EngineConfig {
         workers: 2,
         ..EngineConfig::default()
     });
+    let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
     let first = engine.run(vec![
         Job::distance("first_steane", steane(), 3),
         Job::detection("first_five_qubit", five_qubit(), 3),
         Job::count("first_count", five_qubit()),
+        Job::correction(
+            "first_correction",
+            build_problem(&scenario, 1, vec![]),
+            scenario.error_vars.clone(),
+            SplitConfig::default(),
+        ),
     ]);
     assert!(first.incomplete_jobs().is_empty());
-    assert_eq!(heartbeat::JOBS_TOTAL.get(), 3);
-    assert_eq!(heartbeat::JOBS_DONE.get(), 3);
+    assert_eq!(heartbeat::JOBS_TOTAL.get(), 4);
+    assert_eq!(heartbeat::JOBS_DONE.get(), 4);
 
     let second = engine.run(vec![Job::distance("second_steane", steane(), 3)]);
     assert!(second.incomplete_jobs().is_empty());

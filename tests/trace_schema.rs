@@ -52,6 +52,29 @@ fn engine_batch_trace_satisfies_chrome_schema() {
         );
     }
 
+    // The correction job is a race: one engine/racer span per racer, each
+    // closing with its index, whether it won and the clauses it shared —
+    // and exactly one racer won.
+    let racers: Vec<_> = collector
+        .events()
+        .iter()
+        .filter(|e| (e.cat, &*e.name, e.kind) == ("engine", "racer", veriqec_obs::EventKind::End))
+        .collect();
+    assert!(
+        !racers.is_empty(),
+        "the correction job must emit racer spans"
+    );
+    for e in &racers {
+        let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["racer", "won", "exported", "imported"]);
+    }
+    let winners = racers
+        .iter()
+        .filter(|e| e.args.contains(&("won", 1.0)))
+        .count();
+    assert_eq!(winners, 1, "{racers:?}");
+    assert!(json.contains("\"won\":1"));
+
     // The phase summary the batch reports render must see the same spans.
     let phases = collector.phase_summary();
     assert!(!phases.is_empty());
