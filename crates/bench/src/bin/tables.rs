@@ -1,7 +1,7 @@
 //! Regenerates the paper's evaluation tables/figure data as markdown (plus
 //! machine-readable JSON batch reports from the engine).
 //!
-//! Usage: `cargo run -p veriqec_bench --bin tables --release -- [fig4|fig6|fig7|table3|table4|stim|enumerators|fault_tolerance|kernels|solver|dd|quick|all] [max_d] [--trace out.json] [--progress]`
+//! Usage: `cargo run -p veriqec_bench --bin tables --release -- [fig4|fig6|fig7|table3|table4|stim|enumerators|fault_tolerance|gate|serve|quick|all] [max_d] [--trace out.json] [--progress]`
 //!
 //! `quick` is the CI smoke mode: a small heterogeneous batch (correction +
 //! detection + distance jobs on small codes) through the engine's shared
@@ -14,22 +14,21 @@
 //! repeated-measurement result symbolically *and* by exhaustive
 //! frame-sampling, and writes `BENCH_fault_tolerance.json`.
 //!
-//! `kernels` measures the hot GF(2) kernels (widened XOR chains, branch
-//! resolution, batch-vs-sequential frame sampling) and writes
-//! `BENCH_kernels.json`. `solver` measures CDCL throughput
-//! (propagations/sec, conflicts/sec) on pinned pure-SAT and zoo instances
-//! and writes `BENCH_solver.json`. `dd` measures decision-diagram
-//! compile-and-count sessions on pinned codes (coefficients re-asserted)
-//! and writes `BENCH_dd.json`. All three take `--quick` for the CI subset
-//! and `--check <baseline.json>` to gate against a checked-in baseline —
-//! the process exits nonzero if any median regresses beyond the tolerance
-//! or a throughput floor is violated.
+//! `gate` is the perf-regression gate (`veriqec_bench::gate`): it measures
+//! the hot GF(2)/frame kernels, CDCL throughput on pinned pure-SAT and zoo
+//! instances (verdicts re-asserted), and decision-diagram compile-and-count
+//! sessions on pinned codes (coefficients re-asserted), and writes every
+//! number as one row of `BENCH_gate.json`. `--quick` selects the CI subset;
+//! `--check <baseline.json>` gates the rows against a checked-in baseline,
+//! which is read before anything is measured (an unreadable, empty or
+//! malformed baseline exits 2), and exits 1 if any row breaks its bound.
 //!
 //! The smoke modes (`quick`, `enumerators --quick`, `fault_tolerance
-//! --quick`, `kernels --check`) exit nonzero on any inconclusive or
+//! --quick`, `gate --check`) exit nonzero on any inconclusive or
 //! cancelled job so CI fails on partial batches, after the artifacts are
 //! written; each incomplete job is listed with its budget-trip reason
-//! (`conflict_budget`, `node_limit(…)`, `interrupted`, `cancelled`).
+//! (`conflict_budget`, `node_limit(…)`, `interrupted`, `cancelled`). An
+//! unknown mode prints the list of modes and exits 2.
 //!
 //! Two flags compose with every mode: `--trace <out.json>` records spans,
 //! milestones, and counters from all instrumented crates and writes a
@@ -76,7 +75,7 @@ static REQUIRED_CATS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 /// The operand of a value-taking flag (`--check <path>`, `--trace <path>`,
 /// …): `None` when the flag is absent, the operand otherwise. A missing or
 /// flag-shaped operand is a usage error and exits 2 — silently consuming
-/// the next flag as a value (`tables kernels --check --trace out.json`
+/// the next flag as a value (`tables gate --check --trace out.json`
 /// reading `--trace` as the baseline path) is exactly the bug this
 /// replaces.
 fn flag_value(flag: &str) -> Option<String> {
@@ -176,70 +175,46 @@ fn main() {
     finalize_trace();
 }
 
+/// Every mode `tables` accepts, for the unknown-mode error.
+const MODES: &str =
+    "fig4 | fig6 | fig7 | table3 | table4 | stim | enumerators | fault_tolerance | gate | serve | quick | all";
+
 fn dispatch() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     let max_d: usize = std::env::args()
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
-    if what == "quick" {
-        quick();
-        return;
-    }
-    if what == "enumerators" {
-        enumerators(std::env::args().any(|a| a == "--quick"));
-        return;
-    }
-    if what == "fault_tolerance" {
-        fault_tolerance(std::env::args().any(|a| a == "--quick"));
-        return;
-    }
-    if what == "kernels" {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let baseline = flag_value("--check");
-        kernels(quick, baseline.as_deref());
-        return;
-    }
-    if what == "solver" {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let baseline = flag_value("--check");
-        solver(quick, baseline.as_deref());
-        return;
-    }
-    if what == "dd" {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let baseline = flag_value("--check");
-        dd(quick, baseline.as_deref());
-        return;
-    }
-    if what == "serve" {
-        serve(
+    let quick_flag = std::env::args().any(|a| a == "--quick");
+    match what.as_str() {
+        "fig4" => fig4(max_d),
+        "fig6" => fig6(max_d),
+        "fig7" => fig7(max_d),
+        "table3" => table3(),
+        "table4" => table4(),
+        "stim" => stim(max_d),
+        "enumerators" => enumerators(quick_flag),
+        "fault_tolerance" => fault_tolerance(quick_flag),
+        "gate" => gate(quick_flag, flag_value("--check").as_deref()),
+        "serve" => serve(
             std::env::args().any(|a| a == "--smoke"),
             flag_value("--addr"),
-        );
-        return;
-    }
-    if what == "all" || what == "fig4" {
-        fig4(max_d);
-    }
-    if what == "all" || what == "fig6" {
-        fig6(max_d);
-    }
-    if what == "all" || what == "fig7" {
-        fig7(max_d);
-    }
-    if what == "all" || what == "table3" {
-        table3();
-    }
-    if what == "all" || what == "table4" {
-        table4();
-    }
-    if what == "all" || what == "stim" {
-        stim(max_d);
-    }
-    if what == "all" {
-        enumerators(false);
-        fault_tolerance(false);
+        ),
+        "quick" => quick(),
+        "all" => {
+            fig4(max_d);
+            fig6(max_d);
+            fig7(max_d);
+            table3();
+            table4();
+            stim(max_d);
+            enumerators(false);
+            fault_tolerance(false);
+        }
+        _ => {
+            eprintln!("error: unknown mode {what:?}; modes: {MODES}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -265,153 +240,58 @@ fn gate_complete(batch: &veriqec::engine::BatchReport) {
     }
 }
 
-/// `tables kernels [--quick] [--check <baseline.json>]`: measures the hot
-/// kernels, writes `BENCH_kernels.json`, and — with `--check` — gates the
-/// fresh medians against the checked-in baseline, exiting nonzero on any
-/// hard regression.
-fn kernels(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::json::Json;
-    use veriqec_bench::kernels::{check_against_baseline, run_kernels};
+/// `tables gate [--quick] [--check <baseline.json>]`: reads the baseline
+/// (exit 2 if it cannot be read or parsed, or gates nothing), measures
+/// every gate row, writes `BENCH_gate.json`, and exits 1 if any row breaks
+/// its bound.
+fn gate(quick: bool, baseline_path: Option<&str>) {
+    use veriqec_bench::gate::{check, fmt_value, parse_baseline, run_gate, to_json};
 
+    let baseline = baseline_path.map(|path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_baseline(&text))
+            .unwrap_or_else(|e| {
+                eprintln!("error: bad baseline {path}: {e}");
+                std::process::exit(2);
+            })
+    });
     println!(
-        "\n### GF(2) kernel microbenchmarks{}\n",
+        "\n### Perf-regression gate{}\n",
         if quick { " (quick)" } else { "" }
     );
-    let report = run_kernels(quick);
-    println!("| metric | median ns/op | samples |");
-    println!("|--------|--------------|---------|");
-    for m in &report.metrics {
-        println!("| {} | {:.1} | {} |", m.name, m.median_ns, m.samples);
-    }
-    println!(
-        "\nbatch frame sampling speedup at surface d=5: {:.0}x",
-        report.frame_batch_speedup
-    );
-    let artifact = "BENCH_kernels.json";
-    std::fs::write(artifact, report.to_json()).expect("artifact writable");
-    println!("kernel report written to {artifact}");
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let regressions = check_against_baseline(&report, &doc);
-        if !regressions.is_empty() {
-            eprintln!(
-                "error: {} kernel regression(s) against {path}:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  - {}", r.0);
-            }
-            std::process::exit(1);
-        }
-        println!("all kernels within tolerance of {path}");
-    }
-}
-
-/// `tables solver [--quick] [--check <baseline.json>]`: measures CDCL
-/// throughput on the pinned instances, writes `BENCH_solver.json`, and —
-/// with `--check` — gates the fresh medians against the checked-in
-/// baseline's `solver_metrics` section, exiting nonzero on any hard
-/// regression or a propagation-throughput floor violation.
-fn solver(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::json::Json;
-    use veriqec_bench::solver_bench::{check_solver_baseline, run_solver_bench};
-
-    println!(
-        "\n### CDCL solver throughput{}\n",
-        if quick { " (quick)" } else { "" }
-    );
-    let report = run_solver_bench(quick);
-    println!("| instance | verdict | wall ms | propagations | conflicts | props/s | mean LBD |");
-    println!("|----------|---------|---------|--------------|-----------|---------|----------|");
-    for m in &report.metrics {
+    let rows = run_gate(quick);
+    println!("| layer | workload | metric | value | unit |");
+    println!("|-------|----------|--------|-------|------|");
+    for r in &rows {
         println!(
-            "| {} | {} | {:.2} | {} | {} | {:.2e} | {:.2} |",
-            m.name,
-            m.verdict,
-            m.wall_ms,
-            m.stats.propagations,
-            m.stats.conflicts,
-            m.props_per_sec(),
-            m.stats.mean_learnt_lbd(),
+            "| {} | {} | {} | {} | {} |",
+            r.layer,
+            r.workload,
+            r.metric,
+            fmt_value(r.value),
+            r.unit
         );
     }
-    println!(
-        "\naggregate: {:.2e} propagations/s, {:.2e} conflicts/s",
-        report.props_per_sec, report.conflicts_per_sec
-    );
-    let artifact = "BENCH_solver.json";
-    std::fs::write(artifact, report.to_json()).expect("artifact writable");
-    println!("solver report written to {artifact}");
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let regressions = check_solver_baseline(&report, &doc);
-        if !regressions.is_empty() {
+    let artifact = "BENCH_gate.json";
+    std::fs::write(artifact, to_json(quick, &rows)).expect("artifact writable");
+    println!("\ngate report written to {artifact}");
+    if let (Some(path), Some(baseline)) = (baseline_path, baseline) {
+        let violations = check(&rows, &baseline);
+        if !violations.is_empty() {
             eprintln!(
-                "error: {} solver regression(s) against {path}:",
-                regressions.len()
+                "error: {} gate violation(s) against {path}:",
+                violations.len()
             );
-            for r in &regressions {
-                eprintln!("  - {}", r.0);
+            for v in &violations {
+                eprintln!("  - {v}");
             }
             std::process::exit(1);
         }
-        println!("all solver instances within tolerance of {path}");
-    }
-}
-
-/// `tables dd [--quick] [--check <baseline.json>]`: measures full
-/// compile-and-count sessions of the decision-diagram backend on the
-/// pinned codes (coefficients re-asserted every run, carbon \[\[12,2,4\]\]
-/// bit-for-bit), writes `BENCH_dd.json`, and — with `--check` — gates wall
-/// time and peak live nodes against the checked-in baseline's `dd_metrics`
-/// section, exiting nonzero on any hard regression.
-fn dd(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::dd_bench::{check_dd_baseline, run_dd_bench};
-    use veriqec_bench::json::Json;
-
-    println!(
-        "\n### Decision-diagram compile benchmarks{}\n",
-        if quick { " (quick)" } else { "" }
-    );
-    let report = run_dd_bench(quick);
-    println!("| code | wall ms | allocs | peak live | final | hit rate | gc runs | swaps |");
-    println!("|------|---------|--------|-----------|-------|----------|---------|-------|");
-    for m in &report.metrics {
         println!(
-            "| {} | {:.2} | {} | {} | {} | {:.2} | {} | {} |",
-            m.name,
-            m.wall_ms,
-            m.stats.nodes,
-            m.stats.peak_nodes,
-            m.final_nodes,
-            m.stats.cache_hit_rate(),
-            m.stats.gc_runs,
-            m.stats.reorder_swaps,
+            "all {} baseline rows within bounds of {path}",
+            baseline.len()
         );
-    }
-    let artifact = "BENCH_dd.json";
-    std::fs::write(artifact, report.to_json()).expect("artifact writable");
-    println!("\ndd report written to {artifact}");
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let regressions = check_dd_baseline(&report, &doc);
-        if !regressions.is_empty() {
-            eprintln!(
-                "error: {} dd regression(s) against {path}:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  - {}", r.0);
-            }
-            std::process::exit(1);
-        }
-        println!("all dd codes within tolerance of {path}");
     }
 }
 

@@ -1,16 +1,10 @@
-//! Kernel microbenchmarks behind the CI perf-regression gate.
+//! The kernel layer of the perf gate ([`crate::gate`]).
 //!
-//! `tables kernels [--quick]` runs three hot-path kernels — the affine XOR
-//! chain, `ReducedVc::resolve_branches`, and batch-vs-sequential Pauli
-//! frame sampling — and writes median ns/op per metric to
-//! `BENCH_kernels.json`. CI uploads the report as an artifact and compares
-//! it against the checked-in `bench_baselines.json` with a generous
-//! tolerance ([`TOLERANCE`], 3×), so only hard regressions fail the build;
-//! the batch-vs-sequential frame speedup is additionally required to stay
-//! above [`MIN_FRAME_SPEEDUP`] — the PR-level acceptance bar for the
-//! bit-sliced simulator.
-
-use std::time::Instant;
+//! Three hot-path kernels — the affine XOR chain,
+//! `ReducedVc::resolve_branches`, and batch-vs-sequential Pauli frame
+//! sampling — each measured as the median ns per operation, plus the
+//! sequential-over-batch frame speedup at surface d=5, the acceptance bar
+//! of the bit-sliced simulator.
 
 use veriqec::sampling::faulty_memory_frame;
 use veriqec::scenario::{memory_scenario, ErrorModel};
@@ -20,106 +14,15 @@ use veriqec_qsim::LANES;
 use veriqec_vcgen::{reduce_commuting, ReducedVc};
 use veriqec_wp::qec_wp;
 
-use crate::json::Json;
-
-/// Wall-time tolerance of the regression gate: a metric fails only when it
-/// is more than this factor slower than its checked-in baseline. Generous
-/// on purpose — shared CI runners are noisy, and the gate is for hard
-/// regressions (an accidentally quadratic loop, a lost fast path), not for
-/// single-digit-percent drift.
-pub const TOLERANCE: f64 = 3.0;
-
-/// Minimum required batch-vs-sequential frame-sampling speedup at surface
-/// d=5 (the PR acceptance bar is 10×; the measured ratio is far higher).
-pub const MIN_FRAME_SPEEDUP: f64 = 10.0;
-
-/// One measured kernel.
-#[derive(Clone, Debug)]
-pub struct Metric {
-    /// Stable metric name — the join key against `bench_baselines.json`.
-    pub name: String,
-    /// Median wall time per operation, nanoseconds.
-    pub median_ns: f64,
-    /// Timed samples behind the median.
-    pub samples: usize,
-}
-
-/// The full kernels report (serialized to `BENCH_kernels.json`).
-#[derive(Clone, Debug)]
-pub struct KernelsReport {
-    /// True for the CI `--quick` run (fewer samples, d ≤ 5 workloads).
-    pub quick: bool,
-    /// Measured kernels.
-    pub metrics: Vec<Metric>,
-    /// Sequential-ns ÷ batch-ns per frame at surface d=5.
-    pub frame_batch_speedup: f64,
-}
-
-impl KernelsReport {
-    /// Metric lookup by name.
-    pub fn metric(&self, name: &str) -> Option<&Metric> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// Serializes the report (stable field names; no external
-    /// serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema\":\"veriqec_kernels_v1\",\"quick\":{},\"frame_batch_speedup\":{:.2},\"metrics\":[",
-            self.quick, self.frame_batch_speedup
-        ));
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"median_ns\":{:.1},\"samples\":{}}}",
-                m.name, m.median_ns, m.samples
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Median wall time of `f` in nanoseconds over `samples` timed runs (one
-/// untimed warm-up).
-pub fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    assert!(samples > 0);
-    f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Deterministic xorshift so every run times an identical workload.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
+use crate::gate::{median_run, Row, XorShift};
 
 /// The XOR-chain workload at distance `d`: 256 affine forms of weight 8
 /// over the d×d memory scenario's variable-id span.
 fn chain_forms(d: usize) -> Vec<Affine> {
     let nvars = (4 * d * d) as u64;
-    let mut rng = Lcg(0x9E37_79B9 ^ d as u64);
+    let mut rng = XorShift(0x9E37_79B9 ^ d as u64);
     (0..256)
-        .map(|_| Affine::sum_vars((0..8).map(|_| VarId((rng.next() % nvars) as u32))))
+        .map(|_| Affine::sum_vars((0..8).map(|_| VarId((rng.next_u64() % nvars) as u32))))
         .collect()
 }
 
@@ -138,47 +41,51 @@ fn frame_workload(d: usize, rounds: usize) -> (veriqec_qsim::FrameCircuit, Vec<u
     let schedule = ExtractionSchedule::repeated(code.generators().len(), rounds);
     let frame = faulty_memory_frame(&code, ErrorModel::YErrors, &schedule);
     let sites = frame.circuit.num_error_sites();
-    let mut rng = Lcg(0xD1B5_4A32 ^ d as u64);
+    let mut rng = XorShift(0xD1B5_4A32 ^ d as u64);
     let mut masks = vec![0u64; sites];
     for lane in 0..LANES {
         for _ in 0..2 {
-            masks[(rng.next() as usize) % sites] |= 1u64 << lane;
+            masks[(rng.next_u64() as usize) % sites] |= 1u64 << lane;
         }
     }
     (frame.circuit, masks)
 }
 
-/// Runs every kernel and assembles the report. `quick` is the CI mode:
-/// fewer samples and d ≤ 5 workloads; the full mode adds the d=7 symbolic
-/// kernels on top.
-pub fn run_kernels(quick: bool) -> KernelsReport {
+/// Median wall time of `f` in nanoseconds over `samples` timed runs after
+/// one untimed warm-up.
+fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    median_run(samples, f).0 * 1e9
+}
+
+/// Measures every kernel. `quick` is the CI mode: fewer samples and d ≤ 5
+/// workloads; the full mode adds the d=7 symbolic kernels.
+pub(crate) fn rows(quick: bool) -> Vec<Row> {
     let samples = if quick { 24 } else { 64 };
-    let mut metrics = Vec::new();
+    let mut medians = Vec::new();
 
     let symbolic_ds: &[usize] = if quick { &[5] } else { &[5, 7] };
     for &d in symbolic_ds {
         let forms = chain_forms(d);
-        metrics.push(Metric {
-            name: format!("xor_chain_d{d}"),
-            median_ns: median_ns(samples, || {
+        medians.push((
+            format!("xor_chain_d{d}"),
+            median_ns(samples, || {
                 let mut acc = Affine::zero();
                 for f in &forms {
                     acc ^= f;
                 }
                 std::hint::black_box(&acc);
             }),
-            samples,
-        });
+        ));
         let vc = surface_vc(d);
-        metrics.push(Metric {
-            name: format!("branch_resolution_d{d}"),
-            median_ns: median_ns(samples, || {
+        medians.push((
+            format!("branch_resolution_d{d}"),
+            median_ns(samples, || {
                 let mut v = vc.clone();
                 v.resolve_branches();
                 std::hint::black_box(v.targets.len());
             }),
-            samples,
-        });
+        ));
     }
 
     let (circuit, masks) = frame_workload(5, 3);
@@ -194,73 +101,40 @@ pub fn run_kernels(quick: bool) -> KernelsReport {
     let batch_ns = median_ns(samples, || {
         std::hint::black_box(circuit.sample_batch(&masks));
     }) / LANES as f64;
-    metrics.push(Metric {
-        name: "frame_sequential_d5".into(),
-        median_ns: seq_ns,
-        samples,
-    });
-    metrics.push(Metric {
-        name: "frame_batch_d5".into(),
-        median_ns: batch_ns,
-        samples,
-    });
-
-    KernelsReport {
-        quick,
-        metrics,
-        frame_batch_speedup: seq_ns / batch_ns,
-    }
+    medians.push(("frame_sequential_d5".into(), seq_ns));
+    medians.push(("frame_batch_d5".into(), batch_ns));
+    median_rows(medians, samples, seq_ns / batch_ns)
 }
 
-/// One gate violation, human-readable.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression(pub String);
-
-/// Compares a fresh report against a parsed `bench_baselines.json`
-/// document (shape: `{"metrics": [{"name": ..., "median_ns": ...}, ...]}`).
-/// A metric regresses when it is more than [`TOLERANCE`]× slower than its
-/// baseline; baseline entries with no measured counterpart are reported
-/// too (a silently dropped metric must not pass the gate), while measured
-/// metrics absent from the baseline are ignored (new metrics land first,
-/// their baselines land with the measurement). The frame speedup must
-/// clear [`MIN_FRAME_SPEEDUP`] regardless of baselines.
-pub fn check_against_baseline(report: &KernelsReport, baseline: &Json) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    let entries = baseline
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[]);
-    for entry in entries {
-        let (Some(name), Some(base_ns)) = (
-            entry.get("name").and_then(Json::as_str),
-            entry.get("median_ns").and_then(Json::as_f64),
-        ) else {
-            regressions.push(Regression(format!("malformed baseline entry: {entry:?}")));
-            continue;
-        };
-        match report.metric(name) {
-            None => regressions.push(Regression(format!(
-                "baseline metric '{name}' was not measured"
-            ))),
-            Some(m) if m.median_ns > base_ns * TOLERANCE => regressions.push(Regression(format!(
-                "{name}: {:.0} ns/op exceeds {TOLERANCE}x baseline {base_ns:.0} ns/op",
-                m.median_ns
-            ))),
-            Some(_) => {}
-        }
+/// The rows of measured `(workload, median ns)` pairs, each timed over
+/// `samples` runs, plus the frame-batch `speedup`.
+fn median_rows(medians: Vec<(String, f64)>, samples: usize, speedup: f64) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for (workload, ns) in medians {
+        rows.push(Row::new("kernels", &workload, "median_ns", ns, "ns"));
+        rows.push(Row::new(
+            "kernels",
+            workload,
+            "samples",
+            samples as f64,
+            "count",
+        ));
     }
-    if report.frame_batch_speedup < MIN_FRAME_SPEEDUP {
-        regressions.push(Regression(format!(
-            "frame batch speedup {:.1}x below required {MIN_FRAME_SPEEDUP}x",
-            report.frame_batch_speedup
-        )));
-    }
-    regressions
+    rows.push(Row::new(
+        "kernels",
+        "frame_batch_d5",
+        "speedup",
+        speedup,
+        "x",
+    ));
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, parse_baseline, to_json};
+    use crate::json::Json;
 
     #[test]
     fn median_is_order_insensitive() {
@@ -272,74 +146,57 @@ mod tests {
 
     #[test]
     fn report_json_round_trips_through_parser() {
-        let report = KernelsReport {
-            quick: true,
-            metrics: vec![Metric {
-                name: "xor_chain_d5".into(),
-                median_ns: 1234.5,
-                samples: 24,
-            }],
-            frame_batch_speedup: 42.0,
-        };
-        let v = Json::parse(&report.to_json()).unwrap();
-        assert_eq!(
-            v.get("schema").unwrap().as_str(),
-            Some("veriqec_kernels_v1")
-        );
+        let rows = median_rows(vec![("xor_chain_d5".into(), 1234.5)], 24, 42.0);
+        let v = Json::parse(&to_json(true, &rows)).unwrap();
+        assert_eq!(v.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
         assert_eq!(v.get("quick").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("frame_batch_speedup").unwrap().as_f64(), Some(42.0));
-        let metrics = v.get("metrics").unwrap().as_arr().unwrap();
-        assert_eq!(
-            metrics[0].get("name").unwrap().as_str(),
-            Some("xor_chain_d5")
-        );
-        assert_eq!(metrics[0].get("median_ns").unwrap().as_f64(), Some(1234.5));
+        let parsed = v.get("rows").unwrap().as_arr().unwrap();
+        let fields = |i: usize| {
+            let text = |key| parsed[i].get(key).unwrap().as_str().unwrap();
+            let value = parsed[i].get("value").unwrap().as_f64().unwrap();
+            (text("layer"), text("workload"), text("metric"), value)
+        };
+        assert_eq!(parsed.len(), 3);
+        assert_eq!(fields(0), ("kernels", "xor_chain_d5", "median_ns", 1234.5));
+        assert_eq!(fields(1), ("kernels", "xor_chain_d5", "samples", 24.0));
+        assert_eq!(fields(2), ("kernels", "frame_batch_d5", "speedup", 42.0));
     }
 
     #[test]
     fn baseline_gate_flags_only_hard_regressions() {
-        let report = KernelsReport {
-            quick: true,
-            metrics: vec![
-                Metric {
-                    name: "fast".into(),
-                    median_ns: 100.0,
-                    samples: 8,
-                },
-                Metric {
-                    name: "slow".into(),
-                    median_ns: 1000.0,
-                    samples: 8,
-                },
-            ],
-            frame_batch_speedup: 50.0,
-        };
-        let baseline = Json::parse(
-            r#"{"metrics":[
-                {"name":"fast","median_ns":50.0},
-                {"name":"slow","median_ns":100.0},
-                {"name":"gone","median_ns":10.0}
+        let rows = median_rows(
+            vec![("fast".into(), 100.0), ("slow".into(), 1000.0)],
+            8,
+            50.0,
+        );
+        let baseline = parse_baseline(
+            r#"{"rows":[
+                {"layer":"kernels","workload":"fast","metric":"median_ns","value":50.0},
+                {"layer":"kernels","workload":"slow","metric":"median_ns","value":100.0},
+                {"layer":"kernels","workload":"gone","metric":"median_ns","value":10.0}
             ]}"#,
         )
         .unwrap();
-        let regs = check_against_baseline(&report, &baseline);
+        let regs = check(&rows, &baseline);
         // 'fast' is 2x the baseline — inside the 3x tolerance. 'slow' is
         // 10x — a hard regression. 'gone' was never measured.
         assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs.iter().any(|r| r.0.contains("slow")));
-        assert!(regs.iter().any(|r| r.0.contains("gone")));
+        assert!(regs.iter().any(|r| r.contains("slow")));
+        assert!(regs.iter().any(|r| r.contains("gone")));
     }
 
     #[test]
     fn speedup_floor_is_enforced() {
-        let report = KernelsReport {
-            quick: true,
-            metrics: vec![],
-            frame_batch_speedup: 2.0,
-        };
-        let baseline = Json::parse(r#"{"metrics":[]}"#).unwrap();
-        let regs = check_against_baseline(&report, &baseline);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].0.contains("speedup"));
+        // The checked-in speedup baseline of 30: 10x passes, below fails.
+        let baseline = parse_baseline(
+            r#"{"rows":[
+                {"layer":"kernels","workload":"frame_batch_d5","metric":"speedup","value":30.0}
+            ]}"#,
+        )
+        .unwrap();
+        assert!(check(&median_rows(vec![], 8, 10.0), &baseline).is_empty());
+        let regs = check(&median_rows(vec![], 8, 2.0), &baseline);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].contains("speedup") && regs[0].contains("below the floor"));
     }
 }

@@ -1,15 +1,13 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each Criterion bench and table binary regenerates one table or figure of
-//! the paper's evaluation section; `DESIGN.md` maps experiment ids to
-//! targets, and `EXPERIMENTS.md` records paper-vs-measured results. The
-//! [`kernels`] module is the CI perf-regression gate's measurement core
-//! (`tables kernels` → `BENCH_kernels.json`), [`solver_bench`] is the CDCL
-//! throughput gate next to it (`tables solver` → `BENCH_solver.json`), and
-//! [`json`] is the minimal parser that the gates and the artifact schema
-//! tests read those reports with (the tree is offline — no serde; the
-//! parser itself lives in `veriqec_serve`, which also feeds it the daemon's
-//! line protocol, and is re-exported here for the gates), and
+//! The `tables` binary regenerates the paper's evaluation tables and
+//! figures (`DESIGN.md` maps each to its mode) and runs the CI smoke modes.
+//! [`gate`] is the CI perf-regression gate behind `tables gate` (one row
+//! table, one baseline rule, one checker), measuring the `kernels`,
+//! `solver_bench` and [`dd_bench`] layers. [`json`] is the minimal parser
+//! that the gate and the artifact schema tests read reports with (the tree
+//! is offline — no serde; the parser itself lives in `veriqec_serve`, which
+//! also feeds it the daemon's line protocol, and is re-exported here), and
 //! [`trace`] validates the Chrome trace-event artifacts `tables --trace`
 //! emits before they are written or uploaded.
 
@@ -19,9 +17,10 @@ use veriqec_codes::{rotated_surface, StabilizerCode};
 use veriqec_vcgen::VcProblem;
 
 pub mod dd_bench;
+pub mod gate;
 pub use veriqec_serve::json;
-pub mod kernels;
-pub mod solver_bench;
+mod kernels;
+mod solver_bench;
 pub mod trace;
 
 /// The rotated-surface memory workload of Figs. 4/6/7 at distance `d`.

@@ -1,20 +1,17 @@
-//! CDCL solver throughput benchmarks behind the `tables solver` CI gate.
+//! The CDCL solver layer of the perf gate ([`crate::gate`]).
 //!
-//! `tables solver [--quick]` runs a pinned set of instances — pigeonhole and
-//! seeded random 3-SAT at the pure-SAT layer, plus zoo workloads (a distance
-//! sweep and incremental correction sweeps) through the same sessions the
-//! engine uses — and writes per-instance wall time and throughput
-//! (propagations/sec, conflicts/sec) to `BENCH_solver.json`. With
-//! `--check <baseline.json>` the fresh medians are gated against the
-//! checked-in `bench_baselines.json` (`solver_metrics` section) with the
-//! same generous tolerance as the kernel gate ([`crate::kernels::TOLERANCE`],
-//! 3×), so only hard regressions — a lost fast path in `propagate`, an
-//! accidentally quadratic clause-database walk — fail the build. The
-//! aggregate propagation throughput must additionally stay above
-//! [`MIN_PROPS_PER_SEC`], the release-build floor the clause-arena rewrite
-//! cleared with wide headroom.
-
-use std::time::Instant;
+//! A pinned set of instances — pigeonhole and seeded random 3-SAT at the
+//! pure-SAT layer, plus zoo workloads (a distance sweep and incremental
+//! correction sweeps) through the same sessions the engine uses — each
+//! measured as the median wall time of a fresh solve, with its
+//! propagations, conflicts, propagations/s and mean learnt LBD, plus the
+//! aggregate propagation and conflict throughput. Every run re-asserts the
+//! instance's pinned verdict, so the gate never times a wrong answer.
+//!
+//! The aggregate propagations/s row has a baseline of 3.0e6, so its floor
+//! is 1.0e6/s. On a 2-core Xeon dev container, quick runs read
+//! 2.3–4.0e6/s and full runs 4.9–5.2e6/s: 2–4× headroom, enough to catch a
+//! lost fast path in `propagate` but not runner noise.
 
 use veriqec::engine::{CorrectionSweep, DetectionSession};
 use veriqec::scenario::{memory_scenario, ErrorModel};
@@ -23,99 +20,7 @@ use veriqec_codes::{rotated_surface, steane, toric};
 use veriqec_sat::{Lit, SatResult, Solver, SolverConfig, SolverStats, Var};
 use veriqec_vcgen::VcOutcome;
 
-use crate::json::Json;
-use crate::kernels::{Regression, TOLERANCE};
-
-/// Release-build floor on the aggregate propagation throughput across the
-/// pinned instances. Deliberately far below a healthy dev-container run
-/// (tens of millions of propagations per second) — like the kernel gate,
-/// this catches hard regressions, not runner noise.
-pub const MIN_PROPS_PER_SEC: f64 = 1.0e6;
-
-/// One measured instance.
-#[derive(Clone, Debug)]
-pub struct SolverMetric {
-    /// Stable instance name — the join key against `bench_baselines.json`.
-    pub name: String,
-    /// The pinned verdict, re-asserted on every run.
-    pub verdict: String,
-    /// Median wall time of a full fresh-solver run, milliseconds.
-    pub wall_ms: f64,
-    /// Solver statistics of the median run.
-    pub stats: SolverStats,
-}
-
-impl SolverMetric {
-    /// Propagations per second on the median run.
-    pub fn props_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.stats.propagations as f64 / (self.wall_ms / 1e3)
-        }
-    }
-}
-
-/// The full solver report (serialized to `BENCH_solver.json`).
-#[derive(Clone, Debug)]
-pub struct SolverReport {
-    /// True for the CI `--quick` run (fewer runs, small instances only).
-    pub quick: bool,
-    /// Measured instances.
-    pub metrics: Vec<SolverMetric>,
-    /// Total propagations ÷ total seconds across the median runs.
-    pub props_per_sec: f64,
-    /// Total conflicts ÷ total seconds across the median runs.
-    pub conflicts_per_sec: f64,
-}
-
-impl SolverReport {
-    /// Instance lookup by name.
-    pub fn metric(&self, name: &str) -> Option<&SolverMetric> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// Serializes the report (stable field names; no external
-    /// serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema\":\"veriqec_solver_v1\",\"quick\":{},\"props_per_sec\":{:.0},\"conflicts_per_sec\":{:.0},\"instances\":[",
-            self.quick, self.props_per_sec, self.conflicts_per_sec
-        ));
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"verdict\":\"{}\",\"wall_ms\":{:.3},\"propagations\":{},\"conflicts\":{},\"props_per_sec\":{:.0},\"mean_lbd\":{:.2}}}",
-                m.name,
-                m.verdict,
-                m.wall_ms,
-                m.stats.propagations,
-                m.stats.conflicts,
-                m.props_per_sec(),
-                m.stats.mean_learnt_lbd(),
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Deterministic xorshift so every run solves an identical instance.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
+use crate::gate::{median_run, Row, XorShift};
 
 /// PHP(p, h): `p` pigeons into `h` holes — unsatisfiable when p > h, with a
 /// propagation-heavy refutation. The canonical pure-SAT stress instance.
@@ -143,20 +48,20 @@ fn php_solver(pigeons: usize, holes: usize) -> Solver {
 fn rand3sat_solver(num_vars: usize, seed: u64) -> Solver {
     let mut s = Solver::new();
     let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
-    let mut rng = Lcg(seed);
+    let mut rng = XorShift(seed);
     let clauses = num_vars * 42 / 10;
     for _ in 0..clauses {
         let mut picks = [0usize; 3];
         for slot in 0..3 {
             loop {
-                let v = (rng.next() as usize) % num_vars;
+                let v = (rng.next_u64() as usize) % num_vars;
                 if !picks[..slot].contains(&v) {
                     picks[slot] = v;
                     break;
                 }
             }
         }
-        let lits = picks.map(|v| Lit::new(vars[v], rng.next() & 1 == 0));
+        let lits = picks.map(|v| Lit::new(vars[v], rng.next_u64() & 1 == 0));
         s.add_clause(lits);
     }
     s
@@ -170,229 +75,215 @@ fn sat_verdict(r: SatResult) -> &'static str {
     }
 }
 
-/// Runs `f` (a full fresh-state solve returning its verdict tag and stats)
-/// `runs + 1` times — one warm-up — and keeps the median-wall-time run.
-fn measure<F: FnMut() -> (String, SolverStats)>(name: &str, runs: usize, mut f: F) -> SolverMetric {
-    assert!(runs > 0);
+/// Runs `f` — a full fresh-state solve returning its verdict tag and
+/// stats — once untimed as a warm-up, then `runs` timed times, asserting
+/// the warm-up's verdict on every run. Returns the median run's wall time
+/// in ms and its stats.
+fn measure(
+    name: &'static str,
+    runs: usize,
+    mut f: impl FnMut() -> (&'static str, SolverStats),
+) -> (&'static str, f64, SolverStats) {
     let (verdict, _) = f();
-    let mut timed: Vec<(f64, SolverStats)> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            let (v, stats) = f();
-            assert_eq!(v, verdict, "{name}: verdict must be pinned across runs");
-            (t0.elapsed().as_secs_f64() * 1e3, stats)
-        })
-        .collect();
-    timed.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
-    let (wall_ms, stats) = timed[timed.len() / 2];
-    SolverMetric {
-        name: name.to_string(),
-        verdict,
-        wall_ms,
-        stats,
+    let (secs, stats) = median_run(runs, || {
+        let (v, stats) = f();
+        assert_eq!(v, verdict, "{name}: verdict must be pinned across runs");
+        stats
+    });
+    (name, secs * 1e3, stats)
+}
+
+/// `count` per second, 0 for an unmeasurably short run.
+fn per_sec(count: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
     }
 }
 
-/// Runs every pinned instance and assembles the report. `quick` is the CI
-/// mode: fewer timed runs and the small instances only; the full mode adds
-/// PHP(8,7) and the surface-5 correction sweep.
-pub fn run_solver_bench(quick: bool) -> SolverReport {
+/// Measures every pinned instance. `quick` is the CI mode: fewer timed
+/// runs and the small instances only; the full mode adds PHP(8,7), the
+/// toric-3 distance and the surface-5 correction sweep.
+pub(crate) fn rows(quick: bool) -> Vec<Row> {
     let runs = if quick { 3 } else { 7 };
     let config = SolverConfig::default();
-    let mut metrics = Vec::new();
-
-    metrics.push(measure("php_7_6", runs, || {
-        let mut s = php_solver(7, 6);
-        let r = s.solve(&[]);
-        assert_eq!(r, SatResult::Unsat);
-        (sat_verdict(r).into(), s.stats())
-    }));
-    metrics.push(measure("rand3sat_n150", runs, || {
-        let mut s = rand3sat_solver(150, 0x5EED_CAFE);
-        let r = s.solve(&[]);
-        assert_ne!(r, SatResult::Unknown);
-        (sat_verdict(r).into(), s.stats())
-    }));
-    metrics.push(measure("steane_distance", runs, || {
-        let mut session = DetectionSession::new(&steane(), config);
-        let out = session.find_distance(4);
-        assert_eq!(out, DistanceOutcome::Exact(3));
-        ("distance_3".into(), session.solver_stats())
-    }));
-    metrics.push(measure("surface3_sweep_w2", runs, || {
-        let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
-        let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
-        assert!(sweep.check_weight(1).is_verified());
-        assert!(matches!(
-            sweep.check_weight(2),
-            VcOutcome::CounterExample(_)
-        ));
-        ("w1_verified_w2_cex".into(), sweep.session().solver_stats())
-    }));
-    if !quick {
-        metrics.push(measure("php_8_7", runs, || {
-            let mut s = php_solver(8, 7);
+    let mut measured = vec![
+        measure("php_7_6", runs, || {
+            let mut s = php_solver(7, 6);
             let r = s.solve(&[]);
             assert_eq!(r, SatResult::Unsat);
-            (sat_verdict(r).into(), s.stats())
-        }));
-        metrics.push(measure("toric3_distance", runs, || {
-            let mut session = DetectionSession::new(&toric(3), config);
+            (sat_verdict(r), s.stats())
+        }),
+        measure("rand3sat_n150", runs, || {
+            let mut s = rand3sat_solver(150, 0x5EED_CAFE);
+            let r = s.solve(&[]);
+            assert_ne!(r, SatResult::Unknown);
+            (sat_verdict(r), s.stats())
+        }),
+        measure("steane_distance", runs, || {
+            let mut session = DetectionSession::new(&steane(), config);
             let out = session.find_distance(4);
             assert_eq!(out, DistanceOutcome::Exact(3));
-            ("distance_3".into(), session.solver_stats())
-        }));
-        metrics.push(measure("surface5_sweep_w3", runs, || {
-            let scenario = memory_scenario(&rotated_surface(5), ErrorModel::YErrors);
+            ("distance_3", session.solver_stats())
+        }),
+        measure("surface3_sweep_w2", runs, || {
+            let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
             let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
-            assert!(sweep.check_weight(2).is_verified());
+            assert!(sweep.check_weight(1).is_verified());
             assert!(matches!(
-                sweep.check_weight(3),
+                sweep.check_weight(2),
                 VcOutcome::CounterExample(_)
             ));
-            ("w2_verified_w3_cex".into(), sweep.session().solver_stats())
-        }));
+            ("w1_verified_w2_cex", sweep.session().solver_stats())
+        }),
+    ];
+    if !quick {
+        measured.extend([
+            measure("php_8_7", runs, || {
+                let mut s = php_solver(8, 7);
+                let r = s.solve(&[]);
+                assert_eq!(r, SatResult::Unsat);
+                (sat_verdict(r), s.stats())
+            }),
+            measure("toric3_distance", runs, || {
+                let mut session = DetectionSession::new(&toric(3), config);
+                let out = session.find_distance(4);
+                assert_eq!(out, DistanceOutcome::Exact(3));
+                ("distance_3", session.solver_stats())
+            }),
+            measure("surface5_sweep_w3", runs, || {
+                let scenario = memory_scenario(&rotated_surface(5), ErrorModel::YErrors);
+                let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
+                assert!(sweep.check_weight(2).is_verified());
+                assert!(matches!(
+                    sweep.check_weight(3),
+                    VcOutcome::CounterExample(_)
+                ));
+                ("w2_verified_w3_cex", sweep.session().solver_stats())
+            }),
+        ]);
     }
-
-    let total_secs: f64 = metrics.iter().map(|m| m.wall_ms / 1e3).sum();
-    let total_props: u64 = metrics.iter().map(|m| m.stats.propagations).sum();
-    let total_conflicts: u64 = metrics.iter().map(|m| m.stats.conflicts).sum();
-    SolverReport {
-        quick,
-        metrics,
-        props_per_sec: if total_secs > 0.0 {
-            total_props as f64 / total_secs
-        } else {
-            0.0
-        },
-        conflicts_per_sec: if total_secs > 0.0 {
-            total_conflicts as f64 / total_secs
-        } else {
-            0.0
-        },
-    }
+    stats_rows(&measured)
 }
 
-/// Compares a fresh report against a parsed `bench_baselines.json` document
-/// (its `solver_metrics` section: `[{"name": ..., "wall_ms": ...}, ...]`).
-/// An instance regresses when it is more than [`TOLERANCE`]× slower than
-/// its baseline; baseline entries with no measured counterpart are reported
-/// too (a silently dropped instance must not pass the gate), while measured
-/// instances absent from the baseline are ignored (new instances land
-/// first, their baselines land with the measurement). The aggregate
-/// propagation throughput must clear [`MIN_PROPS_PER_SEC`] regardless of
-/// baselines.
-pub fn check_solver_baseline(report: &SolverReport, baseline: &Json) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    let entries = baseline
-        .get("solver_metrics")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[]);
-    for entry in entries {
-        let (Some(name), Some(base_ms)) = (
-            entry.get("name").and_then(Json::as_str),
-            entry.get("wall_ms").and_then(Json::as_f64),
-        ) else {
-            regressions.push(Regression(format!(
-                "malformed solver baseline entry: {entry:?}"
-            )));
-            continue;
-        };
-        match report.metric(name) {
-            None => regressions.push(Regression(format!(
-                "baseline solver instance '{name}' was not measured"
-            ))),
-            Some(m) if m.wall_ms > base_ms * TOLERANCE => regressions.push(Regression(format!(
-                "{name}: {:.2} ms exceeds {TOLERANCE}x baseline {base_ms:.2} ms",
-                m.wall_ms
-            ))),
-            Some(_) => {}
-        }
+/// The rows of measured `(name, wall_ms, stats)` instances: five per
+/// instance, plus the aggregate propagation and conflict throughputs.
+fn stats_rows(measured: &[(&'static str, f64, SolverStats)]) -> Vec<Row> {
+    let mut rows = Vec::new();
+    let (mut total_secs, mut total_props, mut total_conflicts) = (0.0, 0, 0);
+    for &(name, wall_ms, stats) in measured {
+        let secs = wall_ms / 1e3;
+        let row = |metric, value, unit| Row::new("solver", name, metric, value, unit);
+        rows.extend([
+            row("wall_ms", wall_ms, "ms"),
+            row("propagations", stats.propagations as f64, "count"),
+            row("conflicts", stats.conflicts as f64, "count"),
+            row("props_per_sec", per_sec(stats.propagations, secs), "1/s"),
+            row("mean_lbd", stats.mean_learnt_lbd(), "lbd"),
+        ]);
+        total_secs += secs;
+        total_props += stats.propagations;
+        total_conflicts += stats.conflicts;
     }
-    if report.props_per_sec < MIN_PROPS_PER_SEC {
-        regressions.push(Regression(format!(
-            "aggregate propagation throughput {:.0}/s below required {MIN_PROPS_PER_SEC:.0}/s",
-            report.props_per_sec
-        )));
-    }
-    regressions
+    let row = |metric, count| {
+        Row::new(
+            "solver",
+            "aggregate",
+            metric,
+            per_sec(count, total_secs),
+            "1/s",
+        )
+    };
+    rows.push(row("props_per_sec", total_props));
+    rows.push(row("conflicts_per_sec", total_conflicts));
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, parse_baseline, to_json};
+    use crate::json::Json;
 
-    fn metric(name: &str, wall_ms: f64, propagations: u64) -> SolverMetric {
-        SolverMetric {
-            name: name.into(),
-            verdict: "unsat".into(),
-            wall_ms,
-            stats: SolverStats {
-                propagations,
-                conflicts: propagations / 10,
-                ..SolverStats::default()
-            },
+    fn stats(propagations: u64) -> SolverStats {
+        SolverStats {
+            propagations,
+            conflicts: propagations / 10,
+            learned: propagations / 10,
+            lbd_sum: propagations / 2,
+            ..SolverStats::default()
         }
     }
 
     #[test]
     fn report_json_round_trips_through_parser() {
-        let report = SolverReport {
-            quick: true,
-            metrics: vec![metric("php_7_6", 2.5, 100_000)],
-            props_per_sec: 4.0e7,
-            conflicts_per_sec: 4.0e6,
-        };
-        let doc = Json::parse(&report.to_json()).unwrap();
-        assert_eq!(
-            doc.get("schema").unwrap().as_str(),
-            Some("veriqec_solver_v1")
-        );
+        let rows = stats_rows(&[("php_7_6", 2.5, stats(100_000))]);
+        let doc = Json::parse(&to_json(true, &rows)).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
         assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-        assert!(doc.get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        let instances = doc.get("instances").unwrap().as_arr().unwrap();
-        assert_eq!(instances[0].get("name").unwrap().as_str(), Some("php_7_6"));
-        assert_eq!(instances[0].get("verdict").unwrap().as_str(), Some("unsat"));
-        assert!(instances[0].get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        assert!(instances[0].get("mean_lbd").unwrap().as_f64().is_some());
+        let parsed = doc.get("rows").unwrap().as_arr().unwrap();
+        let value = |workload: &str, metric: &str| {
+            let row = parsed
+                .iter()
+                .find(|r| {
+                    r.get("layer").unwrap().as_str() == Some("solver")
+                        && r.get("workload").unwrap().as_str() == Some(workload)
+                        && r.get("metric").unwrap().as_str() == Some(metric)
+                })
+                .unwrap_or_else(|| panic!("no {workload}/{metric} row"));
+            row.get("value").unwrap().as_f64().unwrap()
+        };
+        assert_eq!(value("php_7_6", "wall_ms"), 2.5);
+        assert_eq!(value("php_7_6", "propagations"), 100_000.0);
+        assert_eq!(value("php_7_6", "conflicts"), 10_000.0);
+        assert_eq!(value("php_7_6", "mean_lbd"), 5.0);
+        // 2.5 ms is not exact in binary, so the rates are compared loosely.
+        let close = |got: f64, want: f64| (got - want).abs() <= want * 1e-9;
+        assert!(close(value("php_7_6", "props_per_sec"), 4.0e7));
+        assert!(close(value("aggregate", "props_per_sec"), 4.0e7));
+        assert!(close(value("aggregate", "conflicts_per_sec"), 4.0e6));
+        assert_eq!(parsed.len(), 7);
     }
 
     #[test]
     fn baseline_gate_flags_only_hard_regressions() {
-        let report = SolverReport {
-            quick: true,
-            metrics: vec![metric("fast", 2.0, 1_000_000), metric("slow", 100.0, 1_000)],
-            props_per_sec: 1.0e7,
-            conflicts_per_sec: 1.0e6,
-        };
-        let baseline = Json::parse(
-            r#"{"solver_metrics":[
-                {"name":"fast","wall_ms":1.0},
-                {"name":"slow","wall_ms":10.0},
-                {"name":"gone","wall_ms":5.0}
+        let rows = stats_rows(&[
+            ("fast", 2.0, stats(1_000_000)),
+            ("slow", 100.0, stats(1_000)),
+        ]);
+        let baseline = parse_baseline(
+            r#"{"rows":[
+                {"layer":"solver","workload":"fast","metric":"wall_ms","value":1.0},
+                {"layer":"solver","workload":"slow","metric":"wall_ms","value":10.0},
+                {"layer":"solver","workload":"gone","metric":"wall_ms","value":5.0}
             ]}"#,
         )
         .unwrap();
-        let regs = check_solver_baseline(&report, &baseline);
+        let regs = check(&rows, &baseline);
         // 'fast' is 2x the baseline — inside the 3x tolerance. 'slow' is
         // 10x — a hard regression. 'gone' was never measured.
         assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs.iter().any(|r| r.0.contains("slow")));
-        assert!(regs.iter().any(|r| r.0.contains("gone")));
+        assert!(regs.iter().any(|r| r.contains("slow")));
+        assert!(regs.iter().any(|r| r.contains("gone")));
     }
 
     #[test]
     fn throughput_floor_is_enforced() {
-        let report = SolverReport {
-            quick: true,
-            metrics: vec![],
-            props_per_sec: 10.0,
-            conflicts_per_sec: 1.0,
-        };
-        let baseline = Json::parse(r#"{"solver_metrics":[]}"#).unwrap();
-        let regs = check_solver_baseline(&report, &baseline);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].0.contains("throughput"));
+        // The checked-in aggregate baseline of 3.0e6 props/s: 1.0e6 passes,
+        // anything below fails.
+        let baseline = parse_baseline(
+            r#"{"rows":[
+                {"layer":"solver","workload":"aggregate","metric":"props_per_sec","value":3.0e6}
+            ]}"#,
+        )
+        .unwrap();
+        let at_floor = stats_rows(&[("php_7_6", 1000.0, stats(1_000_000))]);
+        assert!(check(&at_floor, &baseline).is_empty());
+        let slow = stats_rows(&[("php_7_6", 1000.0, stats(10))]);
+        let regs = check(&slow, &baseline);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].contains("props_per_sec") && regs[0].contains("below the floor"));
     }
 
     #[test]

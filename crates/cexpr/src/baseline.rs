@@ -2,16 +2,10 @@
 //!
 //! This is the representation the pipeline carried before phases were
 //! bit-packed: a sorted tree set of variable ids, rebalanced and reallocated
-//! on every XOR. It is kept (out of the hot path) for two purposes:
-//!
-//! * **differential property tests** — the packed [`crate::Affine`] must be
-//!   extensionally equal to this model under arbitrary XOR/subst/eval
-//!   sequences (see the crate's proptests);
-//! * **the `phase_kernels` benchmark** — the baseline side of the
-//!   packed-vs-set speedup measurement on XOR-chain and branch-resolution
-//!   kernels.
-//!
-//! Do not use it in production code; it exists to be slow in an honest way.
+//! on every XOR. It is compiled for tests only, as the differential oracle
+//! of the packed form: [`crate::Affine`] must be extensionally equal to
+//! this model under arbitrary XOR/subst/eval sequences (see the crate's
+//! proptests).
 
 use crate::{CMem, VarId};
 use std::collections::BTreeSet;
@@ -53,11 +47,6 @@ impl SetAffine {
     /// True when this is the constant 0.
     pub fn is_zero(&self) -> bool {
         !self.constant && self.vars.is_empty()
-    }
-
-    /// True when `v` occurs in the form.
-    pub fn contains(&self, v: VarId) -> bool {
-        self.vars.contains(&v)
     }
 
     /// The variables with odd coefficient, ascending.

@@ -27,7 +27,8 @@
 //! ```
 
 mod affine;
-pub mod baseline;
+#[cfg(test)]
+mod baseline;
 mod expr;
 mod mem;
 mod vars;

@@ -1,14 +1,22 @@
 //! Offline code-search driver: rediscovers the hardcoded instances
 //! (`[[11,1,5]]` cyclic code, `[[12,2,4]]` random code) used by the zoo.
 //!
-//! Run with `cargo run -p veriqec_codes --bin search_codes --release`.
+//! Run with `cargo run -p veriqec_codes --bin search_codes --release --
+//! [all|dodecacode|carbon|dodeca115]`; an unknown mode exits 2.
 
 use rand::prelude::*;
 use veriqec_codes::search::{search_cyclic, search_random_code};
 
+/// Every subcommand `search_codes` accepts.
+const MODES: [&str; 4] = ["all", "dodecacode", "carbon", "dodeca115"];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let what = args.get(1).map(String::as_str).unwrap_or("all");
+    if !MODES.contains(&what) {
+        eprintln!("error: unknown mode {what:?}; modes: {}", MODES.join(" | "));
+        std::process::exit(2);
+    }
 
     if what == "all" || what == "dodecacode" {
         println!("searching cyclic [[11,1,5]] ...");

@@ -1507,7 +1507,10 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::scenario::{memory_scenario, ErrorModel};
-    use crate::tasks::{build_problem, verify_correction, verify_detection};
+    use crate::tasks::{
+        build_problem, discreteness_constraint, locality_constraint, verify_constrained,
+        verify_correction, verify_detection,
+    };
     use veriqec_codes::{five_qubit, rotated_surface, steane};
 
     #[test]
@@ -1613,6 +1616,31 @@ mod tests {
         assert!(sweep.check_weight(1).is_verified());
         assert_eq!(sweep.encode_count(), 1);
         assert_eq!(sweep.query_count(), 4);
+
+        // Fig. 7's constrained sweeps: locality, discreteness and both,
+        // every budget from one encoding.
+        let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
+        let loc = locality_constraint(&scenario, &[3, 1, 8, 6]);
+        let disc = discreteness_constraint(&scenario, 3);
+        for constraints in [loc.clone(), disc.clone(), [loc, disc].concat()] {
+            let mut sweep =
+                CorrectionSweep::new(&scenario, constraints.clone(), SolverConfig::default());
+            for t in 0..=2i64 {
+                let incremental = sweep.check_weight(t);
+                let fresh =
+                    verify_constrained(&scenario, t, constraints.clone(), SolverConfig::default())
+                        .outcome;
+                assert_eq!(
+                    std::mem::discriminant(&incremental),
+                    std::mem::discriminant(&fresh),
+                    "t={t}: {incremental:?} vs {fresh:?}"
+                );
+                if t <= 1 {
+                    assert!(incremental.is_verified(), "t={t}");
+                }
+            }
+            assert_eq!(sweep.encode_count(), 1);
+        }
     }
 
     #[test]

@@ -202,5 +202,9 @@ mod tests {
             m
         };
         assert_eq!(vars(&mut a), vars(&mut b));
+        // Each racer's configuration proves the problem on its own; racer 1
+        // runs with phase saving off.
+        assert!(a.query(&[]).is_verified());
+        assert!(b.query(&[]).is_verified());
     }
 }

@@ -817,7 +817,7 @@ impl BddManager {
     }
 
     /// The level of `f` clamped to the counting range (terminals sit on
-    /// the sentinel level, but [`lift`] iterates real levels only).
+    /// the sentinel level, but `lift` iterates real levels only).
     fn cut_level(&self, f: u32) -> u32 {
         self.level(f).min(self.num_vars() as u32)
     }
@@ -957,6 +957,7 @@ pub(crate) enum Mark {
 /// (the free variable contributes weight 0 or 1), a projected-out level
 /// contributes nothing. One step per level: the differential oracle's
 /// reference for [`LevelCounts::lift`].
+#[cfg(test)]
 pub(crate) fn lift(
     mut p: Vec<u128>,
     from: u32,
@@ -990,7 +991,7 @@ pub(crate) fn lift(
 
 /// Prefix counts of the counted and indicator levels, which let the arena
 /// kernel lift across any level range without visiting each level: with
-/// [`lift`]'s walk, every edge to `FALSE` paid for all the levels below it,
+/// `lift`'s walk, every edge to `FALSE` paid for all the levels below it,
 /// which made counting a long chain quadratic.
 struct LevelCounts {
     /// `counted[l]`: the counted levels among `0..l`.
@@ -1014,10 +1015,10 @@ impl LevelCounts {
         }
     }
 
-    /// [`lift`] in `O(width · indicator levels)`: doubling and convolving
+    /// `lift` in `O(width · indicator levels)`: doubling and convolving
     /// with `(1 + x)` commute, so only how many counted and indicator
     /// levels `from..to` holds matters. Both steps only grow coefficients,
-    /// so this overflows exactly when [`lift`] does.
+    /// so this overflows exactly when `lift` does.
     fn lift(&self, mut p: Vec<u128>, from: u32, to: u32) -> Vec<u128> {
         let (from, to) = (from as usize, to as usize);
         if from >= to {

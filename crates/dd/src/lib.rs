@@ -36,7 +36,8 @@ mod arena;
 mod bdd;
 mod cache;
 mod compile;
-pub mod oracle;
+#[cfg(test)]
+mod oracle;
 mod reorder;
 
 pub use bdd::{Bdd, BddManager, DdStats, OpBudget, RootId};

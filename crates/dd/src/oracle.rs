@@ -8,7 +8,7 @@
 //! kernels (with GC and sifting enabled on the fast one) and demand
 //! identical counts.
 //!
-//! Not exported for production use; the enumerator and engine build on
+//! Compiled for tests only; the enumerator and engine build on
 //! [`crate::BddManager`].
 
 use std::collections::HashMap;
@@ -98,12 +98,6 @@ impl OracleManager {
     /// Number of variables in the order.
     pub fn num_vars(&self) -> usize {
         self.var_to_level.len()
-    }
-
-    /// Decision nodes allocated (terminals excluded; nothing is ever
-    /// reclaimed here).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - 2
     }
 
     fn level(&self, f: OBdd) -> u32 {

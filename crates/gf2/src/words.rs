@@ -9,10 +9,10 @@
 //! The bulk kernels (`xor_into`, `popcount`, `dot`, `is_zero`) process
 //! [`LANE_WORDS`]` = 4` words per step with a scalar tail, written as
 //! manual lane unrolls so the compiler emits 256-bit vector code without
-//! any external SIMD crate. The straight one-word-at-a-time loops are kept
-//! in [`scalar`] as the differential-test oracle and the microbenchmark
-//! baseline; every widened kernel is property-tested against its scalar
-//! twin on random lengths, including non-multiple-of-4 tails.
+//! any external SIMD crate. The straight one-word-at-a-time loops are kept,
+//! for tests only, in `scalar` as the differential-test oracle; every
+//! widened kernel is property-tested against its scalar twin on random
+//! lengths, including non-multiple-of-4 tails.
 
 /// Bits per storage word.
 pub const BITS: usize = 64;
@@ -21,10 +21,10 @@ pub const BITS: usize = 64;
 /// one 256-bit vector register).
 pub const LANE_WORDS: usize = 4;
 
-/// Reference one-word-at-a-time kernels: the pre-widening loops, kept as
-/// the oracle for the 4-lane differential proptests and as the baseline
-/// side of the `tables kernels` microbenchmarks.
-pub mod scalar {
+/// Reference one-word-at-a-time kernels: the pre-widening loops, compiled
+/// for tests only as the oracle of the 4-lane differential proptests.
+#[cfg(test)]
+mod scalar {
     /// One-word-at-a-time [`super::xor_into`].
     ///
     /// # Panics

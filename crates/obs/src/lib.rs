@@ -15,8 +15,8 @@
 //! thread-local state, formatting, or timestamps. The hot-loop consumers
 //! (the solver's conflict loop, the compiler's clause loop) additionally
 //! cache the flag once per call so the steady-state overhead of a disabled
-//! build is a handful of predictable branches — asserted by the CI kernel
-//! and solver perf gates, which run with this crate compiled in but
+//! build is a handful of predictable branches — asserted by the CI perf
+//! gate (`tables gate`), which runs with this crate compiled in but
 //! disabled.
 //!
 //! When enabled, the hot path is lock-free: events push onto a plain

@@ -11,8 +11,8 @@
 //! compacting garbage collection, first-UIP clause learning with recursive
 //! clause minimization, VSIDS branching with phase saving, Luby restarts,
 //! glue-tiered (LBD) learned-clause deletion, incremental solving under
-//! assumptions, learnt-clause sharing between solvers racing on one formula
-//! ([`ClausePool`]), and per-feature switches for ablation experiments.
+//! assumptions, and learnt-clause sharing between solvers racing on one
+//! formula ([`ClausePool`]).
 //!
 //! # Examples
 //!

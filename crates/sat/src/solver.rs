@@ -54,17 +54,12 @@ impl Watcher {
     }
 }
 
-/// Tunable feature switches, used by the ablation benchmarks.
+/// Tunable search parameters. The engine's solver race diversifies its
+/// racers through `use_phase_saving` and `restart_base`.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
-    /// Branch on VSIDS activity (otherwise: lowest-index unassigned variable).
-    pub use_vsids: bool,
-    /// Learn conflict clauses (otherwise: plain backtracking on conflicts).
-    pub use_learning: bool,
     /// Remember the last assigned polarity of each variable.
     pub use_phase_saving: bool,
-    /// Restart with the Luby sequence.
-    pub use_restarts: bool,
     /// Minimize learnt clauses with the full recursive redundancy test and
     /// abstract-level pruning (otherwise: the cheap one-step rule).
     pub use_recursive_minimization: bool,
@@ -84,10 +79,7 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            use_vsids: true,
-            use_learning: true,
             use_phase_saving: true,
-            use_restarts: true,
             use_recursive_minimization: true,
             restart_base: 128,
             conflict_budget: None,
@@ -902,20 +894,13 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        if self.config.use_vsids {
-            while let Some(v) = self.heap.pop_max(&self.activity) {
-                if self.assigns[v.index()] == LBool::Undef {
-                    let pol = self.config.use_phase_saving && self.polarity[v.index()];
-                    return Some(Lit::new(v, pol));
-                }
+        while let Some(v) = self.heap.pop_max(&self.activity) {
+            if self.assigns[v.index()] == LBool::Undef {
+                let pol = self.config.use_phase_saving && self.polarity[v.index()];
+                return Some(Lit::new(v, pol));
             }
-            None
-        } else {
-            (0..self.num_vars())
-                .map(|i| Var(i as u32))
-                .find(|v| self.assigns[v.index()] == LBool::Undef)
-                .map(|v| Lit::new(v, self.polarity[v.index()]))
         }
+        None
     }
 
     /// True when the clause is the reason of a literal currently on the
@@ -1051,42 +1036,27 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                if self.config.use_learning {
-                    let (bt, lbd) = self.analyze(conflict);
-                    self.backtrack_to(bt);
-                    self.stats.learned += 1;
-                    self.stats.lbd_sum += u64::from(lbd);
-                    if self.learnt_buf.len() == 1 {
-                        let l = self.learnt_buf[0];
-                        self.unchecked_enqueue(l, None);
-                    } else {
-                        let buf = std::mem::take(&mut self.learnt_buf);
-                        let cref = self.attach_clause(&buf, true, lbd);
-                        self.unchecked_enqueue(buf[0], Some(cref));
-                        self.learnt_buf = buf;
-                    }
-                    if lbd <= SHARE_LBD {
-                        if let Some(share) = &self.share {
-                            share.export(&self.learnt_buf, lbd);
-                            self.stats.exported += 1;
-                        }
-                    }
-                    self.var_inc /= 0.95;
-                    self.cla_inc /= 0.999;
+                let (bt, lbd) = self.analyze(conflict);
+                self.backtrack_to(bt);
+                self.stats.learned += 1;
+                self.stats.lbd_sum += u64::from(lbd);
+                if self.learnt_buf.len() == 1 {
+                    let l = self.learnt_buf[0];
+                    self.unchecked_enqueue(l, None);
                 } else {
-                    // Chronological backtracking: flip the last decision.
-                    let lvl = self.decision_level() - 1;
-                    let flip = !self.trail[self.trail_lim[lvl as usize]];
-                    self.backtrack_to(lvl);
-                    // Without learning we cannot record a reason; treat as decision-level
-                    // assignment at the current level.
-                    if self.value(flip) == LBool::Undef {
-                        self.unchecked_enqueue(flip, None);
-                    } else if self.decision_level() == 0 {
-                        self.ok = false;
-                        return SatResult::Unsat;
+                    let buf = std::mem::take(&mut self.learnt_buf);
+                    let cref = self.attach_clause(&buf, true, lbd);
+                    self.unchecked_enqueue(buf[0], Some(cref));
+                    self.learnt_buf = buf;
+                }
+                if lbd <= SHARE_LBD {
+                    if let Some(share) = &self.share {
+                        share.export(&self.learnt_buf, lbd);
+                        self.stats.exported += 1;
                     }
                 }
+                self.var_inc /= 0.95;
+                self.cla_inc /= 0.999;
                 if let Some(budget) = self.config.conflict_budget {
                     if conflicts_this_solve >= budget {
                         self.backtrack_to(0);
@@ -1099,7 +1069,7 @@ impl Solver {
                         return SatResult::Unknown;
                     }
                 }
-                if self.config.use_restarts && conflicts_this_solve >= conflicts_until_restart {
+                if conflicts_this_solve >= conflicts_until_restart {
                     restart_count += 1;
                     self.stats.restarts += 1;
                     conflicts_until_restart =
@@ -1115,7 +1085,7 @@ impl Solver {
                         &[("conflicts", conflicts_this_solve as f64)],
                     );
                 }
-                if self.config.use_learning && self.stats.learnts > max_learnts {
+                if self.stats.learnts > max_learnts {
                     let before = self.stats.learnts;
                     self.reduce_learnts();
                     max_learnts += max_learnts / 2;
@@ -1488,18 +1458,8 @@ mod tests {
                     .iter()
                     .all(|c| c.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos))
             });
-            for (vsids, learning, restarts, recursive) in [
-                (true, true, true, true),
-                (true, true, true, false),
-                (false, true, false, true),
-                (false, true, false, false),
-                (true, false, false, true),
-                (false, false, false, false),
-            ] {
+            for recursive in [true, false] {
                 let mut s = Solver::with_config(SolverConfig {
-                    use_vsids: vsids,
-                    use_learning: learning,
-                    use_restarts: restarts,
                     use_recursive_minimization: recursive,
                     ..SolverConfig::default()
                 });
@@ -1521,7 +1481,7 @@ mod tests {
                 };
                 assert_eq!(
                     got, expect,
-                    "round {round} config {vsids}/{learning}/{restarts}/{recursive}"
+                    "round {round} recursive minimization {recursive}"
                 );
                 if got == SatResult::Sat {
                     // Verify the model actually satisfies the clauses.

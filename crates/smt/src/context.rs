@@ -73,8 +73,7 @@ impl SmtContext {
         SmtContext::with_config(SolverConfig::default())
     }
 
-    /// Creates a context with an explicit solver configuration (used by the
-    /// ablation benchmarks).
+    /// Creates a context with an explicit solver configuration.
     pub fn with_config(config: SolverConfig) -> Self {
         SmtContext {
             solver: Solver::with_config(config),

@@ -62,8 +62,8 @@ pub struct VcProblem {
 
 impl VcProblem {
     /// Encodes and discharges the problem. `config` tunes the underlying
-    /// CDCL solver (used by the ablation benchmarks). One-shot form of
-    /// [`VcProblem::session`]: encode, query once, report.
+    /// CDCL solver. One-shot form of [`VcProblem::session`]: encode, query
+    /// once, report.
     pub fn check_with_config(&self, config: SolverConfig) -> (VcOutcome, VcStats) {
         let mut session = self.session(config);
         let outcome = session.query(&[]);

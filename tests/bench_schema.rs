@@ -1,22 +1,21 @@
 //! Schema tests for the machine-readable BENCH artifacts.
 //!
 //! CI uploads `BENCH_enumerators.json`, `BENCH_fault_tolerance.json` and
-//! `BENCH_kernels.json`; downstream tooling (the perf-regression gate,
+//! `BENCH_gate.json`; downstream tooling (the perf-regression gate,
 //! plotting scripts) parses them without serde. These tests generate each
 //! artifact in-process through the same writers the `tables` binary uses
-//! — `BatchReport::to_json` for the engine batches, `KernelsReport::to_json`
-//! for the kernel gate — then parse them back with `veriqec_bench::json`
-//! and assert the keys and invariants the consumers rely on.
+//! — `BatchReport::to_json` for the engine batches, `gate::to_json` for
+//! the perf gate — then parse them back with `veriqec_bench::json` and
+//! assert the keys and invariants the consumers rely on.
 
 use veriqec::engine::{Engine, EngineConfig, Job};
 use veriqec::parallel::SplitConfig;
 use veriqec::scenario::{faulty_memory_scenario, memory_scenario, ErrorModel};
 use veriqec::tasks::build_problem;
+use veriqec_bench::gate::{to_json, Row};
 use veriqec_bench::json::Json;
-use veriqec_bench::kernels::{KernelsReport, Metric};
-use veriqec_bench::solver_bench::{SolverMetric, SolverReport};
 use veriqec_codes::{five_qubit, repetition, rotated_surface, steane};
-use veriqec_sat::{SolverConfig, SolverStats};
+use veriqec_sat::SolverConfig;
 
 /// Every engine batch shares this envelope.
 fn check_envelope(doc: &Json) -> Vec<Json> {
@@ -205,99 +204,74 @@ fn cancelled_before_claim_jobs_report_finite_queue_wait() {
     assert!(!md.contains("NaN"));
 }
 
+/// Writes `rows` as `BENCH_gate.json` through the writer `tables gate`
+/// uses, parses it back, and checks the envelope and that every row keeps
+/// its fields and the gate's join key is unique.
+fn assert_round_trips(rows: &[Row]) {
+    let doc = Json::parse(&to_json(true, rows)).expect("gate report is valid JSON");
+    assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
+    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
+    let parsed = doc.get("rows").unwrap().as_arr().unwrap();
+    assert_eq!(parsed.len(), rows.len());
+    for (row, json) in rows.iter().zip(parsed) {
+        let text = |key| json.get(key).unwrap().as_str().unwrap();
+        assert_eq!(text("layer"), row.layer);
+        assert_eq!(text("workload"), row.workload);
+        assert_eq!(text("metric"), row.metric);
+        assert_eq!(text("unit"), row.unit);
+        assert_eq!(json.get("value").unwrap().as_f64(), Some(row.value));
+    }
+    // The gate's join key: (layer, workload, metric) is unique.
+    let mut keys: Vec<(&str, &str, &str)> = rows
+        .iter()
+        .map(|r| (r.layer, &*r.workload, r.metric))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), rows.len());
+}
+
+#[test]
+fn gate_report_matches_the_gate_schema() {
+    // The writer `tables gate` uses, on representative rows of every layer
+    // — the measurement itself is covered by the crate's own tests; this
+    // pins the artifact schema that `bench_baselines.json` and the CI gate
+    // join against.
+    assert_round_trips(&[
+        Row::new("kernels", "xor_chain_d5", "median_ns", 851.5, "ns"),
+        Row::new("kernels", "frame_batch_d5", "speedup", 60.0, "x"),
+        Row::new("solver", "php_7_6", "wall_ms", 4.9, "ms"),
+        Row::new("solver", "aggregate", "props_per_sec", 3.6e6, "1/s"),
+        Row::new("dd", "five-qubit [[5,1,3]]", "peak_nodes", 8857.0, "count"),
+        Row::new("dd", "five-qubit [[5,1,3]]", "hit_rate", 0.18, "frac"),
+    ]);
+}
+
 #[test]
 fn kernels_report_matches_the_gate_schema() {
-    // The writer the `kernels` mode uses, on representative metrics — the
-    // measurement itself is covered by the bench targets; this pins the
-    // artifact schema the CI gate and baseline file depend on.
-    let report = KernelsReport {
-        quick: true,
-        metrics: vec![
-            Metric {
-                name: "xor_chain_d5".into(),
-                median_ns: 51234.5,
-                samples: 24,
-            },
-            Metric {
-                name: "frame_batch_d5".into(),
-                median_ns: 87.2,
-                samples: 24,
-            },
-        ],
-        frame_batch_speedup: 412.0,
-    };
-    let doc = Json::parse(&report.to_json()).expect("kernels report is valid JSON");
-    assert_eq!(
-        doc.get("schema").unwrap().as_str(),
-        Some("veriqec_kernels_v1")
-    );
-    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-    assert!(doc.get("frame_batch_speedup").unwrap().as_f64().unwrap() >= 10.0);
-    let metrics = doc.get("metrics").unwrap().as_arr().unwrap();
-    assert!(!metrics.is_empty());
-    for m in metrics {
-        assert!(m.get("name").unwrap().as_str().is_some());
-        assert!(m.get("median_ns").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("samples").unwrap().as_f64().unwrap() > 0.0);
-    }
-    // The gate's join key: metric names are unique.
-    let mut names: Vec<&str> = metrics
-        .iter()
-        .map(|m| m.get("name").unwrap().as_str().unwrap())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), metrics.len());
+    // The kernel layer's rows: median ns and sample count per kernel, and
+    // the frame-batch speedup that the 10x floor gates.
+    assert_round_trips(&[
+        Row::new("kernels", "xor_chain_d5", "median_ns", 51234.5, "ns"),
+        Row::new("kernels", "xor_chain_d5", "samples", 24.0, "count"),
+        Row::new("kernels", "frame_batch_d5", "median_ns", 87.2, "ns"),
+        Row::new("kernels", "frame_batch_d5", "samples", 24.0, "count"),
+        Row::new("kernels", "frame_batch_d5", "speedup", 412.0, "x"),
+    ]);
 }
 
 #[test]
 fn solver_report_matches_the_gate_schema() {
-    // The writer `tables solver` uses, on a representative instance — the
-    // measurement itself is covered by the crate's own tests; this pins the
-    // artifact schema that `bench_baselines.json` and the CI solver gate
-    // join against.
-    let report = SolverReport {
-        quick: true,
-        metrics: vec![SolverMetric {
-            name: "php_7_6".into(),
-            verdict: "unsat".into(),
-            wall_ms: 3.2,
-            stats: SolverStats {
-                propagations: 120_000,
-                conflicts: 4_000,
-                learned: 4_000,
-                lbd_sum: 20_000,
-                ..SolverStats::default()
-            },
-        }],
-        props_per_sec: 3.75e7,
-        conflicts_per_sec: 1.25e6,
-    };
-    let doc = Json::parse(&report.to_json()).expect("solver report is valid JSON");
-    assert_eq!(
-        doc.get("schema").unwrap().as_str(),
-        Some("veriqec_solver_v1")
-    );
-    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-    assert!(doc.get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-    assert!(doc.get("conflicts_per_sec").unwrap().as_f64().unwrap() > 0.0);
-    let instances = doc.get("instances").unwrap().as_arr().unwrap();
-    assert!(!instances.is_empty());
-    for m in instances {
-        // The gate's join key plus the fields plotting scripts consume.
-        assert!(m.get("name").unwrap().as_str().is_some());
-        assert!(m.get("verdict").unwrap().as_str().is_some());
-        assert!(m.get("wall_ms").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("propagations").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(m.get("conflicts").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(m.get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("mean_lbd").unwrap().as_f64().unwrap() >= 0.0);
-    }
-    let mut names: Vec<&str> = instances
-        .iter()
-        .map(|m| m.get("name").unwrap().as_str().unwrap())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), instances.len());
+    // The solver layer's rows: five metrics per instance, and both
+    // aggregate throughputs (props/s is the one the 1e6/s floor gates).
+    let instance = |metric, value, unit| Row::new("solver", "php_7_6", metric, value, unit);
+    assert_round_trips(&[
+        instance("wall_ms", 3.2, "ms"),
+        instance("propagations", 120_000.0, "count"),
+        instance("conflicts", 4_000.0, "count"),
+        instance("props_per_sec", 3.75e7, "1/s"),
+        instance("mean_lbd", 5.0, "lbd"),
+        Row::new("solver", "aggregate", "props_per_sec", 3.75e7, "1/s"),
+        Row::new("solver", "aggregate", "conflicts_per_sec", 1.25e6, "1/s"),
+    ]);
 }
