@@ -105,7 +105,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
 mod tests {
     use super::*;
     use crate::gate::{check, parse_baseline, to_json};
-    use crate::json::Json;
+    use veriqec_obs::json::Json;
 
     fn code_rows(name: &str, wall_ms: f64, peak_nodes: u64) -> Vec<Row> {
         let stats = DdStats {

@@ -21,9 +21,7 @@
 
 use std::time::Instant;
 
-use veriqec_serve::protocol::json_escape;
-
-use crate::json::Json;
+use veriqec_obs::json::{escape, Json};
 
 /// The gate's tolerance factor (see the module docs).
 pub const TOLERANCE: f64 = 3.0;
@@ -80,7 +78,7 @@ pub fn to_json(quick: bool, rows: &[Row]) -> String {
             format!(
                 "{{\"layer\":\"{}\",\"workload\":\"{}\",\"metric\":\"{}\",\"value\":{},\"unit\":\"{}\"}}",
                 r.layer,
-                json_escape(&r.workload),
+                escape(&r.workload),
                 r.metric,
                 r.value,
                 r.unit

@@ -134,7 +134,7 @@ fn median_rows(medians: Vec<(String, f64)>, samples: usize, speedup: f64) -> Vec
 mod tests {
     use super::*;
     use crate::gate::{check, parse_baseline, to_json};
-    use crate::json::Json;
+    use veriqec_obs::json::Json;
 
     #[test]
     fn median_is_order_insensitive() {

@@ -4,12 +4,10 @@
 //! figures (`DESIGN.md` maps each to its mode) and runs the CI smoke modes.
 //! [`gate`] is the CI perf-regression gate behind `tables gate` (one row
 //! table, one baseline rule, one checker), measuring the `kernels`,
-//! `solver_bench` and [`dd_bench`] layers. [`json`] is the minimal parser
-//! that the gate and the artifact schema tests read reports with (the tree
-//! is offline — no serde; the parser itself lives in `veriqec_serve`, which
-//! also feeds it the daemon's line protocol, and is re-exported here), and
-//! [`trace`] validates the Chrome trace-event artifacts `tables --trace`
-//! emits before they are written or uploaded.
+//! `solver_bench` and [`dd_bench`] layers, and [`trace`] validates the
+//! Chrome trace-event artifacts `tables --trace` emits before they are
+//! written or uploaded. Both read JSON with [`veriqec_obs::json`], as do
+//! the artifact schema tests.
 
 use veriqec::scenario::{memory_scenario, ErrorModel, Scenario};
 use veriqec::tasks::build_problem;
@@ -18,7 +16,6 @@ use veriqec_vcgen::VcProblem;
 
 pub mod dd_bench;
 pub mod gate;
-pub use veriqec_serve::json;
 mod kernels;
 mod solver_bench;
 pub mod trace;

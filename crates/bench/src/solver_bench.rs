@@ -204,7 +204,7 @@ fn stats_rows(measured: &[(&'static str, f64, SolverStats)]) -> Vec<Row> {
 mod tests {
     use super::*;
     use crate::gate::{check, parse_baseline, to_json};
-    use crate::json::Json;
+    use veriqec_obs::json::Json;
 
     fn stats(propagations: u64) -> SolverStats {
         SolverStats {

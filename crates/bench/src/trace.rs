@@ -9,8 +9,8 @@
 //! brackets on every thread — an unbalanced stream renders misleadingly in
 //! Perfetto, so it is rejected outright.
 
-use crate::json::Json;
 use std::collections::HashMap;
+use veriqec_obs::json::Json;
 
 /// What a valid trace contained, for reporting and for gating on coverage
 /// (e.g. "the enumerators smoke trace must span ≥ 4 crates").

@@ -32,7 +32,8 @@ use std::time::{Duration, Instant};
 use veriqec_cexpr::{BExp, CMem, VarId};
 use veriqec_codes::StabilizerCode;
 use veriqec_dd::{CompileConfig, CompileError, DdStats};
-use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats};
+use veriqec_obs::json::{escape, push_metrics};
+use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats, UnknownCause};
 use veriqec_smt::{CardinalityHandle, CheckResult, SmtContext};
 use veriqec_vcgen::{VcOutcome, VcProblem, VcSession};
 
@@ -163,6 +164,21 @@ impl DetectionSession {
         self.ctx.set_stop_flag(flag);
     }
 
+    /// Answers `query` under the stop flag `stop`, with the solver's cause
+    /// when inconclusive: the engine's and the daemon's one detection body.
+    pub fn run(
+        &mut self,
+        query: DetectionQuery,
+        stop: Arc<AtomicBool>,
+    ) -> (JobOutcome, Option<String>) {
+        self.set_stop_flag(stop);
+        let outcome = match query {
+            DetectionQuery::Threshold(dt) => JobOutcome::Detection(self.check(dt)),
+            DetectionQuery::Distance(max) => JobOutcome::Distance(self.find_distance(max)),
+        };
+        (outcome, self.ctx.unknown_cause().map(|c| c.to_string()))
+    }
+
     /// Number of base encodings performed (always 1; exposed so sweep tests
     /// can assert nothing was re-encoded).
     pub fn encode_count(&self) -> usize {
@@ -177,12 +193,6 @@ impl DetectionSession {
     /// Statistics of the underlying solver.
     pub fn solver_stats(&self) -> SolverStats {
         self.ctx.solver_stats()
-    }
-
-    /// Why the last query came back inconclusive (see
-    /// [`veriqec_sat::UnknownCause`]).
-    pub fn unknown_cause(&self) -> Option<veriqec_sat::UnknownCause> {
-        self.ctx.unknown_cause()
     }
 }
 
@@ -323,10 +333,41 @@ impl FaultToleranceSweep {
         self.session.query(&assumptions)
     }
 
-    /// Installs a cooperative stop flag; in-flight queries abort with
-    /// [`VcOutcome::Unknown`].
-    pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.session.set_stop_flag(flag);
+    /// Decides every grid point up to `(max_t_data, max_t_meas)`, row-major,
+    /// under the stop flag `stop`: the engine's and the daemon's one
+    /// frontier loop. A point that runs out of conflict budget is `None` and
+    /// the sweep goes on (the budget is per query); only the stop flag ends
+    /// it early. The cause is the first undecided point's.
+    pub fn frontier(
+        &mut self,
+        max_t_data: usize,
+        max_t_meas: usize,
+        stop: Arc<AtomicBool>,
+    ) -> (FaultToleranceFrontier, Option<String>) {
+        self.session.set_stop_flag(stop);
+        let (mut points, mut cause) = (Vec::new(), None);
+        'grid: for t_data in 0..=max_t_data {
+            for t_meas in 0..=max_t_meas {
+                let correctable = match self.check(t_data as i64, t_meas as i64) {
+                    VcOutcome::Verified => Some(true),
+                    VcOutcome::CounterExample(_) => Some(false),
+                    VcOutcome::Unknown => None,
+                };
+                points.push(FrontierPoint {
+                    t_data,
+                    t_meas,
+                    correctable,
+                });
+                if correctable.is_none() {
+                    let why = self.session.unknown_cause();
+                    cause = cause.or(why.map(|c| c.to_string()));
+                    if why == Some(UnknownCause::Interrupted) {
+                        break 'grid;
+                    }
+                }
+            }
+        }
+        (FaultToleranceFrontier { points }, cause)
     }
 
     /// Number of base encodings performed (always 1).
@@ -431,19 +472,12 @@ pub enum JobKind {
         /// The assembled problem (error model baked in).
         problem: VcProblem,
     },
-    /// One precise-detection query at threshold `dt`.
+    /// Precise detection or distance discovery on a [`DetectionSession`].
     Detection {
         /// The code under test.
         code: StabilizerCode,
-        /// Detection threshold.
-        dt: usize,
-    },
-    /// Incremental distance discovery up to `max`.
-    Distance {
-        /// The code under test.
-        code: StabilizerCode,
-        /// Largest weight to sweep.
-        max: usize,
+        /// What to ask the session.
+        query: DetectionQuery,
     },
     /// Exact failure weight enumerator via the decision-diagram backend
     /// ([`FailureEnumerator`]): compile once, stratify by weight, report
@@ -481,6 +515,15 @@ pub enum JobKind {
     },
 }
 
+/// What a [`JobKind::Detection`] job asks its [`DetectionSession`].
+#[derive(Clone, Copy, Debug)]
+pub enum DetectionQuery {
+    /// One query at threshold `dt` ([`DetectionSession::check`]).
+    Threshold(usize),
+    /// Distance discovery up to `max` ([`DetectionSession::find_distance`]).
+    Distance(usize),
+}
+
 /// The callable behind [`JobKind::Custom`]: gets the job's cancel flag
 /// (doubling as the cooperative stop flag) and returns the job's outcome.
 #[derive(Clone)]
@@ -493,12 +536,14 @@ impl std::fmt::Debug for CustomJobFn {
 }
 
 impl Job {
-    /// A general-verification job.
+    /// A general-verification job: a race of one solver per worker (see
+    /// [`crate::parallel`]). To race a single problem, run this one job
+    /// on [`Engine::run`] and read its [`JobReport`].
     ///
     /// The last two parameters (the variables to enumerate and the split
     /// parameters) are unused: they parametrized the paper's `ET`
-    /// enumeration split, which the race replaced, and stay only so that
-    /// existing callers keep compiling.
+    /// enumeration split, which the race replaced, and stay only because
+    /// the benchmark package still passes them.
     pub fn correction(
         name: impl Into<String>,
         problem: VcProblem,
@@ -515,7 +560,10 @@ impl Job {
     pub fn detection(name: impl Into<String>, code: StabilizerCode, dt: usize) -> Job {
         Job {
             name: name.into(),
-            kind: JobKind::Detection { code, dt },
+            kind: JobKind::Detection {
+                code,
+                query: DetectionQuery::Threshold(dt),
+            },
         }
     }
 
@@ -523,7 +571,10 @@ impl Job {
     pub fn distance(name: impl Into<String>, code: StabilizerCode, max: usize) -> Job {
         Job {
             name: name.into(),
-            kind: JobKind::Distance { code, max },
+            kind: JobKind::Detection {
+                code,
+                query: DetectionQuery::Distance(max),
+            },
         }
     }
 
@@ -607,17 +658,6 @@ impl JobOutcome {
         matches!(self, JobOutcome::Verified)
     }
 
-    /// Collapses to the sequential driver's [`VcOutcome`] (used by
-    /// [`crate::parallel::check_parallel`]); detection/distance outcomes and
-    /// cancellation map to [`VcOutcome::Unknown`].
-    pub fn into_vc(self) -> VcOutcome {
-        match self {
-            JobOutcome::Verified => VcOutcome::Verified,
-            JobOutcome::CounterExample(m) => VcOutcome::CounterExample(m),
-            _ => VcOutcome::Unknown,
-        }
-    }
-
     /// True when the job ran to a definite verdict. `Unknown`,
     /// `Cancelled`, inconclusive detection/distance outcomes and frontiers
     /// with undecided grid points are *not* conclusive — a batch containing
@@ -633,8 +673,9 @@ impl JobOutcome {
         }
     }
 
-    /// Short machine-readable tag for reports.
-    fn tag(&self) -> &'static str {
+    /// Short machine-readable tag: the `outcome` of the JSON and markdown
+    /// reports and of the daemon's responses.
+    pub fn tag(&self) -> &'static str {
         match self {
             JobOutcome::Verified => "verified",
             JobOutcome::CounterExample(_) => "counterexample",
@@ -652,6 +693,21 @@ impl JobOutcome {
             JobOutcome::Cancelled => "cancelled",
         }
     }
+}
+
+/// The one rule behind every [`JobReport::reason`], in the engine and the
+/// daemon: a conclusive outcome has none, whatever tripped on the way;
+/// otherwise `deadline_exceeded` when a `deadline` watchdog tripped, then
+/// the solver's or compiler's own `cause`, then `cancelled` for a job that
+/// never ran.
+pub fn job_reason(outcome: &JobOutcome, deadline: bool, cause: Option<String>) -> Option<String> {
+    if outcome.is_conclusive() {
+        return None;
+    }
+    if deadline {
+        return Some("deadline_exceeded".to_string());
+    }
+    cause.or_else(|| matches!(outcome, JobOutcome::Cancelled).then(|| "cancelled".to_string()))
 }
 
 /// How one generated markdown column renders its metric.
@@ -748,9 +804,10 @@ pub struct JobReport {
     /// Time from batch start to the job's first claim by a worker (the
     /// whole batch for a job no worker ever reached).
     pub queue_wait: Duration,
-    /// Why an inconclusive outcome is inconclusive: `"conflict_budget"`,
-    /// `"interrupted"`, `"node_limit(N nodes)"`, or `"cancelled"`. `None`
-    /// for conclusive outcomes.
+    /// Why an inconclusive outcome is inconclusive (see [`job_reason`]):
+    /// `"deadline_exceeded"` (daemon only), `"conflict_budget"`,
+    /// `"interrupted"`, `"node_limit(N nodes)"`, `"panicked: …"` or
+    /// `"cancelled"`. `None` for conclusive outcomes.
     pub reason: Option<String>,
     /// Solver statistics summed over every session that served this job.
     pub stats: SolverStats,
@@ -785,30 +842,10 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Solver statistics summed across all jobs.
-    pub fn total_stats(&self) -> SolverStats {
-        self.jobs.iter().map(|j| j.stats).sum()
-    }
-
-    /// Decision-diagram statistics summed across all jobs.
-    pub fn total_dd_stats(&self) -> DdStats {
-        self.jobs.iter().map(|j| j.dd).sum()
-    }
-
-    /// Names of jobs without a definite verdict (see
-    /// [`JobOutcome::is_conclusive`]). Empty for a fully-resolved batch;
-    /// the `tables` smoke modes exit nonzero when it is not.
-    pub fn incomplete_jobs(&self) -> Vec<&str> {
-        self.jobs
-            .iter()
-            .filter(|j| !j.outcome.is_conclusive())
-            .map(|j| j.name.as_str())
-            .collect()
-    }
-
-    /// Like [`BatchReport::incomplete_jobs`], with each job's budget-trip
-    /// reason (when one was recorded) — what the `tables` smoke gates print
-    /// instead of a bare "inconclusive".
+    /// Jobs without a definite verdict (see [`JobOutcome::is_conclusive`]),
+    /// each with its budget-trip reason when one was recorded. Empty for a
+    /// fully-resolved batch; the `tables` smoke modes exit nonzero, listing
+    /// these reasons instead of a bare "inconclusive", when it is not.
     pub fn incomplete_jobs_with_reasons(&self) -> Vec<(&str, Option<&str>)> {
         self.jobs
             .iter()
@@ -890,7 +927,7 @@ impl BatchReport {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"outcome\":\"{}\"",
-                json_escape(&j.name),
+                escape(&j.name),
                 j.outcome.tag()
             ));
             match &j.outcome {
@@ -944,14 +981,14 @@ impl BatchReport {
                 j.queue_wait.as_secs_f64() * 1e3,
             ));
             if let Some(reason) = &j.reason {
-                out.push_str(&format!(",\"reason\":\"{}\"", json_escape(reason)));
+                out.push_str(&format!(",\"reason\":\"{}\"", escape(reason)));
             }
             // Solver columns straight from the metric snapshot (same
             // source as the markdown table); DD columns only for jobs that
             // touched the counting backend, as before.
-            push_metrics_json(&mut out, &j.stats.to_metrics());
+            push_metrics(&mut out, &j.stats.to_metrics());
             if j.dd != DdStats::default() {
-                push_metrics_json(&mut out, &j.dd.to_metrics());
+                push_metrics(&mut out, &j.dd.to_metrics());
             }
             out.push('}');
         }
@@ -964,8 +1001,8 @@ impl BatchReport {
                 }
                 out.push_str(&format!(
                     "{{\"cat\":\"{}\",\"name\":\"{}\",\"count\":{},\"total_us\":{}}}",
-                    json_escape(&p.cat),
-                    json_escape(&p.name),
+                    escape(&p.cat),
+                    escape(&p.name),
                     p.count,
                     p.total_us
                 ));
@@ -975,34 +1012,6 @@ impl BatchReport {
         out.push('}');
         out
     }
-}
-
-/// Appends every snapshot entry as a `,"name":value` JSON field: counts as
-/// integers, derived values with fixed four-decimal precision.
-fn push_metrics_json(out: &mut String, m: &veriqec_obs::MetricsSnapshot) {
-    for (name, value) in &m.entries {
-        match value {
-            veriqec_obs::MetricValue::Count(c) => {
-                out.push_str(&format!(",\"{name}\":{c}"));
-            }
-            veriqec_obs::MetricValue::Value(v) => {
-                out.push_str(&format!(",\"{name}\":{v:.4}"));
-            }
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Locks a mutex, recovering from poisoning: a worker that panicked
@@ -1103,10 +1112,10 @@ impl JobState {
 
     /// Records the first budget-trip reason (later ones add no information:
     /// the first trip is what stopped the job making progress).
-    fn record_reason(&self, reason: String) {
+    fn record_reason(&self, reason: Option<String>) {
         let mut r = lock_unpoisoned(&self.reason);
         if r.is_none() {
-            *r = Some(reason);
+            *r = reason;
         }
     }
 
@@ -1276,16 +1285,12 @@ impl Engine {
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
                     .unwrap_or(JobOutcome::Cancelled);
+                // A sibling racer's budget trip does not qualify a verdict.
                 let reason = st
                     .reason
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner);
-                // A sibling racer's budget trip does not qualify a verdict.
-                let reason = match outcome {
-                    _ if outcome.is_conclusive() => None,
-                    JobOutcome::Cancelled => reason.or_else(|| Some("cancelled".to_string())),
-                    _ => reason,
-                };
+                let reason = job_reason(&outcome, false, reason);
                 JobReport {
                     name: st.name,
                     outcome,
@@ -1342,7 +1347,8 @@ impl Engine {
             // poisoned-mutex cascade, which a resident server cannot afford.
             let work = std::panic::AssertUnwindSafe(|| self.run_item(st, racer));
             if let Err(payload) = std::panic::catch_unwind(work) {
-                st.record_reason(format!("panicked: {}", panic_message(payload.as_ref())));
+                let msg = panic_message(payload.as_ref());
+                st.record_reason(Some(format!("panicked: {msg}")));
                 st.record(JobOutcome::Unknown);
                 // The job's state is suspect: stop handing it work and
                 // abort its racers on other workers.
@@ -1364,29 +1370,12 @@ impl Engine {
     fn run_item(&self, st: &JobState, racer: usize) {
         match &st.kind {
             JobKind::Correction { problem } => self.race(st, problem, racer),
-            JobKind::Detection { code, dt } => {
-                let mut s = DetectionSession::new(code, self.config.solver);
-                s.set_stop_flag(Arc::clone(&st.cancel));
-                let out = s.check(*dt);
-                if matches!(out, DetectionOutcome::Inconclusive) {
-                    if let Some(cause) = s.unknown_cause() {
-                        st.record_reason(cause.to_string());
-                    }
-                }
-                *lock_unpoisoned(&st.stats) += s.solver_stats();
-                st.record(JobOutcome::Detection(out));
-            }
-            JobKind::Distance { code, max } => {
-                let mut s = DetectionSession::new(code, self.config.solver);
-                s.set_stop_flag(Arc::clone(&st.cancel));
-                let out = s.find_distance(*max);
-                if matches!(out, DistanceOutcome::Inconclusive { .. }) {
-                    if let Some(cause) = s.unknown_cause() {
-                        st.record_reason(cause.to_string());
-                    }
-                }
-                *lock_unpoisoned(&st.stats) += s.solver_stats();
-                st.record(JobOutcome::Distance(out));
+            JobKind::Detection { code, query } => {
+                let mut session = DetectionSession::new(code, self.config.solver);
+                let (outcome, cause) = session.run(*query, Arc::clone(&st.cancel));
+                *lock_unpoisoned(&st.stats) += session.solver_stats();
+                st.record_reason(cause);
+                st.record(outcome);
             }
             JobKind::Count { code, config } => {
                 // Layer the job's cancel flag on top of any caller-supplied
@@ -1403,7 +1392,7 @@ impl Engine {
                         // Surface how far the diagram got so a report
                         // consumer can tune the budget.
                         lock_unpoisoned(&st.dd).nodes += nodes as u64;
-                        st.record_reason(format!("node_limit({nodes} nodes)"));
+                        st.record_reason(Some(format!("node_limit({nodes} nodes)")));
                         st.record(JobOutcome::Unknown);
                     }
                     // Cancelled: a real outcome or the cancel flag already
@@ -1424,35 +1413,14 @@ impl Engine {
                     meas_vars,
                     self.config.solver,
                 );
-                sweep.set_stop_flag(Arc::clone(&st.cancel));
-                let mut points = Vec::new();
-                'grid: for td in 0..=*max_t_data {
-                    for tm in 0..=*max_t_meas {
-                        let correctable = match sweep.check(td as i64, tm as i64) {
-                            VcOutcome::Verified => Some(true),
-                            VcOutcome::CounterExample(_) => Some(false),
-                            VcOutcome::Unknown => None,
-                        };
-                        points.push(FrontierPoint {
-                            t_data: td,
-                            t_meas: tm,
-                            correctable,
-                        });
-                        if correctable.is_none() && st.cancel.load(Ordering::Relaxed) {
-                            break 'grid;
-                        }
-                    }
-                }
+                let (frontier, cause) =
+                    sweep.frontier(*max_t_data, *max_t_meas, Arc::clone(&st.cancel));
                 *lock_unpoisoned(&st.stats) += sweep.session().solver_stats();
-                if points.iter().any(|p| p.correctable.is_none()) {
-                    if let Some(cause) = sweep.session().unknown_cause() {
-                        st.record_reason(cause.to_string());
-                    }
-                }
+                st.record_reason(cause);
                 // A batch cancellation mid-grid is not a result; leaving
                 // the outcome empty reports Cancelled.
                 if !st.cancel.load(Ordering::Relaxed) {
-                    st.record(JobOutcome::Frontier(FaultToleranceFrontier { points }));
+                    st.record(JobOutcome::Frontier(frontier));
                 }
             }
             JobKind::Custom { run } => {
@@ -1481,9 +1449,7 @@ impl Engine {
                 // verdict or a batch cancel — those leave nothing to say.
                 if !st.cancel.load(Ordering::Relaxed) {
                     st.record(JobOutcome::Unknown);
-                    if let Some(cause) = session.unknown_cause() {
-                        st.record_reason(cause.to_string());
-                    }
+                    st.record_reason(session.unknown_cause().map(|c| c.to_string()));
                 }
                 false
             }
@@ -1566,7 +1532,6 @@ mod tests {
             workers: 1,
             phases: Vec::new(),
         };
-        assert_eq!(report.incomplete_jobs(), vec!["half"]);
         assert_eq!(
             report.incomplete_jobs_with_reasons(),
             vec![("half", Some("conflict_budget"))]
@@ -1791,8 +1756,9 @@ mod tests {
             assert_eq!(e.total(), 192);
             assert!(rest[2].dd.nodes > 0, "DD stats flow into the report");
             // Per-job stats reflect real work; reports render.
-            assert!(report.total_stats().propagations > 0);
-            assert!(report.total_dd_stats().nodes > 0);
+            let total = |n: fn(&JobReport) -> u64| report.jobs.iter().map(n).sum::<u64>();
+            assert!(total(|j| j.stats.propagations) > 0);
+            assert!(total(|j| j.dd.nodes) > 0);
             let json = report.to_json();
             for job in &report.jobs {
                 assert!(
@@ -1955,8 +1921,33 @@ mod tests {
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("x\ny"), "x\\u000ay");
+    }
+
+    #[test]
+    fn one_reason_rule_for_engine_and_daemon() {
+        // The solver's own cause: a conflict-budget trip.
+        let cb = || Some("conflict_budget".to_string());
+        let enumerator = JobOutcome::Enumerator(WeightEnumerator {
+            coefficients: vec![0, 1],
+            min_weight: Some(1),
+        });
+        // (outcome, deadline tripped, solver cause, reason): a verdict has
+        // none even when the deadline tripped after the work was done;
+        // otherwise the deadline, the solver's cause, then "cancelled".
+        for (outcome, deadline, cause, reason) in [
+            (JobOutcome::Verified, true, cb(), None),
+            (enumerator, true, None, None),
+            (JobOutcome::Unknown, true, cb(), Some("deadline_exceeded")),
+            (JobOutcome::Unknown, false, cb(), Some("conflict_budget")),
+            (JobOutcome::Unknown, false, None, None),
+            (JobOutcome::Cancelled, false, None, Some("cancelled")),
+            (JobOutcome::Cancelled, true, None, Some("deadline_exceeded")),
+        ] {
+            let got = job_reason(&outcome, deadline, cause);
+            assert_eq!(got.as_deref(), reason, "{outcome:?}, deadline {deadline}");
+        }
     }
 }
 

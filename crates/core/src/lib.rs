@@ -9,9 +9,9 @@
 //! built-in CDCL solver with the minimum-weight decoder specification `P_f`;
 //! [`engine`] makes query *families* the unit of work — persistent solver
 //! sessions, assumption-driven weight sweeps, and a batch driver whose
-//! worker pool serves heterogeneous jobs; [`parallel`] solves the general
-//! task on that pool by racing diversified solvers that share short learnt
-//! clauses (in place of the paper's `ET` enumeration split); [`enumerator`]
+//! worker pool serves heterogeneous jobs, the general task as a race of
+//! diversified solvers sharing short learnt clauses ([`parallel`]; in place
+//! of the paper's `ET` enumeration split); [`enumerator`]
 //! goes beyond the paper's SAT queries to *counting* —
 //! exact failure weight enumerators through the decision-diagram backend
 //! (`veriqec_dd`); [`sampling`] provides the simulation/testing baseline of
@@ -47,13 +47,14 @@ pub mod scenario;
 pub mod tasks;
 
 pub use engine::{
-    BatchReport, CorrectionSweep, DetectionSession, Engine, EngineConfig, FaultToleranceFrontier,
-    FaultToleranceSweep, FrontierPoint, Job, JobKind, JobOutcome, JobReport,
+    job_reason, BatchReport, CorrectionSweep, DetectionQuery, DetectionSession, Engine,
+    EngineConfig, FaultToleranceFrontier, FaultToleranceSweep, FrontierPoint, Job, JobKind,
+    JobOutcome, JobReport,
 };
 pub use enumerator::{
     sat_enumerator, sat_enumerator_with_schedule, FailureEnumerator, WeightEnumerator,
 };
-pub use parallel::{check_parallel, ParallelConfig, ParallelReport, SplitConfig};
+pub use parallel::SplitConfig;
 pub use sampling::{
     exhaustive_frame_check, faulty_memory_frame, prepare_codeword_state, sample_scenario,
     subsets_up_to, FaultyMemoryFrame, SamplingReport,
@@ -65,7 +66,7 @@ pub use scenario::{
 };
 pub use tasks::{
     build_problem, build_problem_split, build_problem_unbounded, discreteness_constraint,
-    find_distance, locality_constraint, verify_code_memory, verify_constrained, verify_correction,
-    verify_detection, verify_fault_tolerance, verify_nonpauli_memory, DetectionOutcome,
-    DistanceOutcome, VerificationReport,
+    find_distance, locality_constraint, verify_constrained, verify_correction, verify_detection,
+    verify_fault_tolerance, verify_nonpauli_memory, DetectionOutcome, DistanceOutcome,
+    VerificationReport,
 };

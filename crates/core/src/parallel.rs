@@ -16,21 +16,18 @@
 //! one-worker engine runs exactly that solver. Racer 1 turns phase saving
 //! off, and each further pair of racers halves the Luby restart base.
 //!
-//! The race itself runs in [`crate::engine::Engine`]; [`check_parallel`]
-//! is its one-job form.
+//! The race itself runs in [`crate::engine::Engine`]: submit the problem
+//! as a [`crate::engine::Job::correction`] and read the verdict, the
+//! racers started and their summed statistics off its
+//! [`crate::engine::JobReport`]. This module holds the racer schedule.
 
-use std::time::Duration;
-
-use veriqec_sat::{SolverConfig, SolverStats};
-use veriqec_vcgen::{VcOutcome, VcProblem};
-
-use crate::engine::{Engine, EngineConfig, Job, JobKind};
+use veriqec_sat::SolverConfig;
 
 /// Parameters of the paper's `ET` enumeration split (§6, Appendix D.4).
 ///
 /// Unused: correction jobs race whole-problem solvers instead of
 /// enumerating subtasks (see the module docs). The type stays because
-/// [`Job::correction`] callers still pass it.
+/// [`crate::engine::Job::correction`] callers still pass it.
 #[derive(Clone, Copy, Debug)]
 pub struct SplitConfig {
     /// The `d` in the `ET = 2d·N(ones) + N(bits)` heuristic.
@@ -48,28 +45,6 @@ impl Default for SplitConfig {
     }
 }
 
-/// Configuration of the parallel driver: the engine's. Each worker runs
-/// one racer; `solver` is racer 0's configuration, which the other racers
-/// vary.
-pub type ParallelConfig = EngineConfig;
-
-/// Report of a parallel run.
-#[derive(Clone, Debug)]
-pub struct ParallelReport {
-    /// Overall outcome.
-    pub outcome: VcOutcome,
-    /// Racers started (at most one per worker; fewer when the race was
-    /// decided before every worker joined it).
-    pub subtasks: usize,
-    /// Wall-clock time.
-    pub wall_time: Duration,
-    /// Solver statistics summed across all racers (conflicts, decisions,
-    /// propagations, restarts, kept learnt clauses, clauses exported to
-    /// and imported from the shared pool, minimization and clause-arena GC
-    /// counters; `arena_bytes` sums the final footprint of every racer).
-    pub stats: SolverStats,
-}
-
 /// The solver configuration of racer `k` in a race seeded with `base`.
 ///
 /// Racer 0 is `base` unchanged. Odd racers flip phase saving, which for a
@@ -85,38 +60,24 @@ pub(crate) fn racer_config(base: SolverConfig, k: usize) -> SolverConfig {
     }
 }
 
-/// Solves a [`VcProblem`] by racing one solver per worker. One-job form of
-/// the engine's batch driver ([`crate::engine::Engine::run`]): every racer
-/// encodes the problem once with its own solver configuration, the racers
-/// share short learnt clauses, and the first verdict cancels the rest
-/// through the cooperative solver stop flag.
-pub fn check_parallel(problem: &VcProblem, config: &ParallelConfig) -> ParallelReport {
-    let batch = Engine::new(*config).run(vec![Job {
-        name: "check_parallel".into(),
-        kind: JobKind::Correction {
-            problem: problem.clone(),
-        },
-    }]);
-    let wall_time = batch.wall_time;
-    let job = batch
-        .jobs
-        .into_iter()
-        .next()
-        .expect("one job in, one report out");
-    ParallelReport {
-        outcome: job.outcome.into_vc(),
-        subtasks: job.subtasks,
-        wall_time,
-        stats: job.stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig, Job, JobOutcome, JobReport};
     use crate::scenario::{memory_scenario, ErrorModel};
     use crate::tasks::build_problem;
     use veriqec_codes::{rotated_surface, steane};
+    use veriqec_vcgen::VcProblem;
+
+    /// Races `problem` on `workers` workers as the one job of a batch.
+    fn race(problem: &VcProblem, workers: usize) -> JobReport {
+        let job = Job::correction("race", problem.clone(), vec![], SplitConfig::default());
+        let config = EngineConfig {
+            workers,
+            ..EngineConfig::default()
+        };
+        Engine::new(config).run(vec![job]).jobs.remove(0)
+    }
 
     #[test]
     fn racer_schedule_keeps_the_engine_config_first() {
@@ -141,13 +102,7 @@ mod tests {
         let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
         let problem = build_problem(&scenario, 1, vec![]);
         let (seq, _) = problem.check();
-        let par = check_parallel(
-            &problem,
-            &ParallelConfig {
-                workers: 4,
-                ..ParallelConfig::default()
-            },
-        );
+        let par = race(&problem, 4);
         assert!(seq.is_verified());
         assert!(par.outcome.is_verified());
         // One racer per worker at most; the race may end before all start.
@@ -161,8 +116,8 @@ mod tests {
     fn parallel_finds_counterexamples() {
         let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
         let problem = build_problem(&scenario, 2, vec![]);
-        let par = check_parallel(&problem, &ParallelConfig::default());
-        assert!(matches!(par.outcome, VcOutcome::CounterExample(_)));
+        let par = race(&problem, EngineConfig::default().workers);
+        assert!(matches!(par.outcome, JobOutcome::CounterExample(_)));
     }
 
     #[test]
@@ -171,13 +126,7 @@ mod tests {
         let problem = build_problem(&scenario, 1, vec![]);
         let mut seq = problem.session(SolverConfig::default());
         assert!(seq.query(&[]).is_verified());
-        let par = check_parallel(
-            &problem,
-            &ParallelConfig {
-                workers: 1,
-                ..ParallelConfig::default()
-            },
-        );
+        let par = race(&problem, 1);
         assert!(par.outcome.is_verified());
         assert_eq!(par.subtasks, 1);
         // Same solver, same search: the conflict count repeats exactly, and

@@ -13,7 +13,7 @@ use veriqec_vcgen::{reduce_commuting, verify_nonpauli, NonPauliOutcome, VcOutcom
 use veriqec_wp::qec_wp;
 
 use crate::engine::DetectionSession;
-use crate::scenario::{memory_scenario, nonpauli_scenario, ErrorModel, Scenario};
+use crate::scenario::{nonpauli_scenario, Scenario};
 
 /// A verification report: the outcome plus timing and problem-size data.
 #[derive(Clone, Debug)]
@@ -133,6 +133,25 @@ pub fn build_problem_split(
     problem
 }
 
+/// The one-shot pipeline behind the `verify_*` tasks: builds the problem,
+/// solves it once and reports, timing the whole of it.
+fn verify_once(
+    name: String,
+    config: SolverConfig,
+    build: impl FnOnce() -> VcProblem,
+) -> VerificationReport {
+    let start = Instant::now();
+    let (outcome, stats) = build().check_with_config(config);
+    VerificationReport {
+        name,
+        outcome,
+        wall_time: start.elapsed(),
+        sat_vars: stats.sat_vars,
+        clauses: stats.clauses,
+        conflicts: stats.conflicts,
+    }
+}
+
 /// Fault-tolerance verification at one grid point: is every configuration
 /// of `≤ t_data` data errors *and* `≤ t_meas` measurement flips corrected?
 pub fn verify_fault_tolerance(
@@ -141,17 +160,10 @@ pub fn verify_fault_tolerance(
     t_meas: i64,
     config: SolverConfig,
 ) -> VerificationReport {
-    let start = Instant::now();
-    let problem = build_problem_split(scenario, t_data, t_meas, vec![]);
-    let (outcome, stats) = problem.check_with_config(config);
-    VerificationReport {
-        name: format!("{} (t_d={t_data}, t_m={t_meas})", scenario.name),
-        outcome,
-        wall_time: start.elapsed(),
-        sat_vars: stats.sat_vars,
-        clauses: stats.clauses,
-        conflicts: stats.conflicts,
-    }
+    let name = format!("{} (t_d={t_data}, t_m={t_meas})", scenario.name);
+    verify_once(name, config, || {
+        build_problem_split(scenario, t_data, t_meas, vec![])
+    })
 }
 
 /// General verification of accurate decoding and correction (Eqn. 14):
@@ -161,17 +173,9 @@ pub fn verify_correction(
     max_errors: i64,
     config: SolverConfig,
 ) -> VerificationReport {
-    let start = Instant::now();
-    let problem = build_problem(scenario, max_errors, vec![]);
-    let (outcome, stats) = problem.check_with_config(config);
-    VerificationReport {
-        name: scenario.name.clone(),
-        outcome,
-        wall_time: start.elapsed(),
-        sat_vars: stats.sat_vars,
-        clauses: stats.clauses,
-        conflicts: stats.conflicts,
-    }
+    verify_once(scenario.name.clone(), config, || {
+        build_problem(scenario, max_errors, vec![])
+    })
 }
 
 /// Verification under user-provided error constraints (§7.2).
@@ -181,21 +185,14 @@ pub fn verify_constrained(
     constraints: Vec<BExp>,
     config: SolverConfig,
 ) -> VerificationReport {
-    let start = Instant::now();
-    let problem = build_problem(scenario, max_errors, constraints);
-    let (outcome, stats) = problem.check_with_config(config);
-    VerificationReport {
-        name: format!("{} (constrained)", scenario.name),
-        outcome,
-        wall_time: start.elapsed(),
-        sat_vars: stats.sat_vars,
-        clauses: stats.clauses,
-        conflicts: stats.conflicts,
-    }
+    let name = format!("{} (constrained)", scenario.name);
+    verify_once(name, config, || {
+        build_problem(scenario, max_errors, constraints)
+    })
 }
 
-/// The locality constraint of §7.2: errors may only occur on `allowed`
-/// qubpositions — all other indicators are forced to 0.
+/// The locality constraint of §7.2: errors may only occur on the `allowed`
+/// qubit positions — all other indicators are forced to 0.
 pub fn locality_constraint(scenario: &Scenario, allowed: &[usize]) -> Vec<BExp> {
     // Error variable names end in `_q`; parse the qubit index back out.
     scenario
@@ -333,21 +330,16 @@ pub fn verify_nonpauli_memory(
     verify_nonpauli(&scenario.lhs, &wp, &oracle, &scenario.params)
 }
 
-/// Convenience: the standard one-round memory verification for a code.
-pub fn verify_code_memory(code: &StabilizerCode, model: ErrorModel) -> VerificationReport {
-    let t = (code.claimed_distance().unwrap_or(1) as i64 - 1) / 2;
-    let scenario = memory_scenario(code, model);
-    verify_correction(&scenario, t, SolverConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{memory_scenario, ErrorModel};
     use veriqec_codes::{rotated_surface, steane};
 
     #[test]
     fn steane_memory_verifies_single_y_errors() {
-        let report = verify_code_memory(&steane(), ErrorModel::YErrors);
+        let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
+        let report = verify_correction(&scenario, 1, SolverConfig::default());
         assert!(report.outcome.is_verified(), "{:?}", report.outcome);
     }
 

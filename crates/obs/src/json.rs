@@ -1,15 +1,53 @@
-//! A minimal JSON reader shared by the serve line protocol and the BENCH
-//! artifacts.
+//! The workspace's one JSON reader ([`Json::parse`]), string escaper
+//! ([`escape`]) and metric-field writer ([`push_metrics`]).
 //!
-//! The workspace is offline (no serde), but the daemon must parse one
-//! request object per line, the CI perf-regression gate must read
-//! `bench_baselines.json`, and the artifact schema tests must parse the
-//! `BENCH_*.json` reports the `--quick` modes write (`veriqec_bench`
-//! re-exports this module for those consumers). This is a small
-//! recursive-descent parser covering exactly the JSON those writers emit:
-//! objects, arrays, strings with the standard escapes, `f64` numbers,
-//! booleans and `null`. It is a reader for our own formats, not a
-//! general-purpose JSON library.
+//! The workspace is offline (no serde). Each document it writes (batch
+//! reports, perf-gate rows, Chrome traces, daemon responses) keeps its own
+//! hand-written layout and writes strings and metrics with these two
+//! writers. The reader parses daemon requests, `bench_baselines.json` and
+//! the artifacts the schema tests check: a small recursive-descent parser
+//! for exactly what the writers emit, not a general-purpose JSON library.
+
+use crate::metrics::{MetricValue, MetricsSnapshot};
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: it
+/// recurses per level, and a daemon request line nested without bound must
+/// be an error, not a stack overflow that aborts the process. The deepest
+/// document written here has 6 levels (envelope, report, jobs, job, points,
+/// point).
+const MAX_DEPTH: usize = 64;
+
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` get a
+/// backslash, every other character below U+0020 becomes a `\u00XX`
+/// escape, and everything else passes through unchanged.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Appends each reading of `m` to the JSON object being written into `out`
+/// as a `"name":value` member, comma-separated from any member before it
+/// (`out` ends in `{` when there is none): counts as integers, derived
+/// values with four decimals.
+pub fn push_metrics(out: &mut String, m: &MetricsSnapshot) {
+    for (name, value) in &m.entries {
+        if !out.ends_with('{') {
+            out.push(',');
+        }
+        match value {
+            MetricValue::Count(c) => out.push_str(&format!("\"{name}\":{c}")),
+            MetricValue::Value(v) => out.push_str(&format!("\"{name}\":{v:.4}")),
+        }
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,6 +69,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -85,6 +124,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -127,8 +168,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -140,6 +181,17 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object a level deeper, up to [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting too deep at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -214,17 +266,23 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000C}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate and the escaped low surrogate
+                            // after it encode one character past U+FFFF.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            // A lone surrogate is no character.
+                            out.push(char::from_u32(code).ok_or_else(|| {
+                                format!("unpaired surrogate \\u escape at byte {}", self.pos)
+                            })?);
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -242,6 +300,17 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The code unit spelled by the four hex digits of a `\u` escape at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        self.bytes
+            .get(at..at + 4)
+            .and_then(|hex| {
+                hex.iter()
+                    .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+            })
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -309,5 +378,73 @@ mod tests {
         assert_eq!(jobs[0].get("outcome").unwrap().as_str(), Some("enumerator"));
         let coeffs = jobs[0].get("coefficients").unwrap().as_arr().unwrap();
         assert_eq!(coeffs[3].as_f64(), Some(21.0));
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_cap() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Without the cap this line overflows the stack and aborts.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn combines_surrogate_pair_escapes() {
+        let smile = Json::parse(r#""\ud83d\ude00 \uD83D\uDE00""#).unwrap();
+        assert_eq!(smile.as_str(), Some("\u{1F600} \u{1F600}"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\u12""#,
+        ] {
+            assert!(Json::parse(lone).is_err(), "{lone}");
+        }
+    }
+
+    #[test]
+    fn escaped_strings_parse_back_to_themselves() {
+        let mut cases: Vec<String> = [
+            "",
+            "plain",
+            "say \"hi\"",
+            "back\\slash\\",
+            "\u{7f}",
+            "naïve Grüße, 量子 — ∑",
+            "\u{1F600} astral",
+        ]
+        .map(String::from)
+        .to_vec();
+        cases.extend((0..0x20u8).map(|b| format!("a{}b", char::from(b))));
+        cases.push((0..0x20u8).map(char::from).collect());
+        for s in cases {
+            let literal = format!("\"{}\"", escape(&s));
+            assert!(
+                literal.bytes().all(|b| b >= 0x20),
+                "raw control byte in {literal:?}"
+            );
+            assert_eq!(Json::parse(&literal), Ok(Json::Str(s)), "{literal}");
+        }
+    }
+
+    #[test]
+    fn metrics_are_written_as_object_members() {
+        let mut m = MetricsSnapshot::new();
+        m.push_count("conflicts", 12);
+        m.push_value("mean_lbd", 2.5);
+        for (open, members) in [("{", ""), ("{\"a\":1", "\"a\":1,")] {
+            let mut out = String::from(open);
+            push_metrics(&mut out, &m);
+            assert_eq!(
+                out,
+                format!("{{{members}\"conflicts\":12,\"mean_lbd\":2.5000")
+            );
+        }
     }
 }

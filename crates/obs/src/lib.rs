@@ -32,6 +32,8 @@
 //!   ([`metrics::MetricsSnapshot`] is what `SolverStats::to_metrics` and
 //!   `DdStats::to_metrics` lower into, and what batch reports render from).
 //! * [`trace`] — the [`Collector`] and Chrome trace-event serialization.
+//! * [`json`] — the workspace's one JSON reader, string escaper and
+//!   metric-field writer.
 //! * [`heartbeat`] — live progress: global phase/conflict/node gauges plus
 //!   a [`heartbeat::Heartbeat`] thread printing one status line per period.
 
@@ -42,6 +44,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub mod heartbeat;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

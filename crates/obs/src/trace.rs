@@ -8,6 +8,7 @@
 //! series are counter events (`ph: "C"`) whose `args` become the counter
 //! track's values.
 
+use crate::json::escape;
 use crate::{Event, EventKind};
 
 /// Aggregated time of one span label across the whole event stream — the
@@ -114,9 +115,9 @@ impl Collector {
                 out.push(',');
             }
             out.push_str("\n{\"name\":\"");
-            escape_into(&mut out, &e.name);
+            out.push_str(&escape(&e.name));
             out.push_str("\",\"cat\":\"");
-            escape_into(&mut out, e.cat);
+            out.push_str(&escape(e.cat));
             out.push_str("\",\"ph\":\"");
             out.push_str(match e.kind {
                 EventKind::Begin => "B",
@@ -140,7 +141,7 @@ impl Collector {
                         out.push(',');
                     }
                     out.push('"');
-                    escape_into(&mut out, k);
+                    out.push_str(&escape(k));
                     out.push_str("\":");
                     push_f64(&mut out, *v);
                 }
@@ -160,20 +161,6 @@ fn collapse_label(name: &str) -> String {
             format!("{head}:*")
         }
         _ => name.to_string(),
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 

@@ -18,7 +18,7 @@ use veriqec_codes::{
 };
 use veriqec_pauli::{PauliString, StabilizerGroup, SymPauli};
 
-use crate::json::Json;
+use veriqec_obs::json::{escape, Json};
 
 /// A parsed request line.
 #[derive(Clone, Debug)]
@@ -247,23 +247,9 @@ fn render_id_token(v: &Json) -> Result<String, String> {
     match v {
         Json::Num(x) if x.fract() == 0.0 => Ok(format!("{}", *x as i64)),
         Json::Num(x) => Ok(format!("{x}")),
-        Json::Str(s) => Ok(format!("\"{}\"", json_escape(s))),
+        Json::Str(s) => Ok(format!("\"{}\"", escape(s))),
         _ => Err("\"id\" must be a number or string".into()),
     }
-}
-
-/// Escapes a string for embedding in a JSON response.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The canonical content string a request's verdict is addressed by:

@@ -21,20 +21,19 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use veriqec::engine::{
-    BatchReport, DetectionSession, Engine, EngineConfig, FaultToleranceFrontier,
-    FaultToleranceSweep, FrontierPoint, Job, JobOutcome, JobReport,
+    job_reason, BatchReport, DetectionQuery, DetectionSession, Engine, EngineConfig,
+    FaultToleranceSweep, Job, JobOutcome, JobReport,
 };
 use veriqec::scenario::faulty_memory_scenario;
 use veriqec_codes::ExtractionSchedule;
-use veriqec_dd::CompileConfig;
+use veriqec_dd::{CompileConfig, DdStats};
+use veriqec_obs::json::{escape, push_metrics};
 use veriqec_sat::SolverConfig;
-use veriqec_vcgen::VcOutcome;
 
 use crate::cache::{fnv1a, CacheEntry, ResultCache};
 use crate::pool::{SessionPool, WarmSession};
 use crate::protocol::{
-    canonical_request, json_escape, parse_request, resolve_code, Request, RequestKind,
-    VerifyRequest,
+    canonical_request, parse_request, resolve_code, Request, RequestKind, VerifyRequest,
 };
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -49,8 +48,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Executor threads draining the pending queue.
     pub executors: usize,
-    /// Worker threads of the engine each counting job runs on.
-    pub engine_workers: usize,
     /// Admission high-water mark: verification requests beyond this many
     /// pending are shed with a `"busy"` error.
     pub max_pending: usize,
@@ -72,7 +69,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             executors: 2,
-            engine_workers: 2,
             max_pending: 64,
             session_cap: 8,
             cache_cap: 1024,
@@ -118,21 +114,6 @@ impl ServeMetrics {
         m.push_count("serve_cold_builds", self.cold_builds.get());
         m.push_count("serve_deadline_trips", self.deadline_trips.get());
         m
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.snapshot().entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let veriqec_obs::MetricValue::Count(c) = value else {
-                continue;
-            };
-            out.push_str(&format!("\"{name}\":{c}"));
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -369,7 +350,11 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> String {
         }
     };
     match req {
-        Request::Stats => format!("{{\"ok\":true,\"stats\":{}}}", shared.metrics.to_json()),
+        Request::Stats => {
+            let mut out = String::from("{\"ok\":true,\"stats\":{");
+            push_metrics(&mut out, &shared.metrics.snapshot());
+            out + "}}"
+        }
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
@@ -559,9 +544,19 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     }
     let job_name = format!("{}:{}", req.kind.tag(), req.code.key());
     let started = Instant::now();
+    let flag = Arc::new(AtomicBool::new(false));
+    let guard = DeadlineGuard::arm(deadline, &flag);
 
-    let (outcome, reason, stats, dd, session_kind, encodes, queries) = match &req.kind {
+    let (outcome, cause, stats, dd, session_kind, (encodes, queries)) = match &req.kind {
         RequestKind::Detection { .. } | RequestKind::Distance { .. } => {
+            let query = match req.kind {
+                RequestKind::Detection { dt } => DetectionQuery::Threshold(dt),
+                RequestKind::Distance { max } => DetectionQuery::Distance(
+                    max.or_else(|| code.claimed_distance().map(|d| d + 1))
+                        .unwrap_or(code.n()),
+                ),
+                _ => unreachable!("outer match arm"),
+            };
             let pool_key = format!(
                 "det|{}|r{}|cb{:?}",
                 req.code.key(),
@@ -570,56 +565,17 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
             );
             let (mut session, warm) = match shared.pool.checkout(&pool_key) {
                 Some(WarmSession::Detection(s)) => (s, true),
-                Some(other) => {
-                    // A mis-keyed session kind is a bug; rebuild cold
-                    // rather than serve the wrong formula.
-                    drop(other);
-                    (build_detection(&code, req.rounds, solver), false)
-                }
-                None => (build_detection(&code, req.rounds, solver), false),
+                // None, or a mis-keyed session kind (a bug): build cold
+                // rather than serve the wrong formula.
+                _ => (build_detection(&code, req.rounds, solver), false),
             };
-            if warm {
-                shared.metrics.warm_hits.add(1);
-            } else {
-                shared.metrics.cold_builds.add(1);
-            }
-            let flag = Arc::new(AtomicBool::new(false));
-            session.set_stop_flag(Arc::clone(&flag));
-            let guard = DeadlineGuard::arm(deadline, &flag);
-            let outcome = match &req.kind {
-                RequestKind::Detection { dt } => JobOutcome::Detection(session.check(*dt)),
-                RequestKind::Distance { max } => {
-                    let max = max
-                        .or_else(|| code.claimed_distance().map(|d| d + 1))
-                        .unwrap_or(code.n());
-                    JobOutcome::Distance(session.find_distance(max))
-                }
-                _ => unreachable!("outer match arm"),
-            };
-            let tripped = guard.tripped();
-            if tripped {
-                shared.metrics.deadline_trips.add(1);
-            }
-            let reason = budget_reason(
-                &outcome,
-                tripped,
-                session.unknown_cause().map(|c| c.to_string()),
-            );
+            let (outcome, cause) = session.run(query, Arc::clone(&flag));
             let stats = session.solver_stats();
-            let (encodes, queries) = (session.encode_count(), session.query_count());
-            shared
-                .pool
-                .checkin(pool_key, WarmSession::Detection(session));
-            let kind = if warm { "warm" } else { "cold" };
-            (
-                outcome,
-                reason,
-                stats,
-                Default::default(),
-                kind,
-                encodes,
-                queries,
-            )
+            let counts = (session.encode_count(), session.query_count());
+            let pooled = WarmSession::Detection(session);
+            shared.pool.checkin(pool_key, pooled);
+            let label = checkout_label(shared, warm);
+            (outcome, cause, stats, DdStats::default(), label, counts)
         }
         RequestKind::FaultTolerance {
             max_t_data,
@@ -643,95 +599,43 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
                     )
                 }
             };
-            if warm {
-                shared.metrics.warm_hits.add(1);
-            } else {
-                shared.metrics.cold_builds.add(1);
-            }
-            let flag = Arc::new(AtomicBool::new(false));
-            sweep.set_stop_flag(Arc::clone(&flag));
-            let guard = DeadlineGuard::arm(deadline, &flag);
-            let mut frontier = FaultToleranceFrontier::default();
-            'grid: for td in 0..=*max_t_data {
-                for tm in 0..=*max_t_meas {
-                    let correctable = match sweep.check(td as i64, tm as i64) {
-                        VcOutcome::Verified => Some(true),
-                        VcOutcome::CounterExample(_) => Some(false),
-                        VcOutcome::Unknown => None,
-                    };
-                    frontier.points.push(FrontierPoint {
-                        t_data: td,
-                        t_meas: tm,
-                        correctable,
-                    });
-                    if correctable.is_none() {
-                        break 'grid;
-                    }
-                }
-            }
-            let outcome = JobOutcome::Frontier(frontier);
-            let tripped = guard.tripped();
-            if tripped {
-                shared.metrics.deadline_trips.add(1);
-            }
-            let reason = budget_reason(
-                &outcome,
-                tripped,
-                sweep.session().unknown_cause().map(|c| c.to_string()),
-            );
+            let (frontier, cause) = sweep.frontier(*max_t_data, *max_t_meas, Arc::clone(&flag));
             let stats = sweep.session().solver_stats();
-            let (encodes, queries) = (sweep.encode_count(), sweep.query_count());
+            let counts = (sweep.encode_count(), sweep.query_count());
             shared.pool.checkin(pool_key, WarmSession::Frontier(sweep));
-            let kind = if warm { "warm" } else { "cold" };
-            (
-                outcome,
-                reason,
-                stats,
-                Default::default(),
-                kind,
-                encodes,
-                queries,
-            )
+            let (outcome, label) = (JobOutcome::Frontier(frontier), checkout_label(shared, warm));
+            (outcome, cause, stats, DdStats::default(), label, counts)
         }
         RequestKind::Count => {
-            let engine = Engine::new(EngineConfig {
-                workers: shared.config.engine_workers.max(1),
-                solver,
-            });
-            let flag = engine.cancel_flag();
-            let guard = DeadlineGuard::arm(deadline, &flag);
-            let compile = CompileConfig {
-                node_limit: req.node_limit.or(CompileConfig::default().node_limit),
-                ..CompileConfig::default()
-            };
+            // Only correction jobs are split across engine workers, so one
+            // worker serves a count job in full.
+            let engine = Engine::new(EngineConfig { workers: 1, solver });
+            let mut compile = CompileConfig::default();
+            compile.node_limit = req.node_limit.or(compile.node_limit);
+            compile.stop_flags.push(Arc::clone(&flag));
             let report = engine.run(vec![Job::count_with_config(
                 job_name.clone(),
-                code.clone(),
+                code,
                 compile,
             )]);
-            let tripped = guard.tripped();
-            if tripped {
-                shared.metrics.deadline_trips.add(1);
-            }
             shared.metrics.cold_builds.add(1);
             let job = report.jobs.into_iter().next().expect("one job submitted");
-            let reason = if tripped {
-                Some("deadline_exceeded".to_string())
-            } else {
-                job.reason
-            };
-            (job.outcome, reason, job.stats, job.dd, "engine", 1, 1)
+            (job.outcome, job.reason, job.stats, job.dd, "engine", (1, 1))
         }
     };
+    let tripped = guard.tripped();
+    if tripped {
+        shared.metrics.deadline_trips.add(1);
+    }
 
     let report = BatchReport {
         jobs: vec![JobReport {
             name: job_name,
+            reason: job_reason(&outcome, tripped, cause),
             outcome,
             subtasks: 1,
             busy_time: started.elapsed(),
             queue_wait,
-            reason,
             stats,
             dd,
         }],
@@ -741,13 +645,13 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     };
     let report_json = report.to_json();
     let job = &report.jobs[0];
-    let outcome_tag = extract_outcome_tag(&report_json);
+    let outcome_tag = job.outcome.tag();
     if job.outcome.is_conclusive() {
         shared.cache.insert(
             key,
             CacheEntry {
                 canonical,
-                outcome: outcome_tag.clone(),
+                outcome: outcome_tag.to_string(),
                 report_json: report_json.clone(),
             },
         );
@@ -755,7 +659,7 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     verify_response(
         &req.id,
         key,
-        &outcome_tag,
+        outcome_tag,
         false,
         session_kind,
         encodes,
@@ -763,6 +667,18 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
         &report_json,
         job.reason.as_deref(),
     )
+}
+
+/// Counts a pooled session reuse or a cold build and names it for the
+/// response envelope.
+fn checkout_label(shared: &Shared, warm: bool) -> &'static str {
+    if warm {
+        shared.metrics.warm_hits.add(1);
+        "warm"
+    } else {
+        shared.metrics.cold_builds.add(1);
+        "cold"
+    }
 }
 
 fn build_detection(
@@ -778,45 +694,9 @@ fn build_detection(
     }
 }
 
-/// The budget-trip reason for an inconclusive outcome: the deadline
-/// watchdog wins over the solver's own cause (the watchdog *is* what
-/// raised the stop flag).
-fn budget_reason(
-    outcome: &JobOutcome,
-    tripped: bool,
-    solver_cause: Option<String>,
-) -> Option<String> {
-    if outcome.is_conclusive() {
-        return None;
-    }
-    if tripped {
-        return Some("deadline_exceeded".to_string());
-    }
-    solver_cause
-}
-
-/// Reads `"outcome":"…"` back out of the rendered report so the envelope
-/// and the cache agree with [`BatchReport::to_json`] byte-for-byte.
-fn extract_outcome_tag(report_json: &str) -> String {
-    crate::json::Json::parse(report_json)
-        .ok()
-        .and_then(|doc| {
-            doc.get("jobs")?
-                .as_arr()?
-                .first()?
-                .get("outcome")?
-                .as_str()
-                .map(str::to_string)
-        })
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn error_response(id: Option<&str>, msg: &str) -> String {
     let id_field = id.map(|t| format!("\"id\":{t},")).unwrap_or_default();
-    format!(
-        "{{{id_field}\"ok\":false,\"error\":\"{}\"}}",
-        json_escape(msg)
-    )
+    format!("{{{id_field}\"ok\":false,\"error\":\"{}\"}}", escape(msg))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -836,33 +716,27 @@ fn verify_response(
         .map(|t| format!("\"id\":{t},"))
         .unwrap_or_default();
     let reason_field = reason
-        .map(|r| format!(",\"reason\":\"{}\"", json_escape(r)))
+        .map(|r| format!(",\"reason\":\"{}\"", escape(r)))
         .unwrap_or_default();
     format!(
         "{{{id_field}\"ok\":true,\"outcome\":\"{}\",\"cached\":{cached},\
          \"session\":\"{session}\",\"encodes\":{encodes},\"queries\":{queries},\
          \"cache_key\":\"{key:016x}\"{reason_field},\"report\":{report_json}}}",
-        json_escape(outcome),
+        escape(outcome),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use veriqec_obs::json::Json;
 
     fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        let mut out = Vec::new();
-        for line in lines {
-            writeln!(writer, "{line}").expect("write");
-            let mut response = String::new();
-            reader.read_line(&mut response).expect("read");
-            out.push(Json::parse(response.trim()).expect("response parses"));
-        }
-        out
+        let mut client = crate::smoke::Client::connect(addr).expect("connect");
+        lines
+            .iter()
+            .map(|l| client.ask(l).expect("response"))
+            .collect()
     }
 
     #[test]
@@ -961,5 +835,65 @@ mod tests {
         let rs = roundtrip(handle.addr(), &[r#"{"op":"shutdown"}"#]);
         assert_eq!(rs[0].get("draining").unwrap().as_bool(), Some(true));
         handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_not_a_crash() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let deep = "[".repeat(100_000);
+        let next = r#"{"kind":"detection","code":"steane","dt":3}"#;
+        let rs = roundtrip(handle.addr(), &[&deep, next]);
+        assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(false));
+        // The same connection still gets its next answer.
+        assert_eq!(rs[1].get("outcome").unwrap().as_str(), Some("all_detected"));
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn daemon_and_engine_report_the_same_starved_frontier() {
+        use veriqec::scenario::{faulty_memory_scenario, ErrorModel};
+        use veriqec::FrontierPoint;
+        // Twenty conflicts per query decide every surface-3 grid point but
+        // (t_data, t_meas) = (1, 0); the sweep goes on past it to (1, 1),
+        // in the daemon as in the engine.
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let request = r#"{"kind":"fault_tolerance","code":"surface_3","rounds":1,"max_t_data":1,"max_t_meas":1,"conflict_budget":20}"#;
+        let r = roundtrip(handle.addr(), &[request]).remove(0);
+        handle.shutdown();
+        handle.join().expect("clean join");
+        assert_eq!(
+            r.get("reason").and_then(Json::as_str),
+            Some("conflict_budget")
+        );
+        let points = crate::smoke::first_job(&r).unwrap().get("points");
+        let served: Vec<FrontierPoint> = (points.and_then(Json::as_arr).unwrap().iter())
+            .map(|p| {
+                let n = |k| p.get(k).and_then(Json::as_f64).unwrap() as usize;
+                let correctable = p.get("correctable").unwrap();
+                assert!(matches!(correctable, Json::Bool(_) | Json::Null));
+                let correctable = correctable.as_bool();
+                FrontierPoint {
+                    t_data: n("t_data"),
+                    t_meas: n("t_meas"),
+                    correctable,
+                }
+            })
+            .collect();
+        let scenario =
+            faulty_memory_scenario(&veriqec_codes::rotated_surface(3), ErrorModel::YErrors, 1);
+        let solver = SolverConfig {
+            conflict_budget: Some(20),
+            ..SolverConfig::default()
+        };
+        let report = Engine::new(EngineConfig { workers: 1, solver })
+            .run(vec![Job::fault_tolerance("surface_3", &scenario, 1, 1)]);
+        assert_eq!(report.jobs[0].reason.as_deref(), Some("conflict_budget"));
+        let JobOutcome::Frontier(frontier) = &report.jobs[0].outcome else {
+            panic!("{:?}", report.jobs[0].outcome);
+        };
+        assert_eq!(served, frontier.points);
+        let verdicts: Vec<_> = served.iter().map(|p| p.correctable).collect();
+        assert_eq!(verdicts, [Some(true), Some(true), None, Some(false)]);
     }
 }

@@ -7,17 +7,18 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use crate::json::Json;
+use veriqec_obs::json::Json;
+
 use crate::server::{ServeConfig, Server};
 
 /// One scripted client connection.
-struct Client {
+pub(crate) struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
 }
 
 impl Client {
-    fn connect(addr: SocketAddr) -> Result<Client, String> {
+    pub(crate) fn connect(addr: SocketAddr) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
         let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
         Ok(Client {
@@ -27,7 +28,7 @@ impl Client {
     }
 
     /// Sends one request line and parses the one response line.
-    fn ask(&mut self, line: &str) -> Result<Json, String> {
+    pub(crate) fn ask(&mut self, line: &str) -> Result<Json, String> {
         writeln!(self.writer, "{line}").map_err(|e| format!("write: {e}"))?;
         let mut response = String::new();
         self.reader
@@ -60,7 +61,7 @@ fn field_count(doc: &Json, key: &str) -> f64 {
     doc.get(key).and_then(Json::as_f64).unwrap_or(-1.0)
 }
 
-fn first_job(doc: &Json) -> Result<&Json, String> {
+pub(crate) fn first_job(doc: &Json) -> Result<&Json, String> {
     doc.get("report")
         .and_then(|r| r.get("jobs"))
         .and_then(Json::as_arr)

@@ -6,7 +6,8 @@
 
 use std::time::Instant;
 
-use veriqec::parallel::{check_parallel, ParallelConfig};
+use veriqec::engine::{Engine, Job};
+use veriqec::parallel::SplitConfig;
 use veriqec::scenario::{memory_scenario, ErrorModel};
 use veriqec::tasks::{
     build_problem, discreteness_constraint, locality_constraint, verify_constrained,
@@ -28,15 +29,17 @@ fn main() {
         let scenario = memory_scenario(&code, ErrorModel::YErrors);
         let seq = verify_correction(&scenario, t, SolverConfig::default());
         let problem = build_problem(&scenario, t, vec![]);
-        let par = check_parallel(&problem, &ParallelConfig::default());
+        let job = Job::correction("race", problem, vec![], SplitConfig::default());
+        let batch = Engine::default().run(vec![job]);
+        let race = &batch.jobs[0];
         println!(
             "d={d} ({} qubits): sequential {:?} in {:?} | race ({} racers) {:?} in {:?}",
             code.n(),
             seq.outcome.is_verified(),
             seq.wall_time,
-            par.subtasks,
-            par.outcome.is_verified(),
-            par.wall_time,
+            race.subtasks,
+            race.outcome.is_verified(),
+            batch.wall_time,
         );
     }
 

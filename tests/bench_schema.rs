@@ -5,7 +5,7 @@
 //! plotting scripts) parses them without serde. These tests generate each
 //! artifact in-process through the same writers the `tables` binary uses
 //! — `BatchReport::to_json` for the engine batches, `gate::to_json` for
-//! the perf gate — then parse them back with `veriqec_bench::json` and
+//! the perf gate — then parse them back with `veriqec_obs::json` and
 //! assert the keys and invariants the consumers rely on.
 
 use veriqec::engine::{Engine, EngineConfig, Job};
@@ -13,8 +13,8 @@ use veriqec::parallel::SplitConfig;
 use veriqec::scenario::{faulty_memory_scenario, memory_scenario, ErrorModel};
 use veriqec::tasks::build_problem;
 use veriqec_bench::gate::{to_json, Row};
-use veriqec_bench::json::Json;
 use veriqec_codes::{five_qubit, repetition, rotated_surface, steane};
+use veriqec_obs::json::Json;
 use veriqec_sat::SolverConfig;
 
 /// Every engine batch shares this envelope.
@@ -54,7 +54,7 @@ fn enumerators_report_has_counts_matching_group_theory() {
         .map(|code| Job::count(code.name().to_string(), code.clone()))
         .collect();
     let batch = Engine::new(EngineConfig::default()).run(jobs);
-    assert!(batch.incomplete_jobs().is_empty());
+    assert!(batch.incomplete_jobs_with_reasons().is_empty());
 
     let doc = Json::parse(&batch.to_json()).expect("engine emits valid JSON");
     let jobs = check_envelope(&doc);
@@ -109,7 +109,7 @@ fn raced_correction_report_carries_sharing_counters() {
         scenario.error_vars.clone(),
         SplitConfig::default(),
     )]);
-    assert!(batch.incomplete_jobs().is_empty());
+    assert!(batch.incomplete_jobs_with_reasons().is_empty());
 
     let doc = Json::parse(&batch.to_json()).expect("engine emits valid JSON");
     let jobs = check_envelope(&doc);
@@ -138,7 +138,7 @@ fn fault_tolerance_report_exposes_the_frontier_grid() {
         1,
         1,
     )]);
-    assert!(batch.incomplete_jobs().is_empty());
+    assert!(batch.incomplete_jobs_with_reasons().is_empty());
 
     let doc = Json::parse(&batch.to_json()).expect("engine emits valid JSON");
     let jobs = check_envelope(&doc);

@@ -39,12 +39,12 @@ fn second_batch_in_one_process_reports_only_its_own_jobs() {
             SplitConfig::default(),
         ),
     ]);
-    assert!(first.incomplete_jobs().is_empty());
+    assert!(first.incomplete_jobs_with_reasons().is_empty());
     assert_eq!(heartbeat::JOBS_TOTAL.get(), 4);
     assert_eq!(heartbeat::JOBS_DONE.get(), 4);
 
     let second = engine.run(vec![Job::distance("second_steane", steane(), 3)]);
-    assert!(second.incomplete_jobs().is_empty());
+    assert!(second.incomplete_jobs_with_reasons().is_empty());
     assert_eq!(
         heartbeat::JOBS_TOTAL.get(),
         1,

@@ -33,7 +33,7 @@ fn engine_batch_trace_satisfies_chrome_schema() {
     ];
     let batch = Engine::new(EngineConfig::default()).run(jobs);
     veriqec_obs::set_enabled(false);
-    assert!(batch.incomplete_jobs().is_empty());
+    assert!(batch.incomplete_jobs_with_reasons().is_empty());
 
     let mut collector = veriqec_obs::Collector::new();
     collector.drain();
