@@ -9,6 +9,8 @@
 //! written or uploaded. Both read JSON with [`veriqec_obs::json`], as do
 //! the artifact schema tests.
 
+#![forbid(unsafe_code)]
+
 use veriqec::scenario::{memory_scenario, ErrorModel, Scenario};
 use veriqec::tasks::build_problem;
 use veriqec_codes::{rotated_surface, StabilizerCode};

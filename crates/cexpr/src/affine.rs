@@ -226,14 +226,6 @@ impl Affine {
         self.constant ^= c;
     }
 
-    /// Conditionally XORs another form: `self ⊕= cond · other` where `cond`
-    /// is a compile-time boolean. A convenience for phase-update rules.
-    pub fn xor_if(&mut self, cond: bool, other: &Affine) {
-        if cond {
-            *self ^= other;
-        }
-    }
-
     /// Substitutes variable `v` by another affine form.
     pub fn subst(&self, v: VarId, e: &Affine) -> Affine {
         if !self.contains(v) {

@@ -26,6 +26,8 @@
 //! assert!(phi.eval(&m));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod affine;
 #[cfg(test)]
 mod baseline;

@@ -4,6 +4,8 @@
 //! Run with `cargo run -p veriqec_codes --bin search_codes --release --
 //! [all|dodecacode|carbon|dodeca115]`; an unknown mode exits 2.
 
+#![forbid(unsafe_code)]
+
 use rand::prelude::*;
 use veriqec_codes::search::{search_cyclic, search_random_code};
 

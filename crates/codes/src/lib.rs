@@ -17,6 +17,8 @@
 //! assert_eq!(steane().brute_force_distance(3), Some(3));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod code;
 mod concat;
 pub mod css;

@@ -33,7 +33,7 @@ use veriqec_cexpr::{BExp, CMem, VarId};
 use veriqec_codes::StabilizerCode;
 use veriqec_dd::{CompileConfig, CompileError, DdStats};
 use veriqec_obs::json::{escape, push_metrics};
-use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats, UnknownCause};
+use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats, Stop, UnknownCause};
 use veriqec_smt::{CardinalityHandle, CheckResult, SmtContext};
 use veriqec_vcgen::{VcOutcome, VcProblem, VcSession};
 
@@ -59,7 +59,6 @@ pub struct DetectionSession {
     ex: Vec<VarId>,
     ez: Vec<VarId>,
     support: CardinalityHandle,
-    encodes: usize,
     queries: usize,
 }
 
@@ -105,7 +104,6 @@ impl DetectionSession {
             ex,
             ez,
             support,
-            encodes: 1,
             queries: 0,
         }
     }
@@ -158,31 +156,21 @@ impl DetectionSession {
         DistanceOutcome::AtLeast(max + 1)
     }
 
-    /// Installs a cooperative stop flag (see [`SmtContext::set_stop_flag`]);
-    /// an aborted query reports [`DetectionOutcome::Inconclusive`].
-    pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.ctx.set_stop_flag(flag);
+    /// Installs a cooperative stop (see [`SmtContext::set_stop`]); an
+    /// aborted query reports [`DetectionOutcome::Inconclusive`].
+    pub fn set_stop(&mut self, stop: Stop) {
+        self.ctx.set_stop(stop);
     }
 
-    /// Answers `query` under the stop flag `stop`, with the solver's cause
-    /// when inconclusive: the engine's and the daemon's one detection body.
-    pub fn run(
-        &mut self,
-        query: DetectionQuery,
-        stop: Arc<AtomicBool>,
-    ) -> (JobOutcome, Option<String>) {
-        self.set_stop_flag(stop);
+    /// Answers `query` under `stop`, with the solver's cause when
+    /// inconclusive: the engine's and the daemon's one detection body.
+    pub fn run(&mut self, query: DetectionQuery, stop: Stop) -> (JobOutcome, Option<String>) {
+        self.set_stop(stop);
         let outcome = match query {
             DetectionQuery::Threshold(dt) => JobOutcome::Detection(self.check(dt)),
             DetectionQuery::Distance(max) => JobOutcome::Distance(self.find_distance(max)),
         };
         (outcome, self.ctx.unknown_cause().map(|c| c.to_string()))
-    }
-
-    /// Number of base encodings performed (always 1; exposed so sweep tests
-    /// can assert nothing was re-encoded).
-    pub fn encode_count(&self) -> usize {
-        self.encodes
     }
 
     /// Number of [`DetectionSession::check`] queries so far.
@@ -231,11 +219,6 @@ impl CorrectionSweep {
     pub fn check_weight(&mut self, max_errors: i64) -> VcOutcome {
         let assumptions: Vec<Lit> = self.weight.at_most(max_errors).into_iter().collect();
         self.session.query(&assumptions)
-    }
-
-    /// Number of base encodings performed (always 1).
-    pub fn encode_count(&self) -> usize {
-        self.session.encode_count()
     }
 
     /// Number of weight queries so far.
@@ -334,17 +317,17 @@ impl FaultToleranceSweep {
     }
 
     /// Decides every grid point up to `(max_t_data, max_t_meas)`, row-major,
-    /// under the stop flag `stop`: the engine's and the daemon's one
-    /// frontier loop. A point that runs out of conflict budget is `None` and
-    /// the sweep goes on (the budget is per query); only the stop flag ends
-    /// it early. The cause is the first undecided point's.
+    /// under `stop`: the engine's and the daemon's one frontier loop. A
+    /// point that runs out of conflict budget is `None` and the sweep goes
+    /// on (the budget is per query); only the stop ends it early. The cause
+    /// is the first undecided point's.
     pub fn frontier(
         &mut self,
         max_t_data: usize,
         max_t_meas: usize,
-        stop: Arc<AtomicBool>,
+        stop: Stop,
     ) -> (FaultToleranceFrontier, Option<String>) {
-        self.session.set_stop_flag(stop);
+        self.session.set_stop(stop);
         let (mut points, mut cause) = (Vec::new(), None);
         'grid: for t_data in 0..=max_t_data {
             for t_meas in 0..=max_t_meas {
@@ -368,11 +351,6 @@ impl FaultToleranceSweep {
             }
         }
         (FaultToleranceFrontier { points }, cause)
-    }
-
-    /// Number of base encodings performed (always 1).
-    pub fn encode_count(&self) -> usize {
-        self.session.encode_count()
     }
 
     /// Number of grid-point queries so far.
@@ -485,8 +463,8 @@ pub enum JobKind {
     Count {
         /// The code under test.
         code: StabilizerCode,
-        /// Diagram compile budget and ordering (the job's cancel flag is
-        /// layered on top as the stop flag).
+        /// Diagram compile budget and ordering (the job's stop is layered
+        /// on top of the config's own).
         config: CompileConfig,
     },
     /// Fault-tolerance frontier sweep over an r-round faulty-measurement
@@ -510,7 +488,7 @@ pub enum JobKind {
     /// plumbing, and the reporting (the resilience tests inject
     /// deliberately panicking jobs through this).
     Custom {
-        /// The callable; receives the job's cancel flag.
+        /// The callable; receives the job's stop.
         run: CustomJobFn,
     },
 }
@@ -524,10 +502,11 @@ pub enum DetectionQuery {
     Distance(usize),
 }
 
-/// The callable behind [`JobKind::Custom`]: gets the job's cancel flag
-/// (doubling as the cooperative stop flag) and returns the job's outcome.
+/// The callable behind [`JobKind::Custom`]: gets the job's [`Stop`]
+/// (raised by a batch cancel or a panicking sibling item) and returns the
+/// job's outcome.
 #[derive(Clone)]
-pub struct CustomJobFn(pub Arc<dyn Fn(&AtomicBool) -> JobOutcome + Send + Sync>);
+pub struct CustomJobFn(pub Arc<dyn Fn(&Stop) -> JobOutcome + Send + Sync>);
 
 impl std::fmt::Debug for CustomJobFn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -619,7 +598,7 @@ impl Job {
     /// An opaque custom job (see [`JobKind::Custom`]).
     pub fn custom(
         name: impl Into<String>,
-        run: impl Fn(&AtomicBool) -> JobOutcome + Send + Sync + 'static,
+        run: impl Fn(&Stop) -> JobOutcome + Send + Sync + 'static,
     ) -> Job {
         Job {
             name: name.into(),
@@ -697,7 +676,7 @@ impl JobOutcome {
 
 /// The one rule behind every [`JobReport::reason`], in the engine and the
 /// daemon: a conclusive outcome has none, whatever tripped on the way;
-/// otherwise `deadline_exceeded` when a `deadline` watchdog tripped, then
+/// otherwise `deadline_exceeded` when the `deadline` had passed, then
 /// the solver's or compiler's own `cause`, then `cancelled` for a job that
 /// never ran.
 pub fn job_reason(outcome: &JobOutcome, deadline: bool, cause: Option<String>) -> Option<String> {
@@ -1040,10 +1019,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 struct JobState {
     name: String,
     kind: JobKind,
-    /// Raised on the job's first verdict, on a panic, or on batch
-    /// cancellation; doubles as the cooperative stop flag of every session
-    /// serving the job.
+    /// Raised on the job's first verdict or on a panic.
     cancel: Arc<AtomicBool>,
+    /// The cooperative stop of every session serving the job: the batch
+    /// flag, the job's `cancel` flag and, for a count job, its compile
+    /// config's own stop.
+    stop: Stop,
     /// Work items the job splits into: one racer per worker for a
     /// correction job, a single item for every other kind.
     racers: usize,
@@ -1056,41 +1037,52 @@ struct JobState {
     finished: AtomicUsize,
     /// Set once the job counted towards the heartbeat's jobs-done total.
     concluded: AtomicBool,
-    outcome: Mutex<Option<JobOutcome>>,
-    stats: Mutex<SolverStats>,
-    dd: Mutex<DdStats>,
-    busy: Mutex<Duration>,
     /// When the job entered the queue (batch start).
     queued_at: Instant,
+    record: Mutex<JobRecord>,
+}
+
+/// What a job's work items have recorded so far.
+#[derive(Default)]
+struct JobRecord {
+    outcome: Option<JobOutcome>,
+    stats: SolverStats,
+    dd: DdStats,
+    busy: Duration,
     /// Time from enqueue to the first worker claim; `None` until claimed.
-    queue_wait: Mutex<Option<Duration>>,
+    queue_wait: Option<Duration>,
     /// First recorded budget-trip reason (see [`JobReport::reason`]).
-    reason: Mutex<Option<String>>,
+    reason: Option<String>,
 }
 
 impl JobState {
-    fn new(job: Job, workers: usize) -> Self {
+    fn new(job: Job, workers: usize, batch: &Arc<AtomicBool>) -> Self {
         let racers = match job.kind {
             JobKind::Correction { .. } => workers,
             _ => 1,
         };
+        let cancel = Arc::new(AtomicBool::new(false));
+        let mut stop = Stop::new(vec![Arc::clone(batch), Arc::clone(&cancel)], None);
+        if let JobKind::Count { config, .. } = &job.kind {
+            stop = stop.or(&config.stop);
+        }
         JobState {
             name: job.name,
             kind: job.kind,
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancel,
+            stop,
             racers,
             pool: (racers > 1).then(ClausePool::new),
             issued: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
             concluded: AtomicBool::new(false),
-            outcome: Mutex::new(None),
-            stats: Mutex::new(SolverStats::default()),
-            dd: Mutex::new(DdStats::default()),
-            busy: Mutex::new(Duration::ZERO),
             queued_at: Instant::now(),
-            queue_wait: Mutex::new(None),
-            reason: Mutex::new(None),
+            record: Mutex::new(JobRecord::default()),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, JobRecord> {
+        lock_unpoisoned(&self.record)
     }
 
     /// Hands out the job's next racer index, if one is left.
@@ -1104,18 +1096,18 @@ impl JobState {
 
     /// Records how long the job waited in the queue, on its first claim.
     fn mark_claimed(&self) {
-        let mut qw = lock_unpoisoned(&self.queue_wait);
-        if qw.is_none() {
-            *qw = Some(self.queued_at.elapsed());
+        let mut r = self.lock();
+        if r.queue_wait.is_none() {
+            r.queue_wait = Some(self.queued_at.elapsed());
         }
     }
 
     /// Records the first budget-trip reason (later ones add no information:
     /// the first trip is what stopped the job making progress).
     fn record_reason(&self, reason: Option<String>) {
-        let mut r = lock_unpoisoned(&self.reason);
-        if r.is_none() {
-            *r = reason;
+        let mut r = self.lock();
+        if r.reason.is_none() {
+            r.reason = reason;
         }
     }
 
@@ -1124,7 +1116,7 @@ impl JobState {
     /// previously recorded `Unknown`: one racer's budget exhaustion must
     /// not mask a sibling's result. Returns whether `outcome` was stored.
     fn record(&self, outcome: JobOutcome) -> bool {
-        let mut o = lock_unpoisoned(&self.outcome);
+        let o = &mut self.lock().outcome;
         let displaces = matches!(
             outcome,
             JobOutcome::Verified | JobOutcome::CounterExample(_)
@@ -1157,7 +1149,7 @@ impl JobState {
 /// picked up as soon as workers free up or earlier jobs conclude).
 fn next_item(states: &[JobState]) -> Option<(usize, usize)> {
     states.iter().enumerate().find_map(|(j, st)| {
-        if st.cancel.load(Ordering::Relaxed) {
+        if st.stop.is_raised() {
             return None;
         }
         st.claim().map(|racer| (j, racer))
@@ -1188,8 +1180,9 @@ impl Engine {
     }
 
     /// The batch-level cancel flag: raising it (from any thread, e.g. a
-    /// signal handler or a deadline watchdog) aborts in-flight solver calls
-    /// cooperatively and drains the queue without starting new work.
+    /// signal handler) aborts in-flight solver calls and diagram compiles
+    /// at their next poll, since it is part of every job's [`Stop`], and
+    /// drains the queue without starting new work.
     pub fn cancel_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.cancel)
     }
@@ -1202,7 +1195,7 @@ impl Engine {
         let workers = self.config.workers.max(1);
         let states: Vec<JobState> = jobs
             .into_iter()
-            .map(|job| JobState::new(job, workers))
+            .map(|job| JobState::new(job, workers, &self.cancel))
             .collect();
         // Unconditional (the stores are relaxed atomics, cheap either way):
         // a resident process runs many batches in one lifetime, and stale
@@ -1218,96 +1211,32 @@ impl Engine {
                 veriqec_obs::instant("engine", "job_queued", &[("job", i as f64)]);
             }
         }
-        let active = AtomicUsize::new(workers);
-        let done = Mutex::new(false);
-        let done_cv = std::sync::Condvar::new();
-        // Signals worker exit from a destructor so the countdown also runs
-        // when a worker unwinds on panic — otherwise the watchdog below
-        // would wait forever and `thread::scope` could never join to
-        // propagate the panic.
-        struct WorkerExit<'a> {
-            active: &'a AtomicUsize,
-            done: &'a Mutex<bool>,
-            done_cv: &'a std::sync::Condvar,
-        }
-        impl Drop for WorkerExit<'_> {
-            fn drop(&mut self) {
-                if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    *self
-                        .done
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-                    self.done_cv.notify_all();
-                }
-            }
-        }
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let _exit = WorkerExit {
-                        active: &active,
-                        done: &done,
-                        done_cv: &done_cv,
-                    };
-                    self.worker(&states);
-                });
+                scope.spawn(|| self.worker(&states));
             }
-            // Watchdog: the solvers poll only the per-job flags, so a batch
-            // cancel raised while every worker is mid-solve must be fanned
-            // out here — the workers' own loop-top check never runs then.
-            // Exits immediately when the last worker signals completion;
-            // otherwise re-checks the cancel flag every millisecond.
-            scope.spawn(|| {
-                let mut finished = done
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                while !*finished {
-                    if self.cancel.load(Ordering::Relaxed) {
-                        for st in &states {
-                            st.cancel.store(true, Ordering::Relaxed);
-                        }
-                        break;
-                    }
-                    finished = match done_cv.wait_timeout(finished, Duration::from_millis(1)) {
-                        Ok((guard, _)) => guard,
-                        Err(poisoned) => poisoned.into_inner().0,
-                    };
-                }
-            });
         });
         let jobs = states
             .into_iter()
             .map(|st| {
-                // Every item that runs to an answer records one, so a job
-                // without an outcome was cancelled before it finished.
-                let outcome = st
-                    .outcome
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or(JobOutcome::Cancelled);
-                // A sibling racer's budget trip does not qualify a verdict.
-                let reason = st
-                    .reason
+                let r = st
+                    .record
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner);
-                let reason = job_reason(&outcome, false, reason);
+                // Every item that runs to an answer records one, so a job
+                // without an outcome was cancelled before it finished.
+                let outcome = r.outcome.unwrap_or(JobOutcome::Cancelled);
                 JobReport {
                     name: st.name,
+                    // A sibling racer's budget trip does not qualify a verdict.
+                    reason: job_reason(&outcome, false, r.reason),
                     outcome,
                     subtasks: st.issued.into_inner(),
-                    busy_time: st.busy.into_inner().unwrap_or_else(PoisonError::into_inner),
+                    busy_time: r.busy,
                     // A job no worker ever claimed waited out the batch.
-                    queue_wait: st
-                        .queue_wait
-                        .into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .unwrap_or_else(|| start.elapsed()),
-                    reason,
-                    stats: st
-                        .stats
-                        .into_inner()
-                        .unwrap_or_else(PoisonError::into_inner),
-                    dd: st.dd.into_inner().unwrap_or_else(PoisonError::into_inner),
+                    queue_wait: r.queue_wait.unwrap_or_else(|| start.elapsed()),
+                    stats: r.stats,
+                    dd: r.dd,
                 }
             })
             .collect();
@@ -1321,16 +1250,7 @@ impl Engine {
 
     /// One worker: claim items until the queue drains or the batch cancels.
     fn worker(&self, states: &[JobState]) {
-        loop {
-            if self.cancel.load(Ordering::Relaxed) {
-                for st in states {
-                    st.cancel.store(true, Ordering::Relaxed);
-                }
-                break;
-            }
-            let Some((idx, racer)) = next_item(states) else {
-                break;
-            };
+        while let Some((idx, racer)) = next_item(states) {
             let st = &states[idx];
             // Queue wait ends at the first claim and busy time starts
             // after it, so the two never overlap: busy measures work, not
@@ -1354,7 +1274,7 @@ impl Engine {
                 // abort its racers on other workers.
                 st.cancel.store(true, Ordering::Relaxed);
             }
-            *lock_unpoisoned(&st.busy) += t0.elapsed();
+            st.lock().busy += t0.elapsed();
             st.finish_item();
         }
         // Hand this worker's buffered trace events to the global sink
@@ -1372,30 +1292,31 @@ impl Engine {
             JobKind::Correction { problem } => self.race(st, problem, racer),
             JobKind::Detection { code, query } => {
                 let mut session = DetectionSession::new(code, self.config.solver);
-                let (outcome, cause) = session.run(*query, Arc::clone(&st.cancel));
-                *lock_unpoisoned(&st.stats) += session.solver_stats();
+                let (outcome, cause) = session.run(*query, st.stop.clone());
+                st.lock().stats += session.solver_stats();
                 st.record_reason(cause);
                 st.record(outcome);
             }
             JobKind::Count { code, config } => {
-                // Layer the job's cancel flag on top of any caller-supplied
-                // stop flags.
-                let mut config = config.clone();
-                config.stop_flags.push(Arc::clone(&st.cancel));
+                // The job's stop already holds the caller's compile stop.
+                let config = CompileConfig {
+                    stop: st.stop.clone(),
+                    ..config.clone()
+                };
                 match FailureEnumerator::new(code, &config) {
                     Ok(mut fe) => {
                         let out = fe.enumerator();
-                        *lock_unpoisoned(&st.dd) += fe.dd_stats();
+                        st.lock().dd += fe.dd_stats();
                         st.record(JobOutcome::Enumerator(out));
                     }
                     Err(CompileError::NodeLimit { nodes }) => {
                         // Surface how far the diagram got so a report
                         // consumer can tune the budget.
-                        lock_unpoisoned(&st.dd).nodes += nodes as u64;
+                        st.lock().dd.nodes += nodes as u64;
                         st.record_reason(Some(format!("node_limit({nodes} nodes)")));
                         st.record(JobOutcome::Unknown);
                     }
-                    // Cancelled: a real outcome or the cancel flag already
+                    // Cancelled: a real outcome or the raised stop already
                     // explains the job; record nothing.
                     Err(CompileError::Cancelled) => {}
                 }
@@ -1413,18 +1334,17 @@ impl Engine {
                     meas_vars,
                     self.config.solver,
                 );
-                let (frontier, cause) =
-                    sweep.frontier(*max_t_data, *max_t_meas, Arc::clone(&st.cancel));
-                *lock_unpoisoned(&st.stats) += sweep.session().solver_stats();
+                let (frontier, cause) = sweep.frontier(*max_t_data, *max_t_meas, st.stop.clone());
+                st.lock().stats += sweep.session().solver_stats();
                 st.record_reason(cause);
                 // A batch cancellation mid-grid is not a result; leaving
                 // the outcome empty reports Cancelled.
-                if !st.cancel.load(Ordering::Relaxed) {
+                if !st.stop.is_raised() {
                     st.record(JobOutcome::Frontier(frontier));
                 }
             }
             JobKind::Custom { run } => {
-                let out = (run.0)(&st.cancel);
+                let out = (run.0)(&st.stop);
                 st.record(out);
             }
         }
@@ -1433,11 +1353,11 @@ impl Engine {
     /// One racer of a correction job: encodes the whole problem with the
     /// racer's solver configuration, joins the job's clause pool and
     /// solves. The first verdict is recorded and cancels the other racers
-    /// through the job's flag, which is every racer's stop flag.
+    /// through the job's flag, which is part of every racer's stop.
     fn race(&self, st: &JobState, problem: &VcProblem, racer: usize) {
         let span = veriqec_obs::span("engine", "racer");
         let mut session = problem.session(racer_config(self.config.solver, racer));
-        session.set_stop_flag(Arc::clone(&st.cancel));
+        session.set_stop(st.stop.clone());
         if let Some(pool) = &st.pool {
             session.join_pool(Arc::clone(pool));
         }
@@ -1447,7 +1367,7 @@ impl Engine {
             VcOutcome::Unknown => {
                 // A budget trip, or a cooperative abort after a sibling's
                 // verdict or a batch cancel — those leave nothing to say.
-                if !st.cancel.load(Ordering::Relaxed) {
+                if !st.stop.is_raised() {
                     st.record(JobOutcome::Unknown);
                     st.record_reason(session.unknown_cause().map(|c| c.to_string()));
                 }
@@ -1459,7 +1379,7 @@ impl Engine {
             st.conclude();
         }
         let stats = session.solver_stats();
-        *lock_unpoisoned(&st.stats) += stats;
+        st.lock().stats += stats;
         span.close_with(&[
             ("racer", racer as f64),
             ("won", f64::from(u8::from(won))),
@@ -1544,7 +1464,6 @@ mod tests {
         let mut session = DetectionSession::new(&code, SolverConfig::default());
         let out = session.find_distance(4);
         assert_eq!(out, DistanceOutcome::Exact(3));
-        assert_eq!(session.encode_count(), 1, "one base encoding per code");
         assert_eq!(session.query_count(), 3, "dt = 2, 3, 4");
     }
 
@@ -1561,7 +1480,6 @@ mod tests {
                 "dt={dt}: {incremental:?} vs {fresh:?}"
             );
         }
-        assert_eq!(session.encode_count(), 1);
     }
 
     #[test]
@@ -1579,7 +1497,6 @@ mod tests {
         }
         // Sweeping down again after the SAT answer stays correct.
         assert!(sweep.check_weight(1).is_verified());
-        assert_eq!(sweep.encode_count(), 1);
         assert_eq!(sweep.query_count(), 4);
 
         // Fig. 7's constrained sweeps: locality, discreteness and both,
@@ -1604,7 +1521,6 @@ mod tests {
                     assert!(incremental.is_verified(), "t={t}");
                 }
             }
-            assert_eq!(sweep.encode_count(), 1);
         }
     }
 
@@ -1626,7 +1542,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(sweep.encode_count(), 1, "one base encoding for the grid");
         assert_eq!(sweep.query_count(), 4);
     }
 
@@ -1911,12 +1826,43 @@ mod tests {
             workers: 1,
             solver: SolverConfig::default(),
         });
-        let report = engine.run(vec![Job::custom("flagged", |cancel| {
-            assert!(!cancel.load(Ordering::Relaxed));
+        let report = engine.run(vec![Job::custom("flagged", |stop| {
+            assert!(!stop.is_raised());
             JobOutcome::Verified
         })]);
         assert!(report.jobs[0].outcome.is_verified());
         assert_eq!(report.jobs[0].subtasks, 1);
+    }
+
+    #[test]
+    fn batch_cancel_reaches_a_running_job() {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            solver: SolverConfig::default(),
+        });
+        let (started, running) = std::sync::mpsc::channel();
+        let cancel = engine.cancel_flag();
+        let canceller = std::thread::spawn(move || {
+            running.recv().expect("the first job starts");
+            cancel.store(true, Ordering::Relaxed);
+        });
+        let report = engine.run(vec![
+            Job::custom("running", move |stop| {
+                started.send(()).expect("the canceller listens");
+                while !stop.is_raised() {
+                    std::thread::yield_now();
+                }
+                JobOutcome::Cancelled
+            }),
+            Job::custom("queued", |_| JobOutcome::Verified),
+        ]);
+        canceller.join().expect("canceller");
+        let (running, queued) = (&report.jobs[0], &report.jobs[1]);
+        assert!(matches!(running.outcome, JobOutcome::Cancelled));
+        assert_eq!(running.subtasks, 1);
+        assert!(matches!(queued.outcome, JobOutcome::Cancelled));
+        assert_eq!(queued.reason.as_deref(), Some("cancelled"));
+        assert_eq!(queued.subtasks, 0, "the queued job never started");
     }
 
     #[test]
@@ -1995,7 +1941,6 @@ mod proptests {
                     code.name(), dt, incremental, fresh
                 );
             }
-            prop_assert_eq!(session.encode_count(), 1);
         }
 
         #[test]
@@ -2017,7 +1962,6 @@ mod proptests {
                     code.name(), t, incremental, fresh
                 );
             }
-            prop_assert_eq!(sweep.encode_count(), 1);
         }
     }
 }

@@ -66,7 +66,6 @@ pub struct FailureEnumerator {
     /// Support-indicator literals as `(BDD variable, polarity)`.
     indicators: Vec<(usize, bool)>,
     coefficients: Option<Vec<u128>>,
-    compiles: usize,
 }
 
 impl FailureEnumerator {
@@ -75,8 +74,8 @@ impl FailureEnumerator {
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileError`] when the budget in `config` (node limit,
-    /// stop flag) is exhausted mid-compilation.
+    /// Propagates [`CompileError`] when the node limit in `config` is
+    /// exceeded or its stop is raised mid-compilation.
     pub fn new(code: &StabilizerCode, config: &CompileConfig) -> Result<Self, CompileError> {
         Self::with_schedule(
             code,
@@ -121,7 +120,6 @@ impl FailureEnumerator {
             counted: keep,
             indicators,
             coefficients: None,
-            compiles: 1,
         })
     }
 
@@ -171,12 +169,6 @@ impl FailureEnumerator {
     /// Live BDD nodes held by the session.
     pub fn node_count(&self) -> usize {
         self.manager.node_count()
-    }
-
-    /// Number of compilations performed (always 1; the counter exists so
-    /// tests can assert the session never recompiles).
-    pub fn compile_count(&self) -> usize {
-        self.compiles
     }
 }
 
@@ -406,7 +398,6 @@ mod tests {
         let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
         assert_eq!(fe.coefficients(), brute_force_enumerator(&code).as_slice());
         assert_eq!(fe.min_nonzero_weight(), Some(2));
-        assert_eq!(fe.compile_count(), 1);
     }
 
     #[test]
@@ -593,7 +584,6 @@ mod tests {
                         ),
                     }
                 }
-                assert_eq!(session.encode_count(), 1);
             }
         }
     }
@@ -621,7 +611,7 @@ mod tests {
         let err = FailureEnumerator::new(
             &steane(),
             &CompileConfig {
-                stop_flags: vec![stop],
+                stop: veriqec_sat::Stop::new(vec![stop], None),
                 ..CompileConfig::default()
             },
         )

@@ -39,6 +39,8 @@
 //! assert!(report.outcome.is_verified());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod enumerator;
 pub mod parallel;

@@ -362,31 +362,12 @@ pub fn subsets_up_to(n: usize, t: usize) -> Vec<Vec<usize>> {
     SubsetsUpTo::new(n, t).collect()
 }
 
-/// `log2` of the number of error configurations of weight exactly ≤ `t` over
-/// `n` binary indicators — the sample count complete testing would need.
-pub fn log2_configurations(n: usize, t: usize) -> f64 {
-    // log2( Σ_{w=0..t} C(n, w) )
-    let mut total: f64 = 0.0;
-    for w in 0..=t {
-        total += binom_f64(n, w);
-    }
-    total.log2()
-}
-
 /// `log2` of the paper's §7.2 count `Σ_{i} C(n−1, i)·(n−1)^i ≈ n^{n−1}` for
 /// the `d = 19` constrained story.
 pub fn log2_constrained_configurations(segments: usize, seg_size: usize) -> f64 {
     // Each of `segments` segments independently has (1 + seg_size) choices
     // (no error, or one of seg_size positions).
     (segments as f64) * ((1 + seg_size) as f64).log2()
-}
-
-fn binom_f64(n: usize, k: usize) -> f64 {
-    let mut r = 1f64;
-    for i in 0..k {
-        r *= (n - i) as f64 / (i + 1) as f64;
-    }
-    r
 }
 
 #[cfg(test)]

@@ -446,7 +446,10 @@ mod tests {
         // Unknown path deterministically.
         let code = rotated_surface(3);
         let mut session = crate::engine::DetectionSession::new(&code, SolverConfig::default());
-        session.set_stop_flag(Arc::new(AtomicBool::new(true)));
+        session.set_stop(veriqec_sat::Stop::new(
+            vec![Arc::new(AtomicBool::new(true))],
+            None,
+        ));
         assert_eq!(session.check(4), DetectionOutcome::Inconclusive);
         // And the sweep propagates it instead of claiming a distance. With
         // the very first query (dt = 2) inconclusive, nothing at all is

@@ -17,8 +17,7 @@
 //! with the number of variable levels, and the frame-based CNF exports
 //! routinely exceed 100k variables.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use veriqec_sat::Stop;
 
 use crate::arena::{NodeArena, UniqueTable};
 use crate::cache::{pack_key, ApplyCache};
@@ -39,11 +38,6 @@ impl Bdd {
     pub const FALSE: Bdd = Bdd(0);
     /// The constant-true function.
     pub const TRUE: Bdd = Bdd(1);
-
-    /// True for the two terminal nodes.
-    pub fn is_const(self) -> bool {
-        self.0 <= 1
-    }
 
     /// The arena index (stable until the next garbage collection).
     pub fn index(self) -> usize {
@@ -189,8 +183,8 @@ impl std::iter::Sum for DdStats {
 pub struct OpBudget<'a> {
     /// Abort once the arena holds this many decision nodes.
     pub node_limit: Option<usize>,
-    /// Abort when any of these flags is raised.
-    pub stop_flags: &'a [Arc<AtomicBool>],
+    /// Abort once this is raised.
+    pub stop: &'a Stop,
     /// Node allocations between polls. The budget may overshoot by at most
     /// this many nodes.
     pub poll_every: u64,
@@ -293,12 +287,6 @@ impl BddManager {
     /// (sifting may move it).
     pub fn level_of(&self, v: usize) -> u32 {
         self.var_to_level[v]
-    }
-
-    /// The variable sitting at `level` (the inverse of
-    /// [`BddManager::level_of`]).
-    pub fn var_at_level(&self, level: u32) -> usize {
-        self.level_to_var[level as usize] as usize
     }
 
     /// Decision nodes currently in the arena (terminals excluded; includes
@@ -409,15 +397,6 @@ impl BddManager {
         self.apply_iter(OP_AND, a.0, b.0, Some(budget)).map(Bdd)
     }
 
-    /// Budgeted disjunction; see [`BddManager::and_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates budget exhaustion exactly like [`BddManager::and_budgeted`].
-    pub fn or_budgeted(&mut self, a: Bdd, b: Bdd, budget: &OpBudget) -> Result<Bdd, CompileError> {
-        self.apply_iter(OP_OR, a.0, b.0, Some(budget)).map(Bdd)
-    }
-
     /// Budgeted exclusive or; see [`BddManager::and_budgeted`].
     ///
     /// # Errors
@@ -452,7 +431,7 @@ impl BddManager {
     }
 
     fn poll_budget(&self, budget: &OpBudget) -> Result<(), CompileError> {
-        if budget.stop_flags.iter().any(|f| f.load(Ordering::Relaxed)) {
+        if budget.stop.is_raised() {
             return Err(CompileError::Cancelled);
         }
         if let Some(limit) = budget.node_limit {
@@ -482,7 +461,7 @@ impl BddManager {
         frames.push(Frame::Visit { a, b });
         // Poll every `poll_every` *Build frames*: allocations never outrun
         // frames, so the node limit overshoots by at most `poll_every`, and
-        // stop flags are honoured even on traversals whose `mk` calls all
+        // a raised stop is honoured even on traversals whose `mk` calls all
         // collapse (e.g. `f ⊕ ¬f`, which allocates nothing).
         let poll_every = budget.map_or(u64::MAX, |b| b.poll_every);
         let mut since_poll = 0u64;
@@ -1043,6 +1022,8 @@ impl LevelCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     #[test]
     fn terminals_and_literals() {
@@ -1256,7 +1237,7 @@ mod tests {
         let limit = m.node_count() + 5_000;
         let budget = OpBudget {
             node_limit: Some(limit),
-            stop_flags: &[],
+            stop: &Stop::default(),
             poll_every: 256,
         };
         let err = m.and_budgeted(f, g, &budget).unwrap_err();
@@ -1273,7 +1254,7 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_apply_honours_stop_flags() {
+    fn budgeted_apply_honours_the_stop() {
         let mut m = BddManager::new(64);
         let mut f = Bdd::TRUE;
         for v in 0..64 {
@@ -1281,11 +1262,13 @@ mod tests {
             f = m.and(f, x);
         }
         let g = m.not(f);
-        let stop = Arc::new(AtomicBool::new(true));
-        let flags = [Arc::new(AtomicBool::new(false)), stop];
+        let flags = vec![
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(true)),
+        ];
         let budget = OpBudget {
             node_limit: None,
-            stop_flags: &flags,
+            stop: &Stop::new(flags, None),
             poll_every: 1,
         };
         // A raised flag aborts as soon as the first poll fires.

@@ -9,7 +9,7 @@
 //! lands (bucket elimination), which is what keeps dense instances within
 //! reach.
 //!
-//! The budget (node limit, stop flags) is polled *inside* every
+//! The budget (node limit, stop) is polled *inside* every
 //! conjunction and quantification, every [`CompileConfig::poll_interval`]
 //! node allocations — a single runaway apply can no longer overshoot the
 //! limit by more than one poll interval (the old clause-granularity blind
@@ -18,10 +18,7 @@
 //! [`CompileConfig::gc_dead_ratio`]) and a sifting pass (when the diagram
 //! outgrows the [`ReorderConfig`] trigger), both invisible to the counts.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use veriqec_sat::{Cnf, Lit};
+use veriqec_sat::{Cnf, Lit, Stop};
 
 use crate::bdd::{Bdd, BddManager, OpBudget};
 use crate::reorder::ReorderConfig;
@@ -57,12 +54,13 @@ pub struct CompileConfig {
     pub force_iterations: usize,
     /// Abort compilation once the manager holds this many nodes.
     pub node_limit: Option<usize>,
-    /// Cooperative cancellation: compilation aborts when *any* of these
-    /// flags is raised, so callers and drivers (e.g. the engine's per-job
-    /// cancel flag) can layer their flags without displacing each other.
-    /// Polled inside apply/exists every [`CompileConfig::poll_interval`]
-    /// node allocations.
-    pub stop_flags: Vec<Arc<AtomicBool>>,
+    /// Cooperative cancellation: compilation aborts with
+    /// [`CompileError::Cancelled`] once this is raised. The engine layers
+    /// its batch and job flags on the caller's stop with [`Stop::or`], so
+    /// neither displaces the other. Polled before every clause and inside
+    /// apply/exists every [`CompileConfig::poll_interval`] node
+    /// allocations.
+    pub stop: Stop,
     /// Node allocations between budget polls inside a single conjunction
     /// or quantification; the node limit can overshoot by at most this.
     pub poll_interval: u64,
@@ -80,7 +78,7 @@ impl Default for CompileConfig {
             order: OrderHeuristic::default(),
             force_iterations: 4,
             node_limit: None,
-            stop_flags: Vec::new(),
+            stop: Stop::default(),
             poll_interval: 1024,
             gc_dead_ratio: Some(0.5),
             reorder: Some(ReorderConfig::default()),
@@ -96,7 +94,7 @@ pub enum CompileError {
         /// Nodes allocated when the limit tripped.
         nodes: usize,
     },
-    /// The stop flag was raised.
+    /// The [`CompileConfig::stop`] was raised.
     Cancelled,
 }
 
@@ -267,7 +265,7 @@ fn compile_projected_with_order(
     let mut manager = BddManager::with_order(var_to_level);
     let budget = OpBudget {
         node_limit: config.node_limit,
-        stop_flags: &config.stop_flags,
+        stop: &config.stop,
         poll_every: config.poll_interval.max(1),
     };
     // Last clause index mentioning each eliminable variable; `usize::MAX`
@@ -338,7 +336,7 @@ fn compile_projected_with_order(
         }
         if let (Some(rc), Some(at)) = (&config.reorder, reorder_at) {
             if swap_budget > 0 && manager.node_count() >= at {
-                let outcome = manager.reorder_sift(rc, &config.stop_flags, &mut swap_budget)?;
+                let outcome = manager.reorder_sift(rc, &config.stop, &mut swap_budget)?;
                 root = manager.root(root_id);
                 veriqec_obs::instant(
                     "dd",
@@ -372,7 +370,7 @@ fn compile_projected_with_order(
 }
 
 fn check_budget(manager: &BddManager, config: &CompileConfig) -> Result<(), CompileError> {
-    if config.stop_flags.iter().any(|f| f.load(Ordering::Relaxed)) {
+    if config.stop.is_raised() {
         return Err(CompileError::Cancelled);
     }
     if let Some(limit) = config.node_limit {
@@ -414,6 +412,8 @@ fn clause_bdd(manager: &mut BddManager, clause: &[Lit]) -> Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
     use veriqec_sat::SatResult;
 
     fn cnf(text: &str) -> Cnf {
@@ -577,16 +577,32 @@ mod tests {
     #[test]
     fn cancellation_aborts() {
         let parsed = cnf("p cnf 2 2\n1 2 0\n-1 2 0\n");
-        let stop = Arc::new(AtomicBool::new(true));
+        let flags = vec![
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(true)),
+        ];
         let err = compile_cnf(
             &parsed,
             &CompileConfig {
-                stop_flags: vec![Arc::new(AtomicBool::new(false)), stop],
+                stop: Stop::new(flags, None),
                 ..CompileConfig::default()
             },
         )
         .unwrap_err();
         assert_eq!(err, CompileError::Cancelled);
+    }
+
+    #[test]
+    fn passed_deadline_cancels_at_the_first_poll() {
+        let parsed = cnf("p cnf 2 2\n1 2 0\n-1 2 0\n");
+        let config = CompileConfig {
+            stop: Stop::new(vec![], Some(std::time::Instant::now())),
+            ..CompileConfig::default()
+        };
+        assert_eq!(
+            compile_cnf(&parsed, &config).unwrap_err(),
+            CompileError::Cancelled
+        );
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! assert_eq!(by_weight, vec![0, 3, 2]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arena;
 mod bdd;
 mod cache;

@@ -24,8 +24,7 @@
 //! - two interacting nodes cannot rewrite to the same key, since equal
 //!   rewritten cofactors would make their original functions equal.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use veriqec_sat::Stop;
 
 use crate::bdd::BddManager;
 use crate::compile::CompileError;
@@ -85,7 +84,7 @@ impl BddManager {
     /// One sifting pass over the candidate variables (largest levels
     /// first), bounded by `swap_budget` (decremented in place so repeated
     /// passes share one budget) and cancellable between variables via
-    /// `stop_flags`.
+    /// `stop`.
     ///
     /// Every function handle survives with its meaning intact, but
     /// *unprotected* garbage is reclaimed by the pass's collections:
@@ -94,12 +93,12 @@ impl BddManager {
     ///
     /// # Errors
     ///
-    /// [`CompileError::Cancelled`] if a stop flag was raised; the diagram
+    /// [`CompileError::Cancelled`] if `stop` was raised; the diagram
     /// is left consistent (swap boundaries are safe points).
     pub fn reorder_sift(
         &mut self,
         cfg: &ReorderConfig,
-        stop_flags: &[Arc<AtomicBool>],
+        stop: &Stop,
         swap_budget: &mut usize,
     ) -> Result<SiftOutcome, CompileError> {
         self.collect_garbage();
@@ -121,7 +120,7 @@ impl BddManager {
         candidates.sort_unstable_by(|a, b| b.cmp(a));
         let mut cancelled = false;
         for &(_, var) in &candidates {
-            if stop_flags.iter().any(|f| f.load(Ordering::Relaxed)) {
+            if stop.is_raised() {
                 cancelled = true;
                 break;
             }
@@ -412,6 +411,8 @@ impl<'a> Sift<'a> {
 mod tests {
     use super::*;
     use crate::bdd::Bdd;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     /// The classic sifting benchmark: ⋁ᵢ aᵢ·bᵢ is linear when partners are
     /// adjacent and exponential when all a's precede all b's.
@@ -439,7 +440,7 @@ mod tests {
             ..ReorderConfig::default()
         };
         let mut budget = cfg.swap_budget;
-        let out = m.reorder_sift(&cfg, &[], &mut budget).unwrap();
+        let out = m.reorder_sift(&cfg, &Stop::default(), &mut budget).unwrap();
         assert!(out.swaps > 0);
         assert!(
             out.nodes_after * 2 < out.nodes_before,
@@ -477,7 +478,7 @@ mod tests {
             ..ReorderConfig::default()
         };
         let mut budget = cfg.swap_budget;
-        let out = m.reorder_sift(&cfg, &[], &mut budget).unwrap();
+        let out = m.reorder_sift(&cfg, &Stop::default(), &mut budget).unwrap();
         assert!(out.nodes_after <= out.nodes_before);
         assert_eq!(m.model_count(m.root(id)), count);
     }
@@ -493,7 +494,7 @@ mod tests {
             ..ReorderConfig::default()
         };
         let mut budget = 5usize;
-        let out = m.reorder_sift(&cfg, &[], &mut budget).unwrap();
+        let out = m.reorder_sift(&cfg, &Stop::default(), &mut budget).unwrap();
         assert_eq!(budget, 0);
         // Exploration stopped at 5 draws; only return walks ride on top,
         // and a return walk never exceeds the exploration that led out.
@@ -507,10 +508,10 @@ mod tests {
         let f = conjoined_pairs(&mut m, pairs);
         let id = m.protect(f);
         let count = m.model_count(f);
-        let stop = Arc::new(AtomicBool::new(true));
+        let stop = Stop::new(vec![Arc::new(AtomicBool::new(true))], None);
         let mut budget = 1_000_000usize;
         let err = m
-            .reorder_sift(&ReorderConfig::default(), &[stop], &mut budget)
+            .reorder_sift(&ReorderConfig::default(), &stop, &mut budget)
             .unwrap_err();
         assert_eq!(err, CompileError::Cancelled);
         // Cancellation leaves a consistent diagram behind.

@@ -29,6 +29,8 @@
 //! assert!(code.group().decompose(&residue).is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use veriqec_cexpr::{VarId, VarRole, VarTable};

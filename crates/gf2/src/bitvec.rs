@@ -211,11 +211,6 @@ impl BitVec {
         WordOnes::new(&self.blocks)
     }
 
-    /// Index of the lowest set bit, if any.
-    pub fn first_one(&self) -> Option<usize> {
-        self.iter_ones().next()
-    }
-
     /// Index of the lowest bit set in both `self` and `mask`, if any — a
     /// word-level scan, no per-bit probing.
     ///

@@ -17,6 +17,8 @@
 //! assert_eq!(h.mul_vec(&error).to_string(), "11");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bitvec;
 mod matrix;
 pub mod words;

@@ -364,14 +364,6 @@ impl BitMatrix {
         )
     }
 
-    /// Vertically stacks `self` on top of `other`.
-    pub fn vstack(&self, other: &BitMatrix) -> BitMatrix {
-        assert_eq!(self.cols, other.cols, "column count mismatch");
-        let mut rows = self.rows.clone();
-        rows.extend(other.rows.iter().cloned());
-        BitMatrix::from_rows(rows)
-    }
-
     /// True if `v` lies in the row space.
     pub fn row_space_contains(&self, v: &BitVec) -> bool {
         self.transpose().solve(v).is_some()

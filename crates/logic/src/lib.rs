@@ -27,6 +27,8 @@
 //! assert!(entails(&atom("XI"), &lhs, &[], 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod assertion;
 mod normal_form;
 mod proof;

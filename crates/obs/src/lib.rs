@@ -37,6 +37,8 @@
 //! * [`heartbeat`] — live progress: global phase/conflict/node gauges plus
 //!   a [`heartbeat::Heartbeat`] thread printing one status line per period.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -259,11 +259,6 @@ impl ExtPauli {
         self.terms = combined;
     }
 
-    /// True when every term is Hermitian (no residual `i`).
-    pub fn is_hermitian(&self) -> bool {
-        self.terms.iter().all(|t| !t.iodd)
-    }
-
     /// True when the expression is the (empty) zero sum.
     pub fn is_zero(&self) -> bool {
         self.terms.is_empty()

@@ -98,11 +98,6 @@ impl StabilizerGroup {
         self.n
     }
 
-    /// Number of generators.
-    pub fn num_generators(&self) -> usize {
-        self.gens.len()
-    }
-
     /// `k = n − (number of generators)`.
     pub fn num_logical_qubits(&self) -> usize {
         self.n - self.gens.len()

@@ -31,6 +31,8 @@
 //! assert_eq!(p.pauli().to_string(), "XXXXXXX");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod clifford;
 mod ext;
 mod group;

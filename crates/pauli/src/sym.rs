@@ -7,7 +7,7 @@
 
 use crate::PauliString;
 use std::fmt;
-use veriqec_cexpr::{Affine, CMem, VarId};
+use veriqec_cexpr::{Affine, CMem};
 
 /// A Hermitian symbolic Pauli: `(−1)^φ · P` where `P` is a `+1`-signed Pauli
 /// string and `φ` an XOR-affine form over classical variables.
@@ -67,19 +67,9 @@ impl SymPauli {
         &self.phase
     }
 
-    /// Mutable access to the phase (for rule applications).
-    pub fn phase_mut(&mut self) -> &mut Affine {
-        &mut self.phase
-    }
-
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.pauli.num_qubits()
-    }
-
-    /// XORs `δ` into the phase.
-    pub fn flip_phase_by(&mut self, delta: Affine) {
-        self.phase ^= delta;
     }
 
     /// Product of two symbolic Paulis (phases XOR; the numeric sign of the
@@ -96,14 +86,6 @@ impl SymPauli {
         SymPauli::new(prod, phase)
     }
 
-    /// Substitutes a classical variable inside the phase.
-    pub fn subst_phase(&self, v: VarId, e: &Affine) -> SymPauli {
-        SymPauli {
-            pauli: self.pauli.clone(),
-            phase: self.phase.subst(v, e),
-        }
-    }
-
     /// Evaluates to a concrete signed Pauli under a classical memory.
     pub fn eval(&self, m: &CMem) -> PauliString {
         let mut p = self.pauli.clone();
@@ -111,12 +93,6 @@ impl SymPauli {
             p.add_ipow(2);
         }
         p
-    }
-
-    /// True when the two symbolic Paulis have the same letters (phases may
-    /// differ).
-    pub fn same_letters(&self, other: &SymPauli) -> bool {
-        self.pauli == other.pauli
     }
 }
 
@@ -147,7 +123,7 @@ impl From<PauliString> for SymPauli {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veriqec_cexpr::Value;
+    use veriqec_cexpr::{Value, VarId};
 
     #[test]
     fn sign_folds_into_phase() {

@@ -24,6 +24,8 @@
 //! assert_eq!(branches.len(), 2); // |0⟩ and |1⟩, each with probability 1/2
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod interp;
 mod parser;

@@ -186,12 +186,6 @@ impl DenseState {
             .all(|(a, b)| (*a - *b).norm() < 1e-7)
     }
 
-    /// Expectation value `⟨ψ|P|ψ⟩` (real for Hermitian P).
-    pub fn pauli_expectation(&self, p: &PauliString) -> f64 {
-        let applied = self.pauli_applied(p);
-        inner(&self.amps, &applied.amps).re / self.norm_sqr()
-    }
-
     /// Projects onto the `(−1)^outcome` eigenspace of the Hermitian Pauli
     /// `p`, returning the squared norm of the projection (the probability,
     /// for a normalized input). The state is left *unnormalized*.

@@ -14,6 +14,8 @@
 //! table of `veriqec_pauli` against explicit unitary matrices — the
 //! reproduction's substitute for the paper's Coq-verified trust base.
 
+#![forbid(unsafe_code)]
+
 mod complex;
 mod dense;
 mod frame;

@@ -29,17 +29,21 @@
 //! assert_eq!(s.solve(&[]), SatResult::Unsat);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arena;
 mod dimacs;
 mod heap;
 mod lit;
 mod share;
 mod solver;
+mod stop;
 
 pub use dimacs::{Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use share::ClausePool;
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats, UnknownCause};
+pub use stop::Stop;
 
 #[cfg(test)]
 mod proptests {

@@ -9,8 +9,7 @@
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::heap::ActivityHeap;
 use crate::share::{ClausePool, Membership, SHARE_LBD};
-use crate::{LBool, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::{LBool, Lit, Stop, Var};
 use std::sync::Arc;
 
 /// Learnt clauses with learn-time LBD at or below this are "core" tier:
@@ -105,8 +104,8 @@ pub enum SatResult {
 /// *which* budget tripped instead of a bare "inconclusive".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnknownCause {
-    /// The cooperative stop flag was raised (cancellation, or a watchdog
-    /// acting on a wall-clock timeout).
+    /// The cooperative [`Stop`] was raised: a flag was set (cancellation)
+    /// or its deadline passed.
     Interrupted,
     /// The configured [`SolverConfig::conflict_budget`] was exhausted.
     ConflictBudget,
@@ -271,9 +270,9 @@ pub struct Solver {
     /// (no clearing pass between conflicts).
     level_stamp: Vec<u64>,
     lbd_stamp: u64,
-    /// Cooperative cancellation: when set, [`Solver::solve`] aborts at the
-    /// next conflict/decision boundary with [`SatResult::Unknown`].
-    stop: Option<Arc<AtomicBool>>,
+    /// Cooperative cancellation: once raised, [`Solver::solve`] aborts at
+    /// the next conflict/decision boundary with [`SatResult::Unknown`].
+    stop: Stop,
     /// Why the last `solve` returned [`SatResult::Unknown`] (see
     /// [`Solver::unknown_cause`]).
     unknown_cause: Option<UnknownCause>,
@@ -322,27 +321,21 @@ impl Solver {
             to_clear: Vec::new(),
             level_stamp: vec![0],
             lbd_stamp: 0,
-            stop: None,
+            stop: Stop::default(),
             unknown_cause: None,
             share: None,
         }
     }
 
-    /// Installs a cooperative stop flag, shared with other solvers or a
+    /// Installs a cooperative [`Stop`], shared with other solvers or a
     /// driving thread. The main CDCL loop polls it between propagations —
     /// i.e. at every conflict/decision boundary — so a solver deep in a
     /// long search aborts promptly (returning [`SatResult::Unknown`]), e.g.
-    /// once a racing solver has found the answer. The flag is not cleared
-    /// by the solver; the owner decides when a stop is rescinded.
-    pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.stop = Some(flag);
-    }
-
-    /// True when an installed stop flag is currently raised.
-    fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
+    /// once a racing solver has found the answer or a deadline passed. The
+    /// solver never lowers a flag; the owner decides when a stop is
+    /// rescinded.
+    pub fn set_stop(&mut self, stop: Stop) {
+        self.stop = stop;
     }
 
     /// Joins a [`ClausePool`] shared with other solvers that hold the same
@@ -1021,7 +1014,7 @@ impl Solver {
         // Every exit path backtracks to the root so the solver is
         // immediately reusable for add_clause/solve (incremental solving).
         loop {
-            if self.stop_requested() {
+            if self.stop.is_raised() {
                 self.backtrack_to(0);
                 self.unknown_cause = Some(UnknownCause::Interrupted);
                 return SatResult::Unknown;
@@ -1201,6 +1194,7 @@ fn luby(mut i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn lit(s: &mut Solver, v: usize, pos: bool) -> Lit {
         while s.num_vars() <= v {
@@ -1306,11 +1300,21 @@ mod tests {
         let mut s = Solver::new();
         add_php(&mut s, 6, 5);
         let flag = Arc::new(AtomicBool::new(true));
-        s.set_stop_flag(flag.clone());
+        s.set_stop(Stop::new(vec![flag.clone()], None));
         assert_eq!(s.solve(&[]), SatResult::Unknown);
         // Lowering the flag makes the same solver usable again.
         flag.store(false, Ordering::Relaxed);
         assert_eq!(s.solve(&[]), SatResult::Unsat);
+    }
+
+    #[test]
+    fn passed_deadline_interrupts_at_the_first_poll() {
+        let mut s = Solver::new();
+        add_php(&mut s, 6, 5);
+        s.set_stop(Stop::new(vec![], Some(std::time::Instant::now())));
+        assert_eq!(s.solve(&[]), SatResult::Unknown);
+        assert_eq!(s.unknown_cause(), Some(UnknownCause::Interrupted));
+        assert_eq!(s.stats().conflicts, 0, "no search after the first poll");
     }
 
     #[test]

@@ -17,23 +17,27 @@
 //!   ([`veriqec::engine::DetectionSession`],
 //!   [`veriqec::engine::FaultToleranceSweep`]) are pooled by
 //!   code + scenario + budget and reused across requests — repeat queries
-//!   skip re-encoding entirely (pinned by the sessions' encode counters).
+//!   skip re-encoding entirely (the smoke pins this through the sessions'
+//!   cumulative query counts).
 //! * **Admission control** ([`server`]): a bounded pending queue sheds
-//!   load with `"busy"` past the high-water mark, per-request deadlines
-//!   are lowered onto the existing cooperative stop flags by watchdog
-//!   threads, and shutdown (request, SIGTERM, or API) drains admitted
-//!   work before the process exits.
+//!   load with `"busy"` past the high-water mark, a per-request deadline
+//!   rides in the [`veriqec_sat::Stop`] that the solver or the diagram
+//!   compiler already polls, and shutdown (request, SIGTERM, or API)
+//!   drains admitted work before the process exits.
 //!
 //! Each request runs the engine's own code for its job kind; the daemon
-//! adds only pool checkout and checkin, the deadline guard, the result
+//! adds only pool checkout and checkin, the request's stop, the result
 //! cache and the response envelope.
 //!
 //! Responses carry the job outcome plus solver/diagram statistics in the
 //! existing `BatchReport` JSON vocabulary, wrapped in a small envelope
-//! (`id` echo, `cached`, `session`, `encodes`, `cache_key`). See
+//! (`id` echo, `cached`, `session`, `queries`, `cache_key`). See
 //! `DESIGN.md` ("Serving") for the protocol grammar and
 //! [`smoke::run_smoke`] for a scripted end-to-end exchange — the same
 //! script `tables serve --smoke` runs in CI.
+
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod cache;
 pub mod pool;

@@ -49,7 +49,7 @@ pub struct VerifyRequest {
     pub conflict_budget: Option<u64>,
     /// Decision-diagram node budget (count jobs).
     pub node_limit: Option<usize>,
-    /// Wall-clock deadline; lowered onto the session/engine stop flags.
+    /// Wall-clock deadline, carried in the stop the work polls.
     pub deadline_ms: Option<u64>,
 }
 

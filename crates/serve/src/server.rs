@@ -6,11 +6,11 @@
 //! hits and control ops inline, enqueues verification work), and a small
 //! executor pool draining the bounded pending queue. Admission control is
 //! the queue bound: past the high-water mark new work is shed with a
-//! `"busy"` error instead of being buffered without limit. Deadlines are
-//! lowered onto the sessions' cooperative stop flags by a per-request
-//! watchdog thread. Shutdown (a `{"op":"shutdown"}` request, SIGTERM when
-//! installed, or [`ServerHandle::shutdown`]) stops the accept loop,
-//! drains the pending queue, and joins every thread.
+//! `"busy"` error instead of being buffered without limit. A request's
+//! deadline travels in the [`Stop`] its solver or compiler polls, so it
+//! needs no thread of its own. Shutdown (a `{"op":"shutdown"}` request,
+//! SIGTERM when installed, or [`ServerHandle::shutdown`]) stops the accept
+//! loop, drains the pending queue, and joins every thread.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -28,7 +28,7 @@ use veriqec::scenario::faulty_memory_scenario;
 use veriqec_codes::ExtractionSchedule;
 use veriqec_dd::{CompileConfig, DdStats};
 use veriqec_obs::json::{escape, push_metrics};
-use veriqec_sat::SolverConfig;
+use veriqec_sat::{SolverConfig, Stop};
 
 use crate::cache::{fnv1a, CacheEntry, ResultCache};
 use crate::pool::{SessionPool, WarmSession};
@@ -97,7 +97,7 @@ pub struct ServeMetrics {
     pub warm_hits: veriqec_obs::metrics::Counter,
     /// Cache misses that built a fresh session or engine.
     pub cold_builds: veriqec_obs::metrics::Counter,
-    /// Requests whose deadline tripped the stop flag.
+    /// Requests whose deadline had passed when their work returned.
     pub deadline_trips: veriqec_obs::metrics::Counter,
 }
 
@@ -139,6 +139,7 @@ struct Shared {
 }
 
 #[cfg(unix)]
+#[allow(unsafe_code)] // the crate's one foreign call: libc's `signal`
 mod sigterm {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -158,6 +159,10 @@ mod sigterm {
     /// handler only stores a flag the accept loop polls).
     pub fn install() {
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is libc's, declared above with its C signature
+        // (an `int` and a `void (*)(int)` handler). `on_term` is an
+        // `extern "C" fn(i32)` that lives for the whole program and only
+        // stores to a static atomic, which is async-signal-safe.
         unsafe {
             signal(SIGTERM, on_term);
         }
@@ -373,7 +378,6 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> String {
                     true,
                     "cache",
                     0,
-                    0,
                     &hit.report_json,
                     None,
                 );
@@ -450,74 +454,6 @@ fn executor_loop(shared: &Arc<Shared>) {
     veriqec_obs::flush_thread();
 }
 
-/// A watchdog that raises `flag` at `deadline` unless `done` is set first.
-/// Detached: at worst it outlives the request by the remaining deadline,
-/// holding only its two atomics.
-fn spawn_watchdog(
-    deadline: Instant,
-    flag: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-    tripped: Arc<AtomicBool>,
-) {
-    std::thread::Builder::new()
-        .name("serve-deadline".into())
-        .spawn(move || {
-            while !done.load(Ordering::SeqCst) {
-                let now = Instant::now();
-                if now >= deadline {
-                    if !done.load(Ordering::SeqCst) {
-                        tripped.store(true, Ordering::SeqCst);
-                        flag.store(true, Ordering::SeqCst);
-                    }
-                    return;
-                }
-                std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
-            }
-        })
-        .expect("spawn watchdog");
-}
-
-struct DeadlineGuard {
-    done: Arc<AtomicBool>,
-    tripped: Arc<AtomicBool>,
-}
-
-impl DeadlineGuard {
-    /// Arms a watchdog for `deadline` (if any) on `flag`.
-    fn arm(deadline: Option<Instant>, flag: &Arc<AtomicBool>) -> Self {
-        let done = Arc::new(AtomicBool::new(false));
-        let tripped = Arc::new(AtomicBool::new(false));
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                // Already expired at claim time (queue wait ate the whole
-                // budget): trip synchronously, so the outcome cannot race a
-                // watchdog thread against a fast job.
-                tripped.store(true, Ordering::SeqCst);
-                flag.store(true, Ordering::SeqCst);
-            } else {
-                spawn_watchdog(
-                    deadline,
-                    Arc::clone(flag),
-                    Arc::clone(&done),
-                    Arc::clone(&tripped),
-                );
-            }
-        }
-        DeadlineGuard { done, tripped }
-    }
-
-    fn tripped(&self) -> bool {
-        self.done.store(true, Ordering::SeqCst);
-        self.tripped.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-}
-
 /// Runs one admitted verification request to completion and renders its
 /// response.
 fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
@@ -544,10 +480,11 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     }
     let job_name = format!("{}:{}", req.kind.tag(), req.code.key());
     let started = Instant::now();
-    let flag = Arc::new(AtomicBool::new(false));
-    let guard = DeadlineGuard::arm(deadline, &flag);
+    // A deadline that the queue wait already used up stops the work at its
+    // first poll.
+    let stop = Stop::new(vec![], deadline);
 
-    let (outcome, cause, stats, dd, session_kind, (encodes, queries)) = match &req.kind {
+    let (outcome, cause, stats, dd, session_kind, queries) = match &req.kind {
         RequestKind::Detection { .. } | RequestKind::Distance { .. } => {
             let query = match req.kind {
                 RequestKind::Detection { dt } => DetectionQuery::Threshold(dt),
@@ -569,13 +506,13 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
                 // rather than serve the wrong formula.
                 _ => (build_detection(&code, req.rounds, solver), false),
             };
-            let (outcome, cause) = session.run(query, Arc::clone(&flag));
-            let stats = session.solver_stats();
-            let counts = (session.encode_count(), session.query_count());
-            let pooled = WarmSession::Detection(session);
-            shared.pool.checkin(pool_key, pooled);
+            let (outcome, cause) = session.run(query, stop);
+            let (stats, queries) = (session.solver_stats(), session.query_count());
+            shared
+                .pool
+                .checkin(pool_key, WarmSession::Detection(session));
             let label = checkout_label(shared, warm);
-            (outcome, cause, stats, DdStats::default(), label, counts)
+            (outcome, cause, stats, DdStats::default(), label, queries)
         }
         RequestKind::FaultTolerance {
             max_t_data,
@@ -599,20 +536,21 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
                     )
                 }
             };
-            let (frontier, cause) = sweep.frontier(*max_t_data, *max_t_meas, Arc::clone(&flag));
-            let stats = sweep.session().solver_stats();
-            let counts = (sweep.encode_count(), sweep.query_count());
+            let (frontier, cause) = sweep.frontier(*max_t_data, *max_t_meas, stop);
+            let (stats, queries) = (sweep.session().solver_stats(), sweep.query_count());
             shared.pool.checkin(pool_key, WarmSession::Frontier(sweep));
             let (outcome, label) = (JobOutcome::Frontier(frontier), checkout_label(shared, warm));
-            (outcome, cause, stats, DdStats::default(), label, counts)
+            (outcome, cause, stats, DdStats::default(), label, queries)
         }
         RequestKind::Count => {
             // Only correction jobs are split across engine workers, so one
             // worker serves a count job in full.
             let engine = Engine::new(EngineConfig { workers: 1, solver });
-            let mut compile = CompileConfig::default();
+            let mut compile = CompileConfig {
+                stop,
+                ..CompileConfig::default()
+            };
             compile.node_limit = req.node_limit.or(compile.node_limit);
-            compile.stop_flags.push(Arc::clone(&flag));
             let report = engine.run(vec![Job::count_with_config(
                 job_name.clone(),
                 code,
@@ -620,10 +558,10 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
             )]);
             shared.metrics.cold_builds.add(1);
             let job = report.jobs.into_iter().next().expect("one job submitted");
-            (job.outcome, job.reason, job.stats, job.dd, "engine", (1, 1))
+            (job.outcome, job.reason, job.stats, job.dd, "engine", 1)
         }
     };
-    let tripped = guard.tripped();
+    let tripped = deadline.is_some_and(|d| Instant::now() >= d);
     if tripped {
         shared.metrics.deadline_trips.add(1);
     }
@@ -662,7 +600,6 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
         outcome_tag,
         false,
         session_kind,
-        encodes,
         queries,
         &report_json,
         job.reason.as_deref(),
@@ -706,7 +643,6 @@ fn verify_response(
     outcome: &str,
     cached: bool,
     session: &str,
-    encodes: usize,
     queries: usize,
     report_json: &str,
     reason: Option<&str>,
@@ -720,7 +656,7 @@ fn verify_response(
         .unwrap_or_default();
     format!(
         "{{{id_field}\"ok\":true,\"outcome\":\"{}\",\"cached\":{cached},\
-         \"session\":\"{session}\",\"encodes\":{encodes},\"queries\":{queries},\
+         \"session\":\"{session}\",\"queries\":{queries},\
          \"cache_key\":\"{key:016x}\"{reason_field},\"report\":{report_json}}}",
         escape(outcome),
     )
@@ -773,10 +709,30 @@ mod tests {
             &[r#"{"kind":"detection","code":"five_qubit","dt":3}"#],
         );
         assert_eq!(rs[0].get("session").unwrap().as_str(), Some("warm"));
-        assert_eq!(rs[0].get("encodes").unwrap().as_f64(), Some(1.0));
+        // dt = 2, 3, 4 for the distance, then one more: a rebuilt session
+        // would answer 1.
+        assert_eq!(rs[0].get("queries").unwrap().as_f64(), Some(4.0));
         let m = handle.metrics();
         assert!(m.count("serve_cache_hits") >= 1);
         assert!(m.count("serve_warm_hits") >= 1);
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn a_deadline_that_passes_mid_sweep_stops_it() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let request = r#"{"kind":"distance","code":"surface_11","deadline_ms":100}"#;
+        let r = roundtrip(handle.addr(), &[request]).remove(0);
+        assert_eq!(
+            r.get("outcome").and_then(Json::as_str),
+            Some("distance_inconclusive")
+        );
+        assert_eq!(
+            r.get("reason").and_then(Json::as_str),
+            Some("deadline_exceeded")
+        );
+        assert_eq!(handle.metrics().count("serve_deadline_trips"), 1);
         handle.shutdown();
         handle.join().expect("clean join");
     }

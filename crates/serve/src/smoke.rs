@@ -1,8 +1,9 @@
 //! The serve smoke: forks a server in-process, fires a scripted mix of
 //! cache-cold, cache-hot, warm-session, malformed, and deadline-exceeded
 //! requests over a real socket, and asserts verdicts, cache-hit counters,
-//! encode counts, and a clean drain. `tables serve --smoke` runs this in
-//! CI; it is deliberately chatty so a red run says which exchange broke.
+//! warm-session query counts, and a clean drain. `tables serve --smoke`
+//! runs this in CI; it is deliberately chatty so a red run says which
+//! exchange broke.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -96,8 +97,8 @@ pub fn run_smoke() -> Result<(), String> {
         &r,
     )?;
     expect(
-        field_count(&r, "encodes") == 1.0,
-        "cold request single encode",
+        field_count(&r, "queries") == 3.0,
+        "cold distance asks dt = 2, 3, 4",
         &r,
     )?;
     let job = first_job(&r)?;
@@ -106,7 +107,7 @@ pub fn run_smoke() -> Result<(), String> {
         "steane distance is 3",
         &r,
     )?;
-    println!("serve smoke: cold distance verdict ok (d=3, 1 encode)");
+    println!("serve smoke: cold distance verdict ok (d=3, 3 queries)");
 
     // (b) Identical repeat: answered from the result cache.
     let r = client.ask(r#"{"id":2,"kind":"distance","code":"steane","max":4}"#)?;
@@ -121,8 +122,8 @@ pub fn run_smoke() -> Result<(), String> {
         &r,
     )?;
     expect(
-        field_count(&r, "encodes") == 0.0,
-        "cache hit encodes nothing",
+        field_count(&r, "queries") == 0.0,
+        "cache hit queries nothing",
         &r,
     )?;
     expect(
@@ -133,7 +134,7 @@ pub fn run_smoke() -> Result<(), String> {
     println!("serve smoke: identical repeat served from cache");
 
     // (c) Different question, same code: the pooled warm session answers
-    // without re-encoding.
+    // without re-encoding, so its query count carries on from (a).
     let r = client.ask(r#"{"id":3,"kind":"detection","code":"steane","dt":3}"#)?;
     expect(
         field_str(&r, "outcome") == "all_detected",
@@ -146,11 +147,11 @@ pub fn run_smoke() -> Result<(), String> {
         &r,
     )?;
     expect(
-        field_count(&r, "encodes") == 1.0,
-        "warm reuse performs no second encode",
+        field_count(&r, "queries") == 4.0,
+        "warm reuse continues the session's queries (a rebuild answers 1)",
         &r,
     )?;
-    println!("serve smoke: warm session reused (encode count still 1)");
+    println!("serve smoke: warm session reused (4th query on one encoding)");
 
     // (d) Malformed line: structured error, connection stays up.
     let r = client.ask(r#"{"kind": distance oops"#)?;
@@ -186,9 +187,9 @@ pub fn run_smoke() -> Result<(), String> {
     println!("serve smoke: malformed/unknown requests got structured errors, server alive");
 
     // (g) Deadline-exceeded request: inconclusive with the budget-trip
-    // reason. A zero deadline is expired by the time the executor claims
-    // the job, so the guard trips synchronously — deterministic, where a
-    // small-but-nonzero deadline would race the watchdog against the job.
+    // reason. A zero deadline has passed before the solver's first poll,
+    // so the outcome does not depend on how fast the machine is; a small
+    // nonzero deadline could let a fast run finish first.
     let r =
         client.ask(r#"{"id":7,"kind":"distance","code":"surface_5","max":5,"deadline_ms":0}"#)?;
     expect(
@@ -243,6 +244,11 @@ pub fn run_smoke() -> Result<(), String> {
         "first ft sweep is cold",
         &r,
     )?;
+    expect(
+        field_count(&r, "queries") == 4.0,
+        "first ft sweep decides its 4 grid points",
+        &r,
+    )?;
     let r = client.ask(
         r#"{"id":10,"kind":"fault_tolerance","code":"repetition_3","model":"x","rounds":3,"max_t_data":1,"max_t_meas":0}"#,
     )?;
@@ -252,8 +258,8 @@ pub fn run_smoke() -> Result<(), String> {
         &r,
     )?;
     expect(
-        field_count(&r, "encodes") == 1.0,
-        "ft warm reuse performs no second encode",
+        field_count(&r, "queries") == 6.0,
+        "ft warm reuse continues the sweep's queries (a rebuild answers 2)",
         &r,
     )?;
     println!("serve smoke: fault-tolerance sweep reused its warm session");
@@ -314,12 +320,4 @@ pub fn run_smoke() -> Result<(), String> {
     handle.join().map_err(|e| format!("drain: {e}"))?;
     println!("serve smoke: server drained cleanly");
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    // `run_smoke` itself is exercised by `tables serve --smoke` in release
-    // CI (surface-5 encodes are too slow for debug-mode unit tests); the
-    // cheap per-subsystem paths have their own tests in `server`, `cache`,
-    // `pool`, and `protocol`.
 }

@@ -83,12 +83,13 @@ impl SmtContext {
         }
     }
 
-    /// Installs a cooperative stop flag on the underlying solver: when the
-    /// flag is raised, an in-flight [`SmtContext::check`] aborts at the next
-    /// conflict/decision boundary with [`CheckResult::Unknown`]. Used by the
-    /// parallel driver to stop the losing racers once one has a verdict.
-    pub fn set_stop_flag(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.solver.set_stop_flag(flag);
+    /// Installs a cooperative [`veriqec_sat::Stop`] on the underlying
+    /// solver: once it is raised, an in-flight [`SmtContext::check`] aborts
+    /// at the next conflict/decision boundary with [`CheckResult::Unknown`].
+    /// The engine uses it to stop the losing racers once one has a verdict,
+    /// and the daemon to enforce request deadlines.
+    pub fn set_stop(&mut self, stop: veriqec_sat::Stop) {
+        self.solver.set_stop(stop);
     }
 
     /// Joins a learnt-clause pool shared with other contexts that encoded

@@ -29,6 +29,8 @@
 //! assert_eq!(m.get(e[0]).as_bool() as u8 + m.get(e[3]).as_bool() as u8, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod context;
 
 pub use context::{CardinalityHandle, CheckResult, EncodeError, SmtContext};

@@ -76,10 +76,10 @@ impl VcProblem {
     }
 
     /// Asserts `P_c`, guards and `P_f` (everything except the refutation
-    /// goal) into a context — shared by [`crate::VcSession`] and the
-    /// counting export. Deterministic: the same problem always yields the
-    /// same clauses over the same variable numbering, which racing sessions
-    /// rely on to exchange learnt clauses.
+    /// goal) into a context, as [`crate::VcSession`] does. Deterministic:
+    /// the same problem always yields the same clauses over the same
+    /// variable numbering, which racing sessions rely on to exchange learnt
+    /// clauses.
     pub fn assert_base(&self, ctx: &mut SmtContext) {
         for b in &self.error_constraints {
             ctx.assert(b)

@@ -8,22 +8,18 @@
 //! * [`VcSession`] — the incremental form: encode the base formula once,
 //!   then query it repeatedly under assumption literals (weight sweeps);
 //!   sessions of one problem can share learnt clauses when raced;
-//! * [`CountingInstance`] — the same encoding exported as a CNF +
-//!   indicator-literal map for the decision-diagram counting backend
-//!   (`veriqec_dd`), turning the existence query into an exact count of
-//!   violating witnesses;
 //! * [`verify_nonpauli`] — case 3: the heuristic elimination of
 //!   non-commuting conjuncts for fixed-location `T`/`H` errors (§5.2.2).
 
+#![forbid(unsafe_code)]
+
 mod check;
-mod counting;
 mod nonpauli;
 mod reduce;
 mod session;
 mod smtlib;
 
 pub use check::{VcOutcome, VcProblem, VcStats};
-pub use counting::CountingInstance;
 pub use nonpauli::{verify_nonpauli, NonPauliError, NonPauliOutcome};
 pub use reduce::{reduce_commuting, ReduceError, ReducedVc};
 pub use session::VcSession;

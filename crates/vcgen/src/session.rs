@@ -22,15 +22,13 @@ use crate::check::{VcOutcome, VcProblem, VcStats};
 ///
 /// Created by [`VcProblem::session`]; the base formula and the refutation
 /// goal are asserted once at construction, and [`VcSession::query`] decides
-/// the problem under per-call assumption literals. The session counts base
-/// encodings and queries so callers (and tests) can assert that a sweep
-/// re-encodes nothing.
+/// the problem under per-call assumption literals. The session counts its
+/// queries, so a caller can tell a reused session from a fresh one.
 #[derive(Clone, Debug)]
 pub struct VcSession {
     ctx: SmtContext,
     /// No targets: every query is trivially verified without solving.
     trivial: bool,
-    encodes: usize,
     queries: usize,
 }
 
@@ -50,7 +48,6 @@ impl VcSession {
         VcSession {
             ctx,
             trivial,
-            encodes: 1,
             queries: 0,
         }
     }
@@ -88,11 +85,11 @@ impl VcSession {
         self.ctx.unknown_cause()
     }
 
-    /// Installs a cooperative stop flag on the underlying solver (see
-    /// [`SmtContext::set_stop_flag`]); in-flight queries abort with
+    /// Installs a cooperative stop on the underlying solver (see
+    /// [`SmtContext::set_stop`]); in-flight queries abort with
     /// [`VcOutcome::Unknown`].
-    pub fn set_stop_flag(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.ctx.set_stop_flag(flag);
+    pub fn set_stop(&mut self, stop: veriqec_sat::Stop) {
+        self.ctx.set_stop(stop);
     }
 
     /// Joins a learnt-clause pool shared with the other sessions of the
@@ -102,12 +99,6 @@ impl VcSession {
     /// and add no clauses through [`VcSession::ctx_mut`] afterwards.
     pub fn join_pool(&mut self, pool: std::sync::Arc<veriqec_sat::ClausePool>) {
         self.ctx.join_pool(pool);
-    }
-
-    /// Number of base encodings performed (always 1 for a live session; the
-    /// counter exists so sweep tests can assert nothing was re-encoded).
-    pub fn encode_count(&self) -> usize {
-        self.encodes
     }
 
     /// Number of [`VcSession::query`] calls so far.
@@ -172,7 +163,6 @@ mod tests {
         assert!(matches!(session.query(&a1), VcOutcome::CounterExample(_)));
         // Re-tightening after a SAT answer still verifies: nothing leaked.
         assert!(session.query(&a0).is_verified());
-        assert_eq!(session.encode_count(), 1);
         assert_eq!(session.query_count(), 3);
     }
 

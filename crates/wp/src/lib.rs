@@ -24,6 +24,8 @@
 //! assert!(entails(&pre, &z, &[], 1) && entails(&z, &pre, &[], 1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod generic;
 mod qec;

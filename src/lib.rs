@@ -5,6 +5,8 @@
 //! See the workspace `README.md` for the architecture and `DESIGN.md` for
 //! the paper-to-crate mapping.
 
+#![forbid(unsafe_code)]
+
 pub use veriqec;
 pub use veriqec_cexpr;
 pub use veriqec_codes;
