@@ -1,8 +1,9 @@
 //! The CDCL solver layer of the perf gate ([`crate::gate`]).
 //!
 //! A pinned set of instances — pigeonhole and seeded random 3-SAT at the
-//! pure-SAT layer, plus zoo workloads (a distance sweep and incremental
-//! correction sweeps) through the same sessions the engine uses — each
+//! pure-SAT layer, plus zoo workloads (a distance sweep, incremental
+//! correction sweeps and one-shot Eqn. 14 proofs on the rotated surface
+//! code) through the same sessions the engine uses — each
 //! measured as the median wall time of a fresh solve, with its
 //! propagations, conflicts, propagations/s and mean learnt LBD, plus the
 //! aggregate propagation and conflict throughput. Every run re-asserts the
@@ -21,6 +22,7 @@ use veriqec_sat::{Lit, SatResult, Solver, SolverConfig, SolverStats, Var};
 use veriqec_vcgen::VcOutcome;
 
 use crate::gate::{median_run, Row, XorShift};
+use crate::surface_problem;
 
 /// PHP(p, h): `p` pigeons into `h` holes — unsatisfiable when p > h, with a
 /// propagation-heavy refutation. The canonical pure-SAT stress instance.
@@ -102,9 +104,28 @@ fn per_sec(count: u64, secs: f64) -> f64 {
     }
 }
 
+/// A one-shot Eqn. 14 proof on the rotated surface code at distance `d`
+/// (t = (d-1)/2): encode and solve sequentially, asserting `Verified`. A
+/// sequential solve repeats its conflict count exactly, so this row also
+/// catches an encoding change that blows up the search.
+fn surface_proof(
+    name: &'static str,
+    d: usize,
+    runs: usize,
+    config: SolverConfig,
+) -> (&'static str, f64, SolverStats) {
+    let (_, problem) = surface_problem(d);
+    measure(name, runs, || {
+        let mut session = problem.session(config);
+        assert!(session.query(&[]).is_verified(), "{name}");
+        ("verified", session.solver_stats())
+    })
+}
+
 /// Measures every pinned instance. `quick` is the CI mode: fewer timed
 /// runs and the small instances only; the full mode adds PHP(8,7), the
-/// toric-3 distance and the surface-5 correction sweep.
+/// toric-3 distance, the surface-5 correction sweep and the surface-7
+/// proof.
 pub(crate) fn rows(quick: bool) -> Vec<Row> {
     let runs = if quick { 3 } else { 7 };
     let config = SolverConfig::default();
@@ -137,6 +158,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
             ));
             ("w1_verified_w2_cex", sweep.session().solver_stats())
         }),
+        surface_proof("surface5_proof", 5, runs, config),
     ];
     if !quick {
         measured.extend([
@@ -162,6 +184,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
                 ));
                 ("w2_verified_w3_cex", sweep.session().solver_stats())
             }),
+            surface_proof("surface7_proof", 7, runs, config),
         ]);
     }
     stats_rows(&measured)

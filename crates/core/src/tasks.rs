@@ -337,6 +337,40 @@ mod tests {
     use veriqec_codes::{rotated_surface, steane};
 
     #[test]
+    fn capped_cardinality_pins_the_surface_query_size() {
+        // Eqn. 14 at t = (d-1)/2 shares one totalizer over the errors,
+        // capped at t + 1, between P_c and both sectors' P_f. Full
+        // totalizers gave 2,329 vars / 17,939 exported clauses at d = 7
+        // and 4,178 / 43,373 at d = 9.
+        for (d, max_vars, max_clauses) in [(7, 1_400, 5_000), (9, 2_400, 9_000)] {
+            let scenario = memory_scenario(&rotated_surface(d), ErrorModel::YErrors);
+            let t = (d as i64 - 1) / 2;
+            let mut session = build_problem(&scenario, t, vec![]).session(SolverConfig::default());
+            let vars = session.stats().sat_vars;
+            let clauses = session.ctx_mut().export_cnf().clauses.len();
+            assert!(
+                vars <= max_vars && clauses <= max_clauses,
+                "d={d}: {vars} vars, {clauses} clauses"
+            );
+        }
+    }
+
+    #[test]
+    fn session_stats_count_the_formula_not_learnt_clauses() {
+        // A proof that learns clauses leaves the formula's clause count, and
+        // so `VcStats::clauses`, where the encoding put it.
+        let scenario = memory_scenario(&rotated_surface(5), ErrorModel::YErrors);
+        let mut session = build_problem(&scenario, 2, vec![]).session(SolverConfig::default());
+        let before = session.stats().clauses;
+        assert!(session.query(&[]).is_verified());
+        assert!(
+            session.solver_stats().learnts > 0,
+            "the proof kept learnt clauses"
+        );
+        assert_eq!(session.stats().clauses, before);
+    }
+
+    #[test]
     fn steane_memory_verifies_single_y_errors() {
         let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
         let report = verify_correction(&scenario, 1, SolverConfig::default());

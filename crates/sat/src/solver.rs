@@ -430,6 +430,13 @@ impl Solver {
         self.num_originals + self.num_learnts
     }
 
+    /// Number of live original (non-learnt) clauses: the formula as added,
+    /// after [`Solver::add_clause`]'s root-level simplification (root units
+    /// live on the trail, not in the clause database).
+    pub fn num_original_clauses(&self) -> usize {
+        self.num_originals
+    }
+
     /// Run statistics so far.
     pub fn stats(&self) -> SolverStats {
         self.stats

@@ -59,6 +59,19 @@ pub struct SmtContext {
     varmap: HashMap<VarId, veriqec_sat::Var>,
     tracked: Vec<VarId>,
     true_lit: Option<Lit>,
+    /// The totalizers of hard weight constraints and capped comparators,
+    /// one per input multiset (sorted literals), holding their outputs.
+    totalizers: HashMap<Vec<Lit>, Vec<Lit>>,
+    /// The tightest hard `Σ ≤ k` asserted over each input multiset.
+    bounds: HashMap<Vec<Lit>, usize>,
+}
+
+/// The sorted literals of `lits`: the key under which a hard weight bound
+/// and its totalizer are shared.
+fn multiset(lits: &[Lit]) -> Vec<Lit> {
+    let mut key = lits.to_vec();
+    key.sort_unstable();
+    key
 }
 
 impl Default for SmtContext {
@@ -80,6 +93,8 @@ impl SmtContext {
             varmap: HashMap::new(),
             tracked: Vec::new(),
             true_lit: None,
+            totalizers: HashMap::new(),
+            bounds: HashMap::new(),
         }
     }
 
@@ -222,130 +237,162 @@ impl SmtContext {
     /// is encoded once and the returned handle turns weight bounds into
     /// *assumption literals*, so one incremental context can be queried
     /// under many different bounds without re-encoding (the engine layer's
-    /// weight sweeps are built on this).
+    /// weight sweeps are built on this). The handle's totalizer is full and
+    /// private: a later query may ask it any bound.
     pub fn cardinality(&mut self, lits: &[Lit]) -> CardinalityHandle {
-        let outputs = self.totalizer(lits);
+        let outputs = self.totalizer(lits, lits.len());
         let lit_false = !self.lit_true();
         CardinalityHandle { outputs, lit_false }
     }
 
-    /// Builds a totalizer over `lits`: output `o[i]` is true iff at least
-    /// `i+1` of the inputs are true. Fully reified (both directions).
-    pub fn totalizer(&mut self, lits: &[Lit]) -> Vec<Lit> {
+    /// Builds a totalizer over `lits` with min(n, `cap`) outputs: `o[i]` is
+    /// true iff at least `i+1` of the inputs are true. Every node stops at
+    /// `cap` outputs (the k-simplified totalizer of Büttner & Rintanen,
+    /// ICAPS 2005) and keeps both clause directions, so each output stays
+    /// functionally determined by the inputs. `cap = n` is the full
+    /// totalizer of Bailleux & Boufkhad (CP 2003).
+    fn totalizer(&mut self, lits: &[Lit], cap: usize) -> Vec<Lit> {
         match lits.len() {
+            _ if cap == 0 => Vec::new(),
             0 => Vec::new(),
             1 => vec![lits[0]],
             n => {
                 let (l, r) = lits.split_at(n / 2);
-                let a = self.totalizer(l);
-                let b = self.totalizer(r);
-                self.merge_totalizer(&a, &b)
+                let a = self.totalizer(l, cap);
+                let b = self.totalizer(r, cap);
+                let (p, q) = (a.len(), b.len());
+                let m = (p + q).min(cap);
+                let out: Vec<Lit> = (0..m).map(|_| self.fresh_lit()).collect();
+                // Forward: a_i ∧ b_j  →  out_{i+j}   (1-indexed counts; a_0/b_0 = true)
+                for i in 0..=p {
+                    for j in 0..=q {
+                        if i + j == 0 || i + j > m {
+                            continue;
+                        }
+                        let mut clause = Vec::with_capacity(3);
+                        if i > 0 {
+                            clause.push(!a[i - 1]);
+                        }
+                        if j > 0 {
+                            clause.push(!b[j - 1]);
+                        }
+                        clause.push(out[i + j - 1]);
+                        self.solver.add_clause(clause);
+                    }
+                }
+                // Backward: out_{i+j+1} → a_{i+1} ∨ b_{j+1}   (a_{p+1}/b_{q+1} = false)
+                for i in 0..=p {
+                    for j in 0..=q {
+                        if i + j + 1 > m {
+                            continue;
+                        }
+                        let mut clause = Vec::with_capacity(3);
+                        clause.push(!out[i + j]);
+                        if i < p {
+                            clause.push(a[i]);
+                        }
+                        if j < q {
+                            clause.push(b[j]);
+                        }
+                        self.solver.add_clause(clause);
+                    }
+                }
+                out
             }
         }
     }
 
-    fn merge_totalizer(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        let p = a.len();
-        let q = b.len();
-        let out: Vec<Lit> = (0..p + q).map(|_| self.fresh_lit()).collect();
-        // Forward: a_i ∧ b_j  →  out_{i+j}   (1-indexed counts; a_0/b_0 = true)
-        for i in 0..=p {
-            for j in 0..=q {
-                if i + j == 0 {
-                    continue;
-                }
-                let mut clause = Vec::with_capacity(3);
-                if i > 0 {
-                    clause.push(!a[i - 1]);
-                }
-                if j > 0 {
-                    clause.push(!b[j - 1]);
-                }
-                clause.push(out[i + j - 1]);
-                self.solver.add_clause(clause);
-            }
+    /// The first min(n, `cap`) outputs of this context's totalizer over the
+    /// multiset of `lits`. Built in the caller's order unless one with at
+    /// least that many outputs exists.
+    fn shared_totalizer(&mut self, lits: &[Lit], cap: usize) -> Vec<Lit> {
+        let want = cap.min(lits.len());
+        let key = multiset(lits);
+        if let Some(outputs) = self.totalizers.get(&key).filter(|o| o.len() >= want) {
+            return outputs[..want].to_vec();
         }
-        // Backward: out_{i+j+1} → a_{i+1} ∨ b_{j+1}   (a_{p+1}/b_{q+1} = false)
-        for i in 0..=p {
-            for j in 0..=q {
-                if i + j + 1 > p + q {
-                    continue;
-                }
-                let mut clause = Vec::with_capacity(3);
-                clause.push(!out[i + j]);
-                if i < p {
-                    clause.push(a[i]);
-                }
-                if j < q {
-                    clause.push(b[j]);
-                }
-                self.solver.add_clause(clause);
-            }
+        let outputs = self.totalizer(lits, cap);
+        self.totalizers.insert(key, outputs.clone());
+        outputs
+    }
+
+    /// Asserts `lo ≤ Σ lits ≤ hi` as hard clauses on the shared totalizer,
+    /// capped at the last count the bounds read: hi + 1, or lo when hi is
+    /// n. A `hi` below n is recorded as the multiset's bound (see
+    /// [`SmtContext::assert_sum_le_sum`]).
+    fn assert_weight_in(&mut self, lits: &[Lit], lo: i64, hi: i64) {
+        let n = lits.len() as i64;
+        let (lo, hi) = (lo.max(0), hi.min(n));
+        if lo > hi {
+            let f = !self.lit_true();
+            self.solver.add_clause([f]);
+            return;
         }
-        out
+        if lo == 0 && hi == n {
+            return; // trivially true: no totalizer needed
+        }
+        let cap = if hi < n { hi + 1 } else { lo };
+        let outputs = self.shared_totalizer(lits, cap as usize);
+        if lo > 0 {
+            self.solver.add_clause([outputs[lo as usize - 1]]);
+        }
+        if hi < n {
+            self.solver.add_clause([!outputs[hi as usize]]);
+            let bound = self.bounds.entry(multiset(lits)).or_insert(hi as usize);
+            *bound = (*bound).min(hi as usize);
+        }
     }
 
     /// Asserts `Σ lits <= k`.
     pub fn assert_at_most(&mut self, lits: &[Lit], k: i64) {
-        if k >= lits.len() as i64 {
-            return; // trivially true: no totalizer needed
-        }
-        if k < 0 {
-            // Infeasible: one false unit clause, no totalizer.
-            let f = !self.lit_true();
-            self.solver.add_clause([f]);
-            return;
-        }
-        let h = self.cardinality(lits);
-        if let Some(l) = h.at_most(k) {
-            self.solver.add_clause([l]);
-        }
+        self.assert_weight_in(lits, 0, k);
     }
 
     /// Asserts `Σ lits >= k`.
     pub fn assert_at_least(&mut self, lits: &[Lit], k: i64) {
-        if k <= 0 {
-            return; // trivially true: no totalizer needed
-        }
-        if k > lits.len() as i64 {
-            let f = !self.lit_true();
-            self.solver.add_clause([f]);
-            return;
-        }
-        let h = self.cardinality(lits);
-        if let Some(l) = h.at_least(k) {
-            self.solver.add_clause([l]);
-        }
+        self.assert_weight_in(lits, k, lits.len() as i64);
     }
 
     /// Asserts `Σ lits == k` (one shared totalizer for both directions).
     pub fn assert_exactly(&mut self, lits: &[Lit], k: i64) {
-        if k < 0 || k > lits.len() as i64 {
-            let f = !self.lit_true();
-            self.solver.add_clause([f]);
-            return;
-        }
-        let h = self.cardinality(lits);
-        for l in [h.at_most(k), h.at_least(k)].into_iter().flatten() {
-            self.solver.add_clause([l]);
-        }
+        self.assert_weight_in(lits, k, k);
     }
 
     /// Asserts `Σ a + offset <= Σ b` (the minimum-weight decoder condition
     /// `Σ corrections <= Σ errors` uses `offset == 0`).
+    ///
+    /// When this context already holds a hard `Σ b ≤ U` over exactly `b`'s
+    /// multiset, `Σ b ≥ c` is false for every `c > U`, so neither side
+    /// needs a count past `U − offset + 1`: both totalizers are capped
+    /// there and shared. Otherwise both sides are full, as in
+    /// [`SmtContext::reify_sum_le_sum`].
     pub fn assert_sum_le_sum(&mut self, a: &[Lit], b: &[Lit], offset: i64) {
-        let l = self.reify_sum_le_sum(a, b, offset);
+        let l = match self.bounds.get(&multiset(b)).copied() {
+            Some(u) => {
+                let ta = self.shared_totalizer(a, (u as i64 - offset + 1).max(0) as usize);
+                let tb = self.shared_totalizer(b, u + 1);
+                self.compare_counts(&ta, &tb, offset)
+            }
+            None => self.reify_sum_le_sum(a, b, offset),
+        };
         self.solver.add_clause([l]);
     }
 
-    /// Reified form of `Σ a + offset <= Σ b`.
+    /// Reified form of `Σ a + offset <= Σ b`, over full totalizers.
     pub fn reify_sum_le_sum(&mut self, a: &[Lit], b: &[Lit], offset: i64) -> Lit {
-        let ta = self.totalizer(a);
-        let tb = self.totalizer(b);
+        let ta = self.totalizer(a, a.len());
+        let tb = self.totalizer(b, b.len());
+        self.compare_counts(&ta, &tb, offset)
+    }
+
+    /// Reifies `Σa + offset <= Σb` from the two sides' totalizer outputs.
+    /// Exact for full totalizers; a side capped below its input count makes
+    /// it exact only under the hard bound that set the cap.
+    fn compare_counts(&mut self, ta: &[Lit], tb: &[Lit], offset: i64) -> Lit {
         // Condition: for every count c >= 1:  (Σa >= c)  →  (Σb >= c + offset).
         // With totalizers: ta[c-1] → tb[c+offset-1]; out-of-range tb index:
         //  - c+offset <= 0: implication trivially true;
-        //  - c+offset > |b|: implication is ¬ta[c-1].
+        //  - c+offset > |tb|: implication is ¬ta[c-1].
         let mut conj: Vec<Lit> = Vec::new();
         // Also when offset > 0 and a is empty: need Σb >= offset.
         if offset > 0 {
@@ -410,17 +457,28 @@ impl SmtContext {
                 let lb = self.reify(b)?;
                 Ok(self.tseitin_xor(la, lb))
             }
-            BExp::Le(a, b) => self.reify_linear_cmp(a, b, false),
+            BExp::Le(a, b) => self.reify_linear_cmp(a, b),
             BExp::Eq(a, b) => {
-                let le = self.reify_linear_cmp(a, b, false)?;
-                let ge = self.reify_linear_cmp(b, a, false)?;
+                let le = self.reify_linear_cmp(a, b)?;
+                let ge = self.reify_linear_cmp(b, a)?;
                 Ok(self.tseitin_and(le, ge))
             }
         }
     }
 
     /// Reifies `a <= b` for linear integer expressions over boolean indicators.
-    fn reify_linear_cmp(&mut self, a: &IExp, b: &IExp, _strict: bool) -> Result<Lit, EncodeError> {
+    fn reify_linear_cmp(&mut self, a: &IExp, b: &IExp) -> Result<Lit, EncodeError> {
+        let (lhs, rhs, offset) = self.linear_sides(a, b)?;
+        Ok(self.reify_sum_le_sum(&lhs, &rhs, offset))
+    }
+
+    /// Normalizes `a <= b` to `Σ lhs + offset <= Σ rhs` over indicator
+    /// literals, with every coefficient expanded in unary.
+    fn linear_sides(
+        &mut self,
+        a: &IExp,
+        b: &IExp,
+    ) -> Result<(Vec<Lit>, Vec<Lit>, i64), EncodeError> {
         let (ta, ca) = a.linearize().ok_or_else(|| EncodeError {
             message: format!("nonlinear integer expression: {a}"),
         })?;
@@ -456,15 +514,29 @@ impl SmtContext {
         expand(&ta, &mut lhs, &mut rhs, self)?;
         expand(&tb, &mut rhs, &mut lhs, self)?;
         // lhs + ca <= rhs + cb   ⇔   Σ lhs + (ca - cb) <= Σ rhs
-        Ok(self.reify_sum_le_sum(&lhs, &rhs, ca - cb))
+        Ok((lhs, rhs, ca - cb))
     }
 
     /// Asserts a boolean expression.
+    ///
+    /// A top-level `Le` is a hard weight constraint: `Σ lits <= k` goes
+    /// through [`SmtContext::assert_at_most`] and `Σ a + offset <= Σ b`
+    /// through [`SmtContext::assert_sum_le_sum`], so both can be capped and
+    /// shared. Everything else is reified and asserted.
     ///
     /// # Errors
     ///
     /// Propagates [`EncodeError`] from [`SmtContext::reify`].
     pub fn assert(&mut self, e: &BExp) -> Result<(), EncodeError> {
+        if let BExp::Le(a, b) = e {
+            let (lhs, rhs, offset) = self.linear_sides(a, b)?;
+            if rhs.is_empty() {
+                self.assert_at_most(&lhs, -offset);
+            } else {
+                self.assert_sum_le_sum(&lhs, &rhs, offset);
+            }
+            return Ok(());
+        }
         let l = self.reify(e)?;
         self.solver.add_clause([l]);
         Ok(())
@@ -524,9 +596,10 @@ impl SmtContext {
     /// [`veriqec_sat::Solver::export_cnf`]). Together with
     /// [`SmtContext::sat_lit`] this is the hand-off to the decision-diagram
     /// counting backend: every auxiliary variable this context introduces
-    /// (Tseitin definitions, totalizer outputs) is functionally determined
-    /// by the classical variables, so the exported CNF has exactly one model
-    /// per satisfying assignment of the classical variables.
+    /// (Tseitin definitions, totalizer outputs, capped or full) is
+    /// functionally determined by the classical variables, so the exported
+    /// CNF has exactly one model per satisfying assignment of the classical
+    /// variables.
     pub fn export_cnf(&self) -> veriqec_sat::Cnf {
         let _span = veriqec_obs::span("smt", "export_cnf");
         self.solver.export_cnf()
@@ -548,9 +621,10 @@ impl SmtContext {
             .map(|&v| (v, self.varmap[&v].positive()))
     }
 
-    /// Number of clauses in the underlying solver.
+    /// Number of clauses in the encoded formula: the solver's live original
+    /// clauses, without the learnt ones a solve adds.
     pub fn num_clauses(&self) -> usize {
-        self.solver.num_clauses()
+        self.solver.num_original_clauses()
     }
 
     /// Statistics of the underlying solver.
@@ -761,36 +835,112 @@ mod tests {
         assert!(ctx.assert(&e).is_err());
     }
 
-    #[test]
-    fn export_cnf_has_one_model_per_classical_assignment() {
-        // The counting backend relies on every auxiliary variable (Tseitin
-        // definitions, totalizer outputs) being functionally determined by
-        // the classical variables: the exported CNF must have exactly one
-        // model per satisfying classical assignment. Σx ≤ 2 over 4 vars has
-        // C(4,0) + C(4,1) + C(4,2) = 11 of them.
-        let (_, vs) = vars(4);
-        let mut ctx = SmtContext::new();
-        let lits: Vec<Lit> = vs.iter().map(|&v| ctx.lit_of(v)).collect();
-        let h = ctx.cardinality(&lits);
-        if let Some(l) = h.at_most(2) {
-            ctx.add_clause([l]);
-        }
+    /// Models of the exported CNF, by brute force over every variable.
+    fn exported_models(ctx: &SmtContext) -> usize {
         let cnf = ctx.export_cnf();
         assert!(cnf.num_vars <= 20, "small enough to brute force");
-        let count = (0u32..1 << cnf.num_vars)
+        (0u32..1 << cnf.num_vars)
             .filter(|bits| {
                 cnf.clauses.iter().all(|cl| {
                     cl.iter()
                         .any(|l| ((bits >> l.var().0) & 1 == 1) == l.is_positive())
                 })
             })
-            .count();
-        assert_eq!(count, 11);
-        // And the indicator map points at the right literals.
-        for (&v, &l) in vs.iter().zip(&lits) {
-            assert_eq!(ctx.sat_lit(v), Some(l));
+            .count()
+    }
+
+    #[test]
+    fn export_cnf_has_one_model_per_classical_assignment() {
+        // The counting backend relies on every auxiliary variable (Tseitin
+        // definitions, totalizer outputs) being functionally determined by
+        // the classical variables: the exported CNF must have exactly one
+        // model per satisfying classical assignment. Σx ≤ 2 over 4 vars has
+        // C(4,0) + C(4,1) + C(4,2) = 11 of them, through a handle's full
+        // totalizer and through the hard bound's capped one alike.
+        for hard in [false, true] {
+            let (_, vs) = vars(4);
+            let mut ctx = SmtContext::new();
+            let lits: Vec<Lit> = vs.iter().map(|&v| ctx.lit_of(v)).collect();
+            if hard {
+                ctx.assert_at_most(&lits, 2);
+            } else {
+                let h = ctx.cardinality(&lits);
+                if let Some(l) = h.at_most(2) {
+                    ctx.add_clause([l]);
+                }
+            }
+            assert_eq!(exported_models(&ctx), 11, "hard: {hard}");
+            // And the indicator map points at the right literals.
+            for (&v, &l) in vs.iter().zip(&lits) {
+                assert_eq!(ctx.sat_lit(v), Some(l));
+            }
+            assert_eq!(ctx.var_map().count(), 4);
         }
-        assert_eq!(ctx.var_map().count(), 4);
+    }
+
+    #[test]
+    fn capped_comparator_keeps_one_model_per_classical_assignment() {
+        // Σb ≤ 1, then Σa ≤ Σb capped at 2 outputs a side: the exported CNF
+        // has one model per assignment of a and b that satisfies both.
+        let (_, all) = vars(6);
+        let (a, b) = all.split_at(3);
+        let mut ctx = SmtContext::new();
+        let al: Vec<Lit> = a.iter().map(|&v| ctx.lit_of(v)).collect();
+        let bl: Vec<Lit> = b.iter().map(|&v| ctx.lit_of(v)).collect();
+        ctx.assert_at_most(&bl, 1);
+        ctx.assert_sum_le_sum(&al, &bl, 0);
+        let expected = (0u32..1 << 6)
+            .filter(|bits| {
+                let (sa, sb) = ((bits & 0b111).count_ones(), (bits >> 3).count_ones());
+                sb <= 1 && sa <= sb
+            })
+            .count();
+        assert_eq!(expected, 13);
+        assert_eq!(exported_models(&ctx), expected);
+    }
+
+    #[test]
+    fn comparator_without_a_bound_stays_full() {
+        // Nothing bounds e, so Σc ≤ Σe over 6 + 6 literals must count both
+        // sides to 6: all twelve true is a model (a comparator capped by a
+        // guess would refute it), and five of e against six of c is not.
+        for e_true in [6, 5] {
+            let (_, all) = vars(12);
+            let (c, e) = all.split_at(6);
+            let mut ctx = SmtContext::new();
+            let cl: Vec<Lit> = c.iter().map(|&v| ctx.lit_of(v)).collect();
+            let el: Vec<Lit> = e.iter().map(|&v| ctx.lit_of(v)).collect();
+            ctx.assert_sum_le_sum(&cl, &el, 0);
+            for &l in &cl {
+                ctx.add_clause([l]);
+            }
+            for (i, &l) in el.iter().enumerate() {
+                ctx.add_clause([if i < e_true { l } else { !l }]);
+            }
+            assert_eq!(ctx.check(&[]).is_sat(), e_true == 6, "{e_true} of e");
+        }
+    }
+
+    #[test]
+    fn comparators_share_the_bounded_totalizer() {
+        // Σe ≤ 1 builds one totalizer over e, capped at 2 outputs. Each
+        // Σc ≤ Σe after it (e in any order) reuses that totalizer and adds
+        // only its own side: a totalizer of the same shape over c, two
+        // implications and their conjunction.
+        let (_, all) = vars(18);
+        let (e, cs) = all.split_at(6);
+        let mut ctx = SmtContext::new();
+        let el: Vec<Lit> = e.iter().map(|&v| ctx.lit_of(v)).collect();
+        let before_bound = ctx.num_sat_vars();
+        ctx.assert_at_most(&el, 1);
+        let e_side = ctx.num_sat_vars() - before_bound;
+        let reversed: Vec<Lit> = el.iter().rev().copied().collect();
+        for c in cs.chunks(6) {
+            let cl: Vec<Lit> = c.iter().map(|&v| ctx.lit_of(v)).collect();
+            let before = ctx.num_sat_vars();
+            ctx.assert_sum_le_sum(&cl, &reversed, 0);
+            assert_eq!(ctx.num_sat_vars() - before, e_side + 3);
+        }
     }
 
     #[test]
@@ -822,12 +972,18 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn totalizer_counts_exactly(bits in proptest::collection::vec(any::<bool>(), 1..8)) {
-            // Force each input to a constant and read out the totalizer.
+        fn totalizer_counts_exactly(
+            bits in proptest::collection::vec(any::<bool>(), 1..8),
+            cap_seed in 0usize..64,
+        ) {
+            // Force each input to a constant and read out the totalizer,
+            // capped anywhere in 0..=n+1.
+            let cap = cap_seed % (bits.len() + 2);
             let vs = vars(bits.len());
             let mut ctx = SmtContext::new();
             let lits: Vec<Lit> = vs.iter().map(|&v| ctx.lit_of(v)).collect();
-            let outs = ctx.totalizer(&lits);
+            let outs = ctx.totalizer(&lits, cap);
+            prop_assert_eq!(outs.len(), bits.len().min(cap));
             for (l, &b) in lits.iter().zip(&bits) {
                 ctx.add_clause([if b { *l } else { !*l }]);
             }
@@ -875,6 +1031,43 @@ mod proptests {
             }
             ctx2.add_clause([if expected { !cmp } else { cmp }]);
             prop_assert!(ctx2.check(&[]).is_unsat());
+        }
+
+        #[test]
+        fn sum_le_sum_under_a_bound_matches_arithmetic(
+            a_bits in proptest::collection::vec(any::<bool>(), 1..7),
+            b_bits in proptest::collection::vec(any::<bool>(), 1..7),
+            u in 0i64..7,
+            offset in -2i64..3,
+        ) {
+            // A hard Σb ≤ U (over b in reverse order) and Σa + offset ≤ Σb,
+            // under fixed inputs: SAT iff both hold. Asserted bound first,
+            // the comparator is capped; bound last, it stays full.
+            let sa = a_bits.iter().filter(|&&x| x).count() as i64;
+            let sb = b_bits.iter().filter(|&&x| x).count() as i64;
+            let expected = sb <= u && sa + offset <= sb;
+            for bound_first in [true, false] {
+                let vs = vars(a_bits.len() + b_bits.len());
+                let (av, bv) = vs.split_at(a_bits.len());
+                let mut ctx = SmtContext::new();
+                let al: Vec<Lit> = av.iter().map(|&v| ctx.lit_of(v)).collect();
+                let bl: Vec<Lit> = bv.iter().map(|&v| ctx.lit_of(v)).collect();
+                let reversed: Vec<Lit> = bl.iter().rev().copied().collect();
+                if bound_first {
+                    ctx.assert_at_most(&reversed, u);
+                }
+                ctx.assert_sum_le_sum(&al, &bl, offset);
+                if !bound_first {
+                    ctx.assert_at_most(&reversed, u);
+                }
+                for (l, &bit) in al.iter().zip(&a_bits).chain(bl.iter().zip(&b_bits)) {
+                    ctx.add_clause([if bit { *l } else { !*l }]);
+                }
+                prop_assert!(
+                    ctx.check(&[]).is_sat() == expected,
+                    "bound first: {bound_first}, expected sat: {expected}"
+                );
+            }
         }
 
         #[test]

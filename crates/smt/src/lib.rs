@@ -9,8 +9,13 @@
 //!
 //! * Tseitin transformation for arbitrary [`veriqec_cexpr::BExp`] structure,
 //! * XOR chains for [`veriqec_cexpr::Affine`] phase forms,
-//! * totalizer-based cardinality (`Σ ≤ k`, `Σ = k`, `Σ_a ≤ Σ_b`), fully
-//!   reified so comparisons may appear under negation.
+//! * totalizer-based cardinality (`Σ ≤ k`, `Σ = k`, `Σ_a ≤ Σ_b`). A
+//!   comparison under negation, inside `reify`, or behind a
+//!   [`CardinalityHandle`] gets a full, reified totalizer. A hard bound
+//!   `Σ ≤ k` caps its totalizer at k + 1 outputs and shares it with every
+//!   later hard constraint on the same input multiset, and an asserted
+//!   `Σ_a ≤ Σ_b` is capped the same way once `Σ_b` has a hard bound. Caps
+//!   come only from asserted bounds, so every encoding stays exact.
 //!
 //! # Examples
 //!

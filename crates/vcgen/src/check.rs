@@ -42,7 +42,8 @@ impl VcOutcome {
 pub struct VcStats {
     /// SAT variables in the encoded query.
     pub sat_vars: usize,
-    /// CNF clauses in the encoded query.
+    /// CNF clauses in the encoded query (the formula only: learnt clauses
+    /// are not counted).
     pub clauses: usize,
     /// Conflicts spent by the solver.
     pub conflicts: u64,
@@ -80,6 +81,12 @@ impl VcProblem {
     /// the same problem always yields the same clauses over the same
     /// variable numbering, which racing sessions rely on to exchange learnt
     /// clauses.
+    ///
+    /// `P_c` goes first on purpose. A hard `Σe ≤ t` in it is recorded by
+    /// the context, so each decoder's `Σc ≤ Σe` that follows is capped at
+    /// `t + 1` and shares the one totalizer over `e` (see
+    /// [`SmtContext::assert_sum_le_sum`]). A bound asserted after a
+    /// comparator would leave that comparator full: larger, still exact.
     pub fn assert_base(&self, ctx: &mut SmtContext) {
         for b in &self.error_constraints {
             ctx.assert(b)

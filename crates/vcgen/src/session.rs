@@ -34,8 +34,10 @@ pub struct VcSession {
 
 impl VcSession {
     /// Encodes `problem` (base + refutation goal) into a fresh context.
+    /// The `vcgen/encode` span closes with the formula's size, as
+    /// [`VcSession::stats`] counts it (`sat_vars`, `clauses`).
     pub fn new(problem: &VcProblem, config: SolverConfig) -> Self {
-        let _span = veriqec_obs::span("vcgen", "encode");
+        let span = veriqec_obs::span("vcgen", "encode");
         let mut ctx = SmtContext::with_config(config);
         problem.assert_base(&mut ctx);
         let trivial = match problem.goal_lit(&mut ctx) {
@@ -45,11 +47,17 @@ impl VcSession {
             }
             None => true,
         };
-        VcSession {
+        let session = VcSession {
             ctx,
             trivial,
             queries: 0,
-        }
+        };
+        let size = session.stats();
+        span.close_with(&[
+            ("sat_vars", size.sat_vars as f64),
+            ("clauses", size.clauses as f64),
+        ]);
+        session
     }
 
     /// The underlying context, for building assumption literals (variable

@@ -75,6 +75,20 @@ fn engine_batch_trace_satisfies_chrome_schema() {
     assert_eq!(winners, 1, "{racers:?}");
     assert!(json.contains("\"won\":1"));
 
+    // Every encode closes with the size of the formula it built, counted
+    // as `VcStats` counts it.
+    let encodes: Vec<_> = collector
+        .events()
+        .iter()
+        .filter(|e| (e.cat, &*e.name, e.kind) == ("vcgen", "encode", veriqec_obs::EventKind::End))
+        .collect();
+    assert!(!encodes.is_empty(), "the correction job must encode");
+    for e in &encodes {
+        let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["sat_vars", "clauses"]);
+        assert!(e.args.iter().all(|&(_, v)| v > 0.0), "{e:?}");
+    }
+
     // The phase summary the batch reports render must see the same spans.
     let phases = collector.phase_summary();
     assert!(!phases.is_empty());
