@@ -5,7 +5,7 @@
 //! plus the stratified count — each measured as the median wall time of a
 //! session, with its node traffic (allocations, peak and final live
 //! nodes), apply-cache hit rate, and memory-management telemetry (GC runs
-//! and reclaimed nodes, sifting swaps, arena bytes). Every run re-asserts
+//! and reclaimed nodes, arena bytes). Every run re-asserts
 //! the enumerator coefficients against the group-theoretic failure total
 //! and the claimed distance, and the carbon \[\[12,2,4\]\] coefficients
 //! bit-for-bit, so the perf gate can never green-light a fast-but-wrong
@@ -19,8 +19,8 @@ use crate::gate::{median_run, Row};
 
 /// The carbon code's failure weight enumerator, pinned from the first
 /// release of the counting backend. The dd gate re-asserts it on every run:
-/// any storage, GC, or reordering change that perturbs a single coefficient
-/// fails the build before any timing is compared.
+/// any storage, GC or compile-schedule change that perturbs a single
+/// coefficient fails the build before any timing is compared.
 pub const CARBON_COEFFICIENTS: [u128; 13] =
     [0, 0, 0, 0, 41, 199, 609, 1539, 2991, 4005, 3547, 1937, 492];
 
@@ -75,7 +75,6 @@ fn stats_rows(name: &str, wall_ms: f64, stats: &DdStats, final_nodes: usize) -> 
         row("hit_rate", stats.cache_hit_rate(), "frac"),
         row("gc_runs", stats.gc_runs as f64, "count"),
         row("gc_reclaimed", stats.gc_reclaimed as f64, "count"),
-        row("reorder_swaps", stats.reorder_swaps as f64, "count"),
         row("arena_bytes", stats.arena_bytes as f64, "bytes"),
     ]
 }
@@ -115,7 +114,6 @@ mod tests {
             cache_hits: 400,
             gc_runs: 2,
             gc_reclaimed: 500,
-            reorder_swaps: 30,
             arena_bytes: 12_000,
             ..DdStats::default()
         };
@@ -128,7 +126,7 @@ mod tests {
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
         assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
         let parsed = doc.get("rows").unwrap().as_arr().unwrap();
-        assert_eq!(parsed.len(), 9);
+        assert_eq!(parsed.len(), 8);
         let value = |metric: &str| {
             let row = parsed
                 .iter()
@@ -145,7 +143,6 @@ mod tests {
         assert_eq!(value("hit_rate"), 0.4);
         assert_eq!(value("gc_runs"), 2.0);
         assert_eq!(value("gc_reclaimed"), 500.0);
-        assert_eq!(value("reorder_swaps"), 30.0);
         assert_eq!(value("arena_bytes"), 12_000.0);
     }
 

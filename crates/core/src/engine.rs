@@ -135,9 +135,13 @@ impl DetectionSession {
 
     /// Sweeps `dt` upward until an undetected logical error appears — the
     /// paper's distance-discovery workflow, incremental: one base encoding,
-    /// `max` assumption queries.
+    /// at most `min(max, L)` assumption queries for `L` support indicators.
     pub fn find_distance(&mut self, max: usize) -> DistanceOutcome {
-        for dt in 2..=max + 1 {
+        // The query at dt = L + 1 bounds nothing; if every weight is
+        // detected there, every larger bound answers the same, so the
+        // sweep stops. Only a code without logical operators gets that far.
+        let last = (max + 1).min(self.support.len() + 1);
+        for dt in 2..=last {
             match self.check(dt) {
                 DetectionOutcome::AllDetected => {}
                 DetectionOutcome::UndetectedLogical { .. } => {
@@ -747,11 +751,6 @@ const MD_COLUMNS: &[MdColumn] = &[
     MdColumn {
         header: "dd gc",
         metric: "dd_gc_runs",
-        style: ColStyle::Count,
-    },
-    MdColumn {
-        header: "dd swaps",
-        metric: "dd_reorder_swaps",
         style: ColStyle::Count,
     },
     MdColumn {
@@ -1465,6 +1464,26 @@ mod tests {
         let out = session.find_distance(4);
         assert_eq!(out, DistanceOutcome::Exact(3));
         assert_eq!(session.query_count(), 3, "dt = 2, 3, 4");
+    }
+
+    #[test]
+    fn distance_sweep_stops_once_the_bound_covers_the_support() {
+        use veriqec_pauli::{PauliString, StabilizerGroup, SymPauli};
+        // ⟨ZZ, XX⟩ encodes nothing, so every query is UNSAT; from
+        // dt = n + 1 = 3 on the bound is vacuous and the sweep must end.
+        let gens = ["ZZ", "XX"]
+            .map(|s| SymPauli::plain(PauliString::from_letters(s).unwrap()))
+            .to_vec();
+        let group = StabilizerGroup::new(gens).unwrap();
+        let code = StabilizerCode::with_completed_logicals("bell", group, None);
+        assert_eq!(code.k(), 0);
+        let mut session = DetectionSession::new(&code, SolverConfig::default());
+        let max = 1 << 20;
+        assert_eq!(
+            session.find_distance(max),
+            DistanceOutcome::AtLeast(max + 1)
+        );
+        assert!(session.query_count() <= 3, "{}", session.query_count());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl FailureEnumerator {
         self.coefficients.as_deref().expect("just computed")
     }
 
-    /// Least weight with a nonzero coefficient — the code distance.
-    pub fn min_nonzero_weight(&mut self) -> Option<usize> {
-        self.coefficients().iter().position(|&c| c > 0)
-    }
-
     /// The full enumerator report.
     pub fn enumerator(&mut self) -> WeightEnumerator {
         let coefficients = self.coefficients().to_vec();
@@ -154,11 +149,6 @@ impl FailureEnumerator {
             coefficients,
             min_weight,
         }
-    }
-
-    /// Total failure configurations (all weights).
-    pub fn total_failures(&mut self) -> u128 {
-        self.coefficients().iter().sum()
     }
 
     /// Decision-diagram kernel counters.
@@ -191,8 +181,8 @@ pub(crate) struct DetectionParts {
     pub em: Vec<VarId>,
     /// Support indicators: per-qubit (`ex_q ∨ ez_q`) followed by one
     /// literal per measurement-flip indicator. The per-qubit indicators are
-    /// interleaved with their inputs in allocation order so diagram
-    /// ordering heuristics inherit a near-optimal seed.
+    /// interleaved with their inputs in allocation order, which the diagram
+    /// compiler's first-use order inherits.
     pub support: Vec<Lit>,
 }
 
@@ -397,7 +387,7 @@ mod tests {
         let code = c4_422();
         let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
         assert_eq!(fe.coefficients(), brute_force_enumerator(&code).as_slice());
-        assert_eq!(fe.min_nonzero_weight(), Some(2));
+        assert_eq!(fe.enumerator().min_weight, Some(2));
     }
 
     #[test]
@@ -406,8 +396,9 @@ mod tests {
         let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
         assert_eq!(fe.coefficients(), brute_force_enumerator(&code).as_slice());
         // |N(S)| − |S·⟨logical identity⟩|: 2^{n+k} − 2^{n−k} failures.
-        assert_eq!(fe.total_failures(), (1 << 8) - (1 << 6));
-        assert_eq!(fe.min_nonzero_weight(), Some(3));
+        let e = fe.enumerator();
+        assert_eq!(e.total(), (1 << 8) - (1 << 6));
+        assert_eq!(e.min_weight, Some(3));
     }
 
     #[test]
@@ -446,7 +437,7 @@ mod tests {
             let (n, k) = (code.n() as u32, code.k() as u32);
             let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
             assert_eq!(
-                fe.total_failures(),
+                fe.enumerator().total(),
                 (1u128 << (n + k)) - (1u128 << (n - k)),
                 "{}",
                 code.name()
@@ -471,7 +462,7 @@ mod tests {
             xzzx_surface(3),
         ] {
             let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
-            let via_dd = fe.min_nonzero_weight().expect("every code has failures");
+            let via_dd = fe.enumerator().min_weight.expect("every code has failures");
             let via_sat = find_distance(&code, code.n());
             assert_eq!(
                 DistanceOutcome::Exact(via_dd),
@@ -569,7 +560,7 @@ mod tests {
                 let coefficients = fe.coefficients().to_vec();
                 let mut session =
                     DetectionSession::with_schedule(&code, &schedule, SolverConfig::default());
-                let max_dt = fe.min_nonzero_weight().expect("failures exist") + 2;
+                let max_dt = fe.enumerator().min_weight.expect("failures exist") + 2;
                 for dt in 2..=max_dt {
                     let sat_says = session.check(dt);
                     let dd_says_all_detected = coefficients[1..dt.min(coefficients.len())]

@@ -580,12 +580,6 @@ pub fn memory_scenario(code: &StabilizerCode, model: ErrorModel) -> Scenario {
     let mut b = ScenarioBuilder::new(code, 1);
     b.inject_errors(model, "");
     b.correction_round(0, false);
-    let self_dual = code.css_hx().map(|hx| {
-        code.css_hz()
-            .map(|hz| hx.num_rows() == hz.num_rows())
-            .unwrap_or(false)
-    });
-    let _ = self_dual;
     b.finish(format!("{} memory EMC", code.name()), false)
 }
 

@@ -3,18 +3,17 @@
 //!
 //! The arena keeps the three node words (`level`, `lo`, `hi`) in parallel
 //! `Vec<u32>`s so traversals touch only the columns they need (counting
-//! never reads levels of terminals, reordering rewrites `lo`/`hi` in place
-//! without moving records). Node handles are plain arena indices; the two
-//! terminals occupy indices 0 and 1 with the sentinel level
+//! never reads levels of terminals). Node handles are plain arena indices;
+//! the two terminals occupy indices 0 and 1 with the sentinel level
 //! [`TERMINAL_LEVEL`], so `level(child) > level(parent)` holds uniformly
 //! without a per-manager "virtual terminal level".
 //!
 //! The unique table is a linear-probe open-addressing table of arena
 //! indices, sized by powers of two, with a cheap multiplicative hash over
 //! the three node words — replacing the SipHash `HashMap` whose per-probe
-//! cost dominated `mk` in the old kernel. Deletion (needed by the sifting
-//! reorderer, which unhooks nodes mid-swap) uses tombstones; rehashing
-//! drops them.
+//! cost dominated `mk` in the old kernel. Entries are never deleted one by
+//! one: garbage collection rebuilds the whole table over the compacted
+//! arena.
 
 /// Sentinel level of the two terminal nodes: compares greater than every
 /// real level, so "the variable cannot occur below this node" checks need
@@ -68,7 +67,6 @@ impl NodeArena {
 }
 
 const EMPTY: u32 = u32::MAX;
-const TOMBSTONE: u32 = u32::MAX - 1;
 
 /// Multiplicative mixing of the three node words; the high bits index the
 /// power-of-two slot array.
@@ -89,9 +87,7 @@ fn hash_key(level: u32, lo: u32, hi: u32) -> u64 {
 pub(crate) struct UniqueTable {
     slots: Vec<u32>,
     mask: usize,
-    /// Live entries (excludes tombstones).
     occupied: usize,
-    tombstones: usize,
     /// Total probe sequences started (one per `find`).
     pub lookups: u64,
     /// Total slots inspected across all probe sequences.
@@ -109,14 +105,13 @@ impl UniqueTable {
             slots: vec![EMPTY; cap],
             mask: cap - 1,
             occupied: 0,
-            tombstones: 0,
             lookups: 0,
             probes: 0,
         }
     }
 
-    /// Live (non-tombstone) entries; test-only — production code tracks
-    /// node counts through the arena.
+    /// Entries; test-only — production code tracks node counts through the
+    /// arena.
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.occupied
@@ -131,30 +126,21 @@ impl UniqueTable {
         self.slots.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Grows (or compacts tombstones away) so one more insert keeps the
-    /// load factor at or below 1/2. Call before [`UniqueTable::find`] when
-    /// an insert may follow — rehashing invalidates previously returned
-    /// slot indices.
+    /// Doubles the table if needed so one more insert keeps the load
+    /// factor at or below 1/2. Call before [`UniqueTable::find`] when an
+    /// insert may follow — rehashing invalidates previously returned slot
+    /// indices.
     pub fn reserve(&mut self, arena: &NodeArena) {
-        if (self.occupied + self.tombstones + 1) * 2 <= self.slots.len() {
-            return;
+        if (self.occupied + 1) * 2 > self.slots.len() {
+            self.rehash(self.slots.len() * 2, arena);
         }
-        // Double only when live entries justify it; otherwise a same-size
-        // rehash just purges tombstones left behind by sifting.
-        let cap = if (self.occupied + 1) * 2 > self.slots.len() {
-            self.slots.len() * 2
-        } else {
-            self.slots.len()
-        };
-        self.rehash(cap, arena);
     }
 
     fn rehash(&mut self, cap: usize, arena: &NodeArena) {
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; cap]);
         self.mask = cap - 1;
-        self.tombstones = 0;
         for idx in old {
-            if idx == EMPTY || idx == TOMBSTONE {
+            if idx == EMPTY {
                 continue;
             }
             let i = idx as usize;
@@ -174,26 +160,15 @@ impl UniqueTable {
     pub fn find(&mut self, level: u32, lo: u32, hi: u32, arena: &NodeArena) -> Result<u32, usize> {
         self.lookups += 1;
         let mut slot = hash_key(level, lo, hi) as usize & self.mask;
-        let mut insert_at = usize::MAX;
         loop {
             self.probes += 1;
             let entry = self.slots[slot];
             if entry == EMPTY {
-                return Err(if insert_at != usize::MAX {
-                    insert_at
-                } else {
-                    slot
-                });
+                return Err(slot);
             }
-            if entry == TOMBSTONE {
-                if insert_at == usize::MAX {
-                    insert_at = slot;
-                }
-            } else {
-                let i = entry as usize;
-                if arena.levels[i] == level && arena.los[i] == lo && arena.his[i] == hi {
-                    return Ok(entry);
-                }
+            let i = entry as usize;
+            if arena.levels[i] == level && arena.los[i] == lo && arena.his[i] == hi {
+                return Ok(entry);
             }
             slot = (slot + 1) & self.mask;
         }
@@ -202,57 +177,18 @@ impl UniqueTable {
     /// Fills the slot returned by a failed [`UniqueTable::find`].
     #[inline]
     pub fn insert_at(&mut self, slot: usize, idx: u32) {
-        if self.slots[slot] == TOMBSTONE {
-            self.tombstones -= 1;
-        }
         self.slots[slot] = idx;
         self.occupied += 1;
     }
 
-    /// Inserts a node known to be absent (rebuilds, sifting relabels).
-    pub fn insert(&mut self, level: u32, lo: u32, hi: u32, idx: u32, arena: &NodeArena) {
-        self.reserve(arena);
-        match self.find(level, lo, hi, arena) {
-            Ok(existing) => {
-                debug_assert_eq!(existing, idx, "duplicate unique-table entry");
-            }
-            Err(slot) => self.insert_at(slot, idx),
-        }
-    }
-
-    /// Unhooks node `idx` (whose words are `(level, lo, hi)`), leaving a
-    /// tombstone. Used by sifting when a level's nodes are relabelled or
-    /// die, and by GC's cascade-free rebuild path.
-    pub fn remove(&mut self, level: u32, lo: u32, hi: u32, idx: u32) {
-        let mut slot = hash_key(level, lo, hi) as usize & self.mask;
-        loop {
-            let entry = self.slots[slot];
-            if entry == idx {
-                self.slots[slot] = TOMBSTONE;
-                self.occupied -= 1;
-                self.tombstones += 1;
-                return;
-            }
-            debug_assert!(
-                entry != EMPTY,
-                "removing a node absent from the unique table"
-            );
-            if entry == EMPTY {
-                return;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
     /// Rebuilds the table from scratch over the (compacted) arena — every
-    /// decision node is reinserted, tombstones and stale handles vanish.
+    /// decision node is reinserted and stale handles vanish.
     pub fn rebuild(&mut self, arena: &NodeArena) {
         let need = (arena.len().max(1) * 4).next_power_of_two().max(1 << 12);
         self.slots.clear();
         self.slots.resize(need, EMPTY);
         self.mask = need - 1;
         self.occupied = arena.len() - 2;
-        self.tombstones = 0;
         for i in 2..arena.len() {
             let mut slot =
                 hash_key(arena.levels[i], arena.los[i], arena.his[i]) as usize & self.mask;
@@ -277,9 +213,6 @@ mod tests {
         table.insert_at(slot, idx);
         assert_eq!(table.find(3, 0, 1, &arena), Ok(idx));
         assert_eq!(table.len(), 1);
-        table.remove(3, 0, 1, idx);
-        assert!(table.find(3, 0, 1, &arena).is_err());
-        assert_eq!(table.len(), 0);
     }
 
     #[test]
@@ -297,23 +230,5 @@ mod tests {
         for level in 0..1000u32 {
             assert!(table.find(level, 0, 1, &arena).is_ok());
         }
-    }
-
-    #[test]
-    fn tombstones_are_compacted_by_reserve() {
-        let mut arena = NodeArena::new();
-        let mut table = UniqueTable::with_pow2(8);
-        // Fill and empty the table repeatedly: without tombstone
-        // compaction the probe chains would saturate.
-        for round in 0..100u32 {
-            let level = round;
-            table.reserve(&arena);
-            let slot = table.find(level, 0, 1, &arena).unwrap_err();
-            let idx = arena.push(level, 0, 1);
-            table.insert_at(slot, idx);
-            table.remove(level, 0, 1, idx);
-        }
-        assert_eq!(table.len(), 0);
-        assert!(table.capacity() <= 16, "{}", table.capacity());
     }
 }

@@ -6,11 +6,9 @@
 //! (see [`crate::arena`]); structural sharing is enforced by an
 //! open-addressing unique table, so semantic equality of functions is
 //! pointer equality of [`Bdd`] handles. The manager fixes a variable order
-//! at construction ([`BddManager::with_order`] is the ordering hook used by
-//! the CNF compiler's heuristics) which the sifting reorderer
-//! ([`crate::reorder`]) may later permute in place; levels run top (0) to
-//! bottom (`num_vars − 1`), with the terminals on the sentinel level
-//! `u32::MAX`.
+//! at construction ([`BddManager::with_order`], which the CNF compiler
+//! seeds with its first-use order); levels run top (0) to bottom
+//! (`num_vars − 1`), with the terminals on the sentinel level `u32::MAX`.
 //!
 //! All traversals — `apply`, `exists`, counting, GC marking — are
 //! iterative with explicit stacks: recursion depth would otherwise scale
@@ -27,9 +25,8 @@ use crate::compile::CompileError;
 ///
 /// Handles are canonical: two handles are equal iff they denote the same
 /// boolean function (under the manager's variable order). Handles are
-/// stable across [`BddManager::reorder_sift`] (sifting rewrites nodes in place)
-/// but are renumbered by [`BddManager::collect_garbage`] — hold them
-/// through a collection via the root registry ([`BddManager::protect`]).
+/// renumbered by [`BddManager::collect_garbage`] — hold them through a
+/// collection via the root registry ([`BddManager::protect`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bdd(pub(crate) u32);
 
@@ -90,7 +87,8 @@ pub struct DdStats {
     pub gc_runs: u64,
     /// Decision nodes reclaimed across all collections.
     pub gc_reclaimed: u64,
-    /// Adjacent-level swaps performed by the sifting reorderer.
+    /// Always 0: the kernel keeps the order it was built with. Kept only
+    /// because the `pipebench` package still sets and reads it.
     pub reorder_swaps: u64,
     /// Resident bytes across the arena, unique table and apply cache.
     pub arena_bytes: u64,
@@ -141,7 +139,6 @@ impl DdStats {
         m.push_value("dd_load_factor", self.unique_load_factor());
         m.push_count("dd_gc_runs", self.gc_runs);
         m.push_count("dd_gc_reclaimed", self.gc_reclaimed);
-        m.push_count("dd_reorder_swaps", self.reorder_swaps);
         m.push_count("dd_arena_bytes", self.arena_bytes);
         m
     }
@@ -220,18 +217,18 @@ enum EFrame {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BddManager {
-    pub(crate) arena: NodeArena,
+    arena: NodeArena,
     /// `(level, lo, hi) → node`, the hash-consing table.
-    pub(crate) unique: UniqueTable,
+    unique: UniqueTable,
     /// `(op, a, b) → result`, lossy, with commutative operands normalized.
-    pub(crate) cache: ApplyCache,
+    cache: ApplyCache,
     /// `var → level` (a permutation of `0..num_vars`).
-    pub(crate) var_to_level: Vec<u32>,
+    var_to_level: Vec<u32>,
     /// `level → var`, the inverse permutation.
-    pub(crate) level_to_var: Vec<u32>,
+    level_to_var: Vec<u32>,
     /// GC roots: handles held by callers across collections.
-    pub(crate) roots: Vec<Option<u32>>,
-    pub(crate) stats: DdStats,
+    roots: Vec<Option<u32>>,
+    stats: DdStats,
     // Scratch stacks reused across iterative traversals.
     apply_frames: Vec<Frame>,
     apply_results: Vec<u32>,
@@ -247,8 +244,8 @@ impl BddManager {
     }
 
     /// A manager with an explicit order: `var_to_level[v]` is the level of
-    /// variable `v` (level 0 is the root end). This is the ordering hook the
-    /// CNF compiler's heuristics target.
+    /// variable `v` (level 0 is the root end). The CNF compiler builds its
+    /// manager this way, from its first-use order.
     ///
     /// # Panics
     ///
@@ -283,8 +280,7 @@ impl BddManager {
         self.var_to_level.len()
     }
 
-    /// The level of variable `v` under the manager's *current* order
-    /// (sifting may move it).
+    /// The level of variable `v` under the manager's order.
     pub fn level_of(&self, v: usize) -> u32 {
         self.var_to_level[v]
     }
@@ -310,12 +306,12 @@ impl BddManager {
     }
 
     #[inline]
-    pub(crate) fn level(&self, f: u32) -> u32 {
+    fn level(&self, f: u32) -> u32 {
         self.arena.levels[f as usize]
     }
 
     /// The reduced node for `if var_at(level) then hi else lo`.
-    pub(crate) fn mk(&mut self, level: u32, lo: u32, hi: u32) -> u32 {
+    fn mk(&mut self, level: u32, lo: u32, hi: u32) -> u32 {
         if lo == hi {
             return lo;
         }
@@ -529,8 +525,7 @@ impl BddManager {
     }
 
     /// The iterative quantification loop; memoized through the shared
-    /// apply cache under an `Exists` tag keyed by *variable id* (not
-    /// level), so entries stay valid across sifting.
+    /// apply cache under an `Exists` tag keyed by variable id.
     fn exists_iter(
         &mut self,
         f: u32,
@@ -694,9 +689,8 @@ impl BddManager {
         if reclaimed == 0 {
             return 0;
         }
-        // Pass 1: assign compacted indices (order-preserving). Children do
-        // not necessarily precede parents once sifting has rewritten nodes
-        // in place, so the full remap must exist before any node moves.
+        // Pass 1: assign compacted indices (order-preserving), so the full
+        // remap exists before any node moves.
         let mut remap = vec![u32::MAX; len];
         remap[0] = 0;
         remap[1] = 1;

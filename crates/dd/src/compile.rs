@@ -1,13 +1,12 @@
-//! CNF → BDD compilation with variable-ordering heuristics, garbage
-//! collection, and growth-triggered dynamic reordering.
+//! CNF → BDD compilation with garbage collection.
 //!
 //! The compiler consumes the SAT layer's clausal form
-//! ([`veriqec_sat::Cnf`]), picks a variable order (the dominant cost factor
-//! for decision diagrams), builds one linear-sized BDD per clause, and
-//! conjoins them in input order; [`compile_cnf_projected`] additionally
-//! eliminates designated auxiliary variables the moment their last clause
-//! lands (bucket elimination), which is what keeps dense instances within
-//! reach.
+//! ([`veriqec_sat::Cnf`]), orders the variables by first use (the order is
+//! the dominant cost factor for decision diagrams), builds one linear-sized
+//! BDD per clause, and conjoins them in input order;
+//! [`compile_cnf_projected`] additionally eliminates designated auxiliary
+//! variables the moment their last clause lands (bucket elimination), which
+//! is what keeps dense instances within reach.
 //!
 //! The budget (node limit, stop) is polled *inside* every
 //! conjunction and quantification, every [`CompileConfig::poll_interval`]
@@ -15,43 +14,15 @@
 //! limit by more than one poll interval (the old clause-granularity blind
 //! spot). Between conjunctions the compiler may run a mark-and-sweep
 //! collection (when the dead-node share passes
-//! [`CompileConfig::gc_dead_ratio`]) and a sifting pass (when the diagram
-//! outgrows the [`ReorderConfig`] trigger), both invisible to the counts.
+//! [`CompileConfig::gc_dead_ratio`]), which is invisible to the counts.
 
 use veriqec_sat::{Cnf, Lit, Stop};
 
 use crate::bdd::{Bdd, BddManager, OpBudget};
-use crate::reorder::ReorderConfig;
 
-/// Variable-ordering heuristics for [`compile_cnf`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrderHeuristic {
-    /// Keep the DIMACS variable numbering.
-    Natural,
-    /// Order variables by first occurrence scanning the clause list. The
-    /// default: the SMT layer allocates auxiliaries right where they are
-    /// defined, so first-use order inherits that interleaving — measured
-    /// across the code zoo it is the consistent winner once projected
-    /// compilation eliminates auxiliaries early.
-    #[default]
-    FirstUse,
-    /// The FORCE heuristic (Aloul–Markov–Sakallah): iteratively place each
-    /// variable at the center of gravity of its clauses, pulling
-    /// definitionally-linked variables (e.g. Tseitin outputs) next to their
-    /// inputs. Cheap (`O(iterations · literals)`) and the best choice for
-    /// *unprojected* compilation of scattered inputs; under projected
-    /// compilation its global averaging can wreck an already-good
-    /// interleaving (measured: 10–100× more nodes on dense codes).
-    Force,
-}
-
-/// Budget, ordering, and memory-management knobs for [`compile_cnf`].
+/// Budget and memory-management knobs for [`compile_cnf`].
 #[derive(Clone, Debug)]
 pub struct CompileConfig {
-    /// Variable-ordering heuristic.
-    pub order: OrderHeuristic,
-    /// Refinement passes for [`OrderHeuristic::Force`].
-    pub force_iterations: usize,
     /// Abort compilation once the manager holds this many nodes.
     pub node_limit: Option<usize>,
     /// Cooperative cancellation: compilation aborts with
@@ -68,20 +39,15 @@ pub struct CompileConfig {
     /// share of the arena is dead (`None` disables GC; the final diagram
     /// is then left uncompacted).
     pub gc_dead_ratio: Option<f64>,
-    /// Growth-triggered sifting reordering (`None` disables it).
-    pub reorder: Option<ReorderConfig>,
 }
 
 impl Default for CompileConfig {
     fn default() -> Self {
         CompileConfig {
-            order: OrderHeuristic::default(),
-            force_iterations: 4,
             node_limit: None,
             stop: Stop::default(),
             poll_interval: 1024,
             gc_dead_ratio: Some(0.5),
-            reorder: Some(ReorderConfig::default()),
         }
     }
 }
@@ -120,77 +86,30 @@ pub struct CompiledCnf {
     pub root: Bdd,
 }
 
-/// Computes a `var → level` order for `cnf` under `heuristic`.
-pub fn variable_order(cnf: &Cnf, heuristic: OrderHeuristic, force_iterations: usize) -> Vec<u32> {
+/// The `var → level` order the compiler uses: variables by first
+/// occurrence scanning the clause list, unused ones last. The SMT layer
+/// allocates auxiliaries right where they are defined, so first-use order
+/// inherits that interleaving; measured across the code zoo it is the
+/// consistent winner once projected compilation eliminates auxiliaries
+/// early.
+pub(crate) fn first_use_order(cnf: &Cnf) -> Vec<u32> {
     let n = cnf.num_vars;
-    match heuristic {
-        OrderHeuristic::Natural => (0..n as u32).collect(),
-        OrderHeuristic::FirstUse => {
-            let mut level_of = vec![u32::MAX; n];
-            let mut next = 0u32;
-            for clause in &cnf.clauses {
-                for l in clause {
-                    let v = l.var().index();
-                    if level_of[v] == u32::MAX {
-                        level_of[v] = next;
-                        next += 1;
-                    }
-                }
-            }
-            for l in &mut level_of {
-                if *l == u32::MAX {
-                    *l = next;
-                    next += 1;
-                }
-            }
-            level_of
-        }
-        OrderHeuristic::Force => force_order(cnf, force_iterations),
-    }
-}
-
-/// The FORCE ordering: start from the natural positions and repeatedly move
-/// every variable to the mean center of gravity of the clauses mentioning
-/// it. Returns `var → level`.
-fn force_order(cnf: &Cnf, iterations: usize) -> Vec<u32> {
-    let n = cnf.num_vars;
-    let mut pos: Vec<f64> = (0..n).map(|v| v as f64).collect();
-    // var → indices of clauses mentioning it (deduplicated per clause).
-    let mut clauses_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (ci, clause) in cnf.clauses.iter().enumerate() {
-        let mut seen_last: Option<usize> = None;
-        let mut vars: Vec<usize> = clause.iter().map(|l| l.var().index()).collect();
-        vars.sort_unstable();
-        for v in vars {
-            if seen_last != Some(v) {
-                clauses_of[v].push(ci as u32);
-                seen_last = Some(v);
+    let mut level_of = vec![u32::MAX; n];
+    let mut next = 0u32;
+    for clause in &cnf.clauses {
+        for l in clause {
+            let v = l.var().index();
+            if level_of[v] == u32::MAX {
+                level_of[v] = next;
+                next += 1;
             }
         }
     }
-    let mut cog = vec![0.0f64; cnf.clauses.len()];
-    for _ in 0..iterations {
-        for (ci, clause) in cnf.clauses.iter().enumerate() {
-            if clause.is_empty() {
-                continue;
-            }
-            let sum: f64 = clause.iter().map(|l| pos[l.var().index()]).sum();
-            cog[ci] = sum / clause.len() as f64;
+    for l in &mut level_of {
+        if *l == u32::MAX {
+            *l = next;
+            next += 1;
         }
-        for v in 0..n {
-            if clauses_of[v].is_empty() {
-                continue;
-            }
-            let sum: f64 = clauses_of[v].iter().map(|&ci| cog[ci as usize]).sum();
-            pos[v] = sum / clauses_of[v].len() as f64;
-        }
-    }
-    // Rank positions into levels (stable: ties keep natural order).
-    let mut by_pos: Vec<usize> = (0..n).collect();
-    by_pos.sort_by(|&a, &b| pos[a].partial_cmp(&pos[b]).expect("positions are finite"));
-    let mut level_of = vec![0u32; n];
-    for (level, &v) in by_pos.iter().enumerate() {
-        level_of[v] = level as u32;
     }
     level_of
 }
@@ -203,22 +122,7 @@ fn force_order(cnf: &Cnf, iterations: usize) -> Vec<u32> {
 /// the budget in `config` is exhausted; the budget is polled inside each
 /// conjunction every [`CompileConfig::poll_interval`] allocations.
 pub fn compile_cnf(cnf: &Cnf, config: &CompileConfig) -> Result<CompiledCnf, CompileError> {
-    let order = variable_order(cnf, config.order, config.force_iterations);
-    compile_cnf_with_order(cnf, order, config)
-}
-
-/// Compiles with an explicit `var → level` order (the hook for callers that
-/// know their instance's structure better than the heuristics).
-///
-/// # Errors
-///
-/// Propagates budget exhaustion exactly like [`compile_cnf`].
-pub fn compile_cnf_with_order(
-    cnf: &Cnf,
-    var_to_level: Vec<u32>,
-    config: &CompileConfig,
-) -> Result<CompiledCnf, CompileError> {
-    compile_projected_with_order(cnf, var_to_level, None, config)
+    compile(cnf, None, config)
 }
 
 /// Projected compilation: like [`compile_cnf`], but every variable *not* in
@@ -243,26 +147,24 @@ pub fn compile_cnf_projected(
     keep: &[usize],
     config: &CompileConfig,
 ) -> Result<CompiledCnf, CompileError> {
-    let order = variable_order(cnf, config.order, config.force_iterations);
-    compile_projected_with_order(cnf, order, Some(keep), config)
+    compile(cnf, Some(keep), config)
 }
 
 /// Arena size below which the compiler never bothers collecting or
 /// compacting: the bookkeeping would cost more than the memory it frees.
 const GC_MIN_NODES: usize = 1 << 14;
 
-fn compile_projected_with_order(
+fn compile(
     cnf: &Cnf,
-    var_to_level: Vec<u32>,
     keep: Option<&[usize]>,
     config: &CompileConfig,
 ) -> Result<CompiledCnf, CompileError> {
-    let _span = veriqec_obs::span("dd", "compile");
+    let span = veriqec_obs::span("dd", "compile");
     // Cached once per compile: the clause loop below emits per-clause spans
     // and samples the live node count only when someone is watching.
     let track = veriqec_obs::enabled();
     let progress = veriqec_obs::active();
-    let mut manager = BddManager::with_order(var_to_level);
+    let mut manager = BddManager::with_order(first_use_order(cnf));
     let budget = OpBudget {
         node_limit: config.node_limit,
         stop: &config.stop,
@@ -287,8 +189,6 @@ fn compile_projected_with_order(
     let mut root = Bdd::TRUE;
     let root_id = manager.protect(root);
     let mut gc_check_at = GC_MIN_NODES;
-    let mut swap_budget = config.reorder.as_ref().map_or(0, |rc| rc.swap_budget);
-    let mut reorder_at = config.reorder.as_ref().map(|rc| rc.trigger_nodes);
     // One linear-sized BDD per clause, conjoined in input order: the SAT
     // layer's export lists root units first and then clauses in assertion
     // order, so definitionally-related clauses (one Tseitin chain, one
@@ -297,7 +197,7 @@ fn compile_projected_with_order(
     for (ci, clause) in cnf.clauses.iter().enumerate() {
         check_budget(&manager, config)?;
         // Bound (not `_`) so the span covers the whole iteration: the
-        // conjunction, eliminations, and any GC/sift it triggers.
+        // conjunction, eliminations, and any GC it triggers.
         let _clause_span = track.then(|| veriqec_obs::span_with("dd", || format!("clause:{ci}")));
         let f = clause_bdd(&mut manager, clause);
         root = manager.and_budgeted(root, f, &budget)?;
@@ -334,23 +234,6 @@ fn compile_projected_with_order(
                 gc_check_at = (manager.node_count() * 3 / 2).max(GC_MIN_NODES);
             }
         }
-        if let (Some(rc), Some(at)) = (&config.reorder, reorder_at) {
-            if swap_budget > 0 && manager.node_count() >= at {
-                let outcome = manager.reorder_sift(rc, &config.stop, &mut swap_budget)?;
-                root = manager.root(root_id);
-                veriqec_obs::instant(
-                    "dd",
-                    "sift",
-                    &[
-                        ("nodes_before", outcome.nodes_before as f64),
-                        ("nodes_after", outcome.nodes_after as f64),
-                    ],
-                );
-                gc_check_at = (manager.node_count() * 3 / 2).max(GC_MIN_NODES);
-                reorder_at =
-                    Some(((outcome.nodes_after as f64 * rc.growth) as usize).max(rc.trigger_nodes));
-            }
-        }
         if progress {
             veriqec_obs::heartbeat::DD_NODES.set(manager.node_count() as u64);
         }
@@ -366,6 +249,14 @@ fn compile_projected_with_order(
         root = manager.root(root_id);
     }
     manager.unprotect(root_id);
+    let stats = manager.stats();
+    span.close_with(&[
+        ("clauses", cnf.clauses.len() as f64),
+        ("vars", cnf.num_vars as f64),
+        ("kept", keep.map_or(cnf.num_vars, <[usize]>::len) as f64),
+        ("peak_nodes", stats.peak_nodes as f64),
+        ("gc_runs", stats.gc_runs as f64),
+    ]);
     Ok(CompiledCnf { manager, root })
 }
 
@@ -424,21 +315,8 @@ mod tests {
     fn compiles_and_counts_a_small_instance() {
         // (x1 ∨ x2) ∧ (¬x1 ∨ x2): models are x2 = 1 → 2 of 4.
         let cnf = cnf("p cnf 2 2\n1 2 0\n-1 2 0\n");
-        for order in [
-            OrderHeuristic::Natural,
-            OrderHeuristic::FirstUse,
-            OrderHeuristic::Force,
-        ] {
-            let compiled = compile_cnf(
-                &cnf,
-                &CompileConfig {
-                    order,
-                    ..CompileConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(compiled.manager.model_count(compiled.root), 2, "{order:?}");
-        }
+        let compiled = compile_cnf(&cnf, &CompileConfig::default()).unwrap();
+        assert_eq!(compiled.manager.model_count(compiled.root), 2);
     }
 
     #[test]
@@ -504,9 +382,9 @@ mod tests {
     fn node_limit_trips_inside_a_single_conjunction() {
         // Two clauses over disjoint halves of 8000 variables: their clause
         // BDDs are cheap chains, but the one conjunction joining them
-        // allocates ~8000 fresh nodes. The old clause-boundary poll only
-        // noticed after the whole apply finished; the in-apply poll must
-        // stop within one poll interval of the limit.
+        // rebuilds the upper chain, ~4000 fresh nodes. The old
+        // clause-boundary poll only noticed after the whole apply finished;
+        // the in-apply poll must stop within one poll interval of the limit.
         let n = 8000usize;
         let mut text = format!("p cnf {n} 2\n");
         for v in (1..=n).step_by(2) {
@@ -525,7 +403,6 @@ mod tests {
             &CompileConfig {
                 node_limit: Some(limit),
                 poll_interval: poll,
-                order: OrderHeuristic::Natural,
                 ..CompileConfig::default()
             },
         )
@@ -545,9 +422,9 @@ mod tests {
 
     #[test]
     fn unsat_stays_false_past_the_final_gc() {
-        // Two clauses over disjoint halves of 40000 variables: conjoining
-        // them allocates ~40000 nodes, pushing the arena past GC_MIN_NODES
-        // before the contradicting units arrive. The contradiction break
+        // Two clauses over disjoint halves of 40000 variables: their chains
+        // alone push the arena past GC_MIN_NODES before the contradicting
+        // units arrive. The contradiction break
         // must update the root registry to FALSE, or the post-loop
         // collect_garbage re-reads the stale pre-contradiction root and a
         // provably UNSAT formula compiles to a satisfiable diagram.
@@ -562,14 +439,7 @@ mod tests {
         }
         text.push_str("0\n1 0\n-1 0\n");
         let parsed = cnf(&text);
-        let compiled = compile_cnf(
-            &parsed,
-            &CompileConfig {
-                order: OrderHeuristic::Natural,
-                ..CompileConfig::default()
-            },
-        )
-        .unwrap();
+        let compiled = compile_cnf(&parsed, &CompileConfig::default()).unwrap();
         assert_eq!(compiled.root, Bdd::FALSE);
         assert_eq!(compiled.manager.model_count(compiled.root), 0);
     }
@@ -636,26 +506,23 @@ mod tests {
     }
 
     #[test]
-    fn gc_and_reordering_are_invisible_to_counts() {
+    fn gc_is_invisible_to_counts() {
         // A parity ladder with Tseitin-style clauses, compiled with
-        // aggressive GC + sifting vs. with both disabled: identical counts.
-        let mut text = String::from("p cnf 24 24\n");
-        for v in 1..=23 {
+        // eager GC vs. with GC disabled: identical counts. Each conjunction
+        // rebuilds the chain above its clause, so the unprojected compile
+        // strands enough garbage to pass GC_MIN_NODES and collect.
+        let n = 400;
+        let mut text = format!("p cnf {n} {}\n", 2 * (n - 1));
+        for v in 1..n {
             text.push_str(&format!("{} {} 0\n{} -{} 0\n", v, v + 1, -v, v + 1));
         }
         let parsed = cnf(&text);
         let eager = CompileConfig {
             gc_dead_ratio: Some(0.0),
-            reorder: Some(ReorderConfig {
-                trigger_nodes: 1,
-                min_level_size: 1,
-                ..ReorderConfig::default()
-            }),
             ..CompileConfig::default()
         };
         let plain = CompileConfig {
             gc_dead_ratio: None,
-            reorder: None,
             ..CompileConfig::default()
         };
         let keep: Vec<usize> = (0..6).collect();
@@ -670,33 +537,11 @@ mod tests {
         assert_eq!(wa, wb);
         let fa = compile_cnf(&parsed, &eager).unwrap();
         let fb = compile_cnf(&parsed, &plain).unwrap();
+        assert!(fa.manager.stats().gc_runs > 0, "{:?}", fa.manager.stats());
+        assert_eq!(fb.manager.stats().gc_runs, 0);
         assert_eq!(
             fa.manager.model_count(fa.root),
             fb.manager.model_count(fb.root)
-        );
-    }
-
-    #[test]
-    fn force_order_is_a_permutation() {
-        let parsed = cnf("p cnf 5 3\n1 5 0\n2 3 0\n4 0\n");
-        let order = variable_order(&parsed, OrderHeuristic::Force, 4);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..5).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn force_pulls_linked_variables_together() {
-        // A Tseitin-style chain x3 ↔ x1⊕x2 scattered across a wide numbering:
-        // FORCE should place x9 (the output) near x1/x2, not at the far end.
-        let mut text = String::from("p cnf 9 4\n");
-        text.push_str("-9 1 2 0\n-9 -1 -2 0\n9 -1 2 0\n9 1 -2 0\n");
-        let parsed = cnf(&text);
-        let order = variable_order(&parsed, OrderHeuristic::Force, 8);
-        let spread = order[8].abs_diff(order[0]).max(order[8].abs_diff(order[1]));
-        assert!(
-            spread <= 4,
-            "FORCE left the chain output far away: {order:?}"
         );
     }
 }

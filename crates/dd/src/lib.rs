@@ -12,10 +12,10 @@
 //!
 //! The design follows the rsdd school of hash-consed diagram engines: one
 //! arena per [`BddManager`], a unique table making semantic equality
-//! pointer equality, a memoized `apply`, and variable-ordering hooks
-//! ([`OrderHeuristic`], [`compile_cnf_with_order`]) because the order — not
-//! the operation set — decides whether a QEC instance compiles in
-//! milliseconds or never.
+//! pointer equality, and a memoized `apply`. The variable order — not the
+//! operation set — decides whether a QEC instance compiles in milliseconds
+//! or never; the compiler fixes one, first use in the clause list, which
+//! inherits the interleaving the SMT layer allocates its auxiliaries in.
 //!
 //! # Examples
 //!
@@ -40,14 +40,9 @@ mod cache;
 mod compile;
 #[cfg(test)]
 mod oracle;
-mod reorder;
 
 pub use bdd::{Bdd, BddManager, DdStats, OpBudget, RootId};
-pub use compile::{
-    compile_cnf, compile_cnf_projected, compile_cnf_with_order, variable_order, CompileConfig,
-    CompileError, CompiledCnf, OrderHeuristic,
-};
-pub use reorder::{ReorderConfig, SiftOutcome};
+pub use compile::{compile_cnf, compile_cnf_projected, CompileConfig, CompileError, CompiledCnf};
 
 #[cfg(test)]
 mod proptests {
@@ -113,18 +108,11 @@ mod proptests {
 
         #[test]
         fn model_count_matches_truth_table(cnf in arb_cnf(14)) {
-            // The ISSUE's headline differential: BDD model count vs brute
-            // force for random CNFs with n ≤ 14, across every heuristic.
+            // The headline differential: BDD model count vs brute force for
+            // random CNFs with n ≤ 14.
             let expected: u128 = brute_force(&cnf, &[]).iter().sum();
-            let dimacs = cnf.to_cnf();
-            for order in [OrderHeuristic::Natural, OrderHeuristic::FirstUse, OrderHeuristic::Force] {
-                let compiled = compile_cnf(&dimacs, &CompileConfig {
-                    order,
-                    ..CompileConfig::default()
-                }).unwrap();
-                let got = compiled.manager.model_count(compiled.root);
-                prop_assert!(got == expected, "heuristic {order:?}: {got} vs {expected}");
-            }
+            let compiled = compile_cnf(&cnf.to_cnf(), &CompileConfig::default()).unwrap();
+            prop_assert_eq!(compiled.manager.model_count(compiled.root), expected);
         }
 
         #[test]
@@ -181,7 +169,7 @@ mod proptests {
             // weight stratifications must agree bit for bit.
             let keep: Vec<usize> = (0..cnf.num_vars).filter(|&v| keep_bits[v]).collect();
             let dimacs = cnf.to_cnf();
-            let order = variable_order(&dimacs, OrderHeuristic::FirstUse, 0);
+            let order = compile::first_use_order(&dimacs);
             let compiled =
                 compile_cnf_projected(&dimacs, &keep, &CompileConfig::default()).unwrap();
             let (om, oroot) = oracle::oracle_compile_projected(&dimacs, order, Some(&keep));
@@ -194,27 +182,21 @@ mod proptests {
         }
 
         #[test]
-        fn gc_and_sifting_are_invisible_on_random_cnfs(
+        fn gc_is_invisible_on_random_cnfs(
             cnf in arb_cnf(12),
             keep_bits in proptest::collection::vec(any::<bool>(), 12),
         ) {
             // Memory management must never change semantics: compile with
-            // eager GC + eager sifting and with both disabled, and compare
-            // full weight stratifications over the kept variables.
+            // eager GC and with GC disabled, and compare full weight
+            // stratifications over the kept variables.
             let keep: Vec<usize> = (0..cnf.num_vars).filter(|&v| keep_bits[v]).collect();
             let dimacs = cnf.to_cnf();
             let eager = CompileConfig {
                 gc_dead_ratio: Some(0.0),
-                reorder: Some(ReorderConfig {
-                    trigger_nodes: 1,
-                    min_level_size: 1,
-                    ..ReorderConfig::default()
-                }),
                 ..CompileConfig::default()
             };
             let plain = CompileConfig {
                 gc_dead_ratio: None,
-                reorder: None,
                 ..CompileConfig::default()
             };
             let a = compile_cnf_projected(&dimacs, &keep, &eager).unwrap();

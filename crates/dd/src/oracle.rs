@@ -3,10 +3,9 @@
 //! This is the naive hash-cons design the packed-arena kernel replaced: a
 //! SipHash `HashMap` unique table, an unbounded `HashMap` apply cache, and
 //! recursive `apply`/`exists`/`count`. It is deliberately boring — no GC,
-//! no reordering, no budgets — which is exactly what makes it a trustworthy
-//! reference: the proptests in `lib.rs` compile random CNFs through both
-//! kernels (with GC and sifting enabled on the fast one) and demand
-//! identical counts.
+//! no budgets — which is exactly what makes it a trustworthy reference: the
+//! proptests in `lib.rs` compile random CNFs through both kernels (with GC
+//! enabled on the fast one) and demand identical counts.
 //!
 //! Compiled for tests only; the enumerator and engine build on
 //! [`crate::BddManager`].

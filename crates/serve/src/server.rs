@@ -738,6 +738,30 @@ mod tests {
     }
 
     #[test]
+    fn a_distance_sweep_ends_once_its_bound_covers_the_support() {
+        // ⟨ZZ, XX⟩ encodes nothing, so every query is UNSAT and every bound
+        // past weight 2 is vacuous: a huge `max` must not mean a huge sweep.
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let request = r#"{"kind":"distance","stabilizers":["ZZ","XX"],"max":1048576}"#;
+        let r = roundtrip(handle.addr(), &[request]).remove(0);
+        handle.shutdown();
+        handle.join().expect("clean join");
+        assert_eq!(
+            r.get("outcome").and_then(Json::as_str),
+            Some("distance_at_least")
+        );
+        let job = crate::smoke::first_job(&r).unwrap();
+        assert_eq!(
+            job.get("distance_at_least").and_then(Json::as_f64),
+            Some(1_048_577.0)
+        );
+        assert!(
+            r.get("queries").and_then(Json::as_f64).unwrap() <= 3.0,
+            "{r:?}"
+        );
+    }
+
+    #[test]
     fn malformed_and_unknown_requests_get_structured_errors() {
         let handle = Server::start(ServeConfig::default()).expect("bind");
         let rs = roundtrip(

@@ -75,7 +75,6 @@ fn enumerators_report_has_counts_matching_group_theory() {
         assert!((0.0..=1.0).contains(&load));
         assert!(job.get("dd_gc_runs").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("dd_gc_reclaimed").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(job.get("dd_reorder_swaps").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("dd_arena_bytes").unwrap().as_f64().unwrap() > 0.0);
         let min_weight = job.get("min_weight").unwrap().as_f64().unwrap() as usize;
         assert_eq!(Some(min_weight), code.claimed_distance());

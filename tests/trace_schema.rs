@@ -89,6 +89,22 @@ fn engine_batch_trace_satisfies_chrome_schema() {
         assert!(e.args.iter().all(|&(_, v)| v > 0.0), "{e:?}");
     }
 
+    // Every diagram compile closes with the size of what it compiled, so
+    // a trace shows whether a slow count was a blown-up diagram.
+    let compiles: Vec<_> = collector
+        .events()
+        .iter()
+        .filter(|e| (e.cat, &*e.name, e.kind) == ("dd", "compile", veriqec_obs::EventKind::End))
+        .collect();
+    assert!(!compiles.is_empty(), "the count job must compile");
+    for e in &compiles {
+        let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["clauses", "vars", "kept", "peak_nodes", "gc_runs"]);
+        for &(k, v) in &e.args {
+            assert!(if k == "gc_runs" { v >= 0.0 } else { v > 0.0 }, "{e:?}");
+        }
+    }
+
     // The phase summary the batch reports render must see the same spans.
     let phases = collector.phase_summary();
     assert!(!phases.is_empty());
