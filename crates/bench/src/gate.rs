@@ -259,7 +259,9 @@ mod tests {
                 ("solver", "steane_distance", "wall_ms", 6.0),
                 ("solver", "surface3_sweep_w2", "wall_ms", 30.0),
                 ("solver", "surface5_proof", "wall_ms", 450.0),
-                ("solver", "surface5_proof", "conflicts", 10_500.0),
+                ("solver", "surface5_proof", "conflicts", 1_500.0),
+                ("solver", "surface7_proof", "wall_ms", 900.0),
+                ("solver", "surface7_proof", "conflicts", 21_000.0),
                 ("solver", "aggregate", "props_per_sec", 1.0e6),
                 ("dd", "five-qubit [[5,1,3]]", "wall_ms", 18.0),
                 ("dd", "Steane [[7,1,3]]", "wall_ms", 36.0),

@@ -9,10 +9,16 @@
 //! aggregate propagation and conflict throughput. Every run re-asserts the
 //! instance's pinned verdict, so the gate never times a wrong answer.
 //!
+//! Both modes run the one-shot surface-5 and surface-7 proofs. Their
+//! conflict baselines, 500 and 7,000, put the bounds at 1,500 and 21,000:
+//! above this encoding's 371 and 6,054 conflicts, below the 3,227 and
+//! 27,333 of one that reifies every target, so the quick gate fails if the
+//! stabilizer targets the asserted parity rows decide are encoded again.
+//!
 //! The aggregate propagations/s row has a baseline of 3.0e6, so its floor
 //! is 1.0e6/s. On a 2-core Xeon dev container, quick runs read
-//! 2.3–4.0e6/s and full runs 4.9–5.2e6/s: 2–4× headroom, enough to catch a
-//! lost fast path in `propagate` but not runner noise.
+//! 4.1–4.6e6/s and full runs 3.5–4.1e6/s: 3.5–4.6× headroom, enough to
+//! catch a lost fast path in `propagate` but not runner noise.
 
 use veriqec::engine::{CorrectionSweep, DetectionSession};
 use veriqec::scenario::{memory_scenario, ErrorModel};
@@ -123,9 +129,8 @@ fn surface_proof(
 }
 
 /// Measures every pinned instance. `quick` is the CI mode: fewer timed
-/// runs and the small instances only; the full mode adds PHP(8,7), the
-/// toric-3 distance, the surface-5 correction sweep and the surface-7
-/// proof.
+/// runs; the full mode adds PHP(8,7), the toric-3 distance and the
+/// surface-5 correction sweep.
 pub(crate) fn rows(quick: bool) -> Vec<Row> {
     let runs = if quick { 3 } else { 7 };
     let config = SolverConfig::default();
@@ -159,6 +164,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
             ("w1_verified_w2_cex", sweep.session().solver_stats())
         }),
         surface_proof("surface5_proof", 5, runs, config),
+        surface_proof("surface7_proof", 7, runs, config),
     ];
     if !quick {
         measured.extend([
@@ -184,7 +190,6 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
                 ));
                 ("w2_verified_w3_cex", sweep.session().solver_stats())
             }),
-            surface_proof("surface7_proof", 7, runs, config),
         ]);
     }
     stats_rows(&measured)

@@ -254,7 +254,9 @@ pub(crate) fn detection_parts_with_schedule(
         }
         ctx.assert_affine_eq(&aff, false);
     }
-    // Some logical operator anticommutes with the error.
+    // Some logical operator anticommutes with the error. The syndrome rows
+    // never decide a logical form (it would be a stabilizer); one they did
+    // would flip always or never.
     let mut flips = Vec::new();
     for l in code.logical_x().iter().chain(code.logical_z()) {
         let mut aff = Affine::zero();
@@ -266,7 +268,11 @@ pub(crate) fn detection_parts_with_schedule(
                 aff.xor_var(ex[q]);
             }
         }
-        flips.push(ctx.reify_affine(&aff));
+        match ctx.reify_affine(&aff) {
+            Ok(flip) => flips.push(flip),
+            Err(true) => flips.push(ctx.lit_true()),
+            Err(false) => {}
+        }
     }
     ctx.add_clause(flips);
     support.extend(em.iter().map(|&m| ctx.lit_of(m)));

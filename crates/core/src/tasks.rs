@@ -339,10 +339,13 @@ mod tests {
     #[test]
     fn capped_cardinality_pins_the_surface_query_size() {
         // Eqn. 14 at t = (d-1)/2 shares one totalizer over the errors,
-        // capped at t + 1, between P_c and both sectors' P_f. Full
-        // totalizers gave 2,329 vars / 17,939 exported clauses at d = 7
-        // and 4,178 / 43,373 at d = 9.
-        for (d, max_vars, max_clauses) in [(7, 1_400, 5_000), (9, 2_400, 9_000)] {
+        // capped at t + 1, between P_c and both sectors' P_f, and reifies
+        // only the logical target: the d² − 1 stabilizer targets are sums
+        // of the guard and decoder rows. Full totalizers gave 2,329 vars /
+        // 17,939 exported clauses at d = 7 and 4,178 / 43,373 at d = 9;
+        // capped ones with every target reified 1,272 / 4,624 and
+        // 2,235 / 8,476.
+        for (d, max_vars, max_clauses) in [(7, 1_000, 3_500), (9, 1_800, 6_500)] {
             let scenario = memory_scenario(&rotated_surface(d), ErrorModel::YErrors);
             let t = (d as i64 - 1) / 2;
             let mut session = build_problem(&scenario, t, vec![]).session(SolverConfig::default());

@@ -242,11 +242,12 @@ fn usize_field(doc: &Json, key: &str) -> Result<Option<usize>, String> {
 }
 
 /// Re-renders the client's `id` as a JSON token so responses echo it
-/// verbatim (numbers stay numbers, strings stay strings).
+/// verbatim (numbers stay numbers, strings stay strings). A number comes
+/// back as the same value in plain decimal, at any magnitude: `5.0` as `5`,
+/// `1e19` as `10000000000000000000`. One too large for an `f64` is refused.
 fn render_id_token(v: &Json) -> Result<String, String> {
     match v {
-        Json::Num(x) if x.fract() == 0.0 => Ok(format!("{}", *x as i64)),
-        Json::Num(x) => Ok(format!("{x}")),
+        Json::Num(x) if x.is_finite() => Ok(format!("{x}")),
         Json::Str(s) => Ok(format!("\"{}\"", escape(s))),
         _ => Err("\"id\" must be a number or string".into()),
     }
@@ -391,6 +392,29 @@ mod tests {
         assert_eq!(v.conflict_budget, Some(1000));
         assert_eq!(v.deadline_ms, Some(250));
         assert_eq!(v.rounds, 0);
+    }
+
+    #[test]
+    fn numeric_ids_echo_their_value_at_any_magnitude() {
+        let id = |token: &str| {
+            let line = format!(r#"{{"id":{token},"kind":"count","code":"steane"}}"#);
+            match parse_request(&line) {
+                Ok(Request::Verify(v)) => Ok(v.id.unwrap()),
+                Ok(_) => panic!("not a verify request"),
+                Err(e) => Err(e),
+            }
+        };
+        for (token, echoed) in [
+            ("7", "7"),
+            ("-3", "-3"),
+            ("5.0", "5"),
+            ("2.5", "2.5"),
+            ("1e19", "10000000000000000000"),
+        ] {
+            assert_eq!(id(token).as_deref(), Ok(echoed), "{token}");
+        }
+        assert_eq!(id("1e300").unwrap(), format!("1{}", "0".repeat(300)));
+        assert!(id("1e400").is_err(), "an id past f64 range is refused");
     }
 
     #[test]

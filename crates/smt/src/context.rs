@@ -64,6 +64,47 @@ pub struct SmtContext {
     totalizers: HashMap<Vec<Lit>, Vec<Lit>>,
     /// The tightest hard `Σ ≤ k` asserted over each input multiset.
     bounds: HashMap<Vec<Lit>, usize>,
+    /// The parity rows asserted through [`SmtContext::assert_affine_eq`].
+    basis: ParityBasis,
+}
+
+/// An echelon basis of hard parity rows. Each row is a form that is 0 in
+/// every model, reduced against the rows before it; its lowest variable is
+/// its pivot, so every other variable of the row lies above the pivot.
+#[derive(Clone, Debug, Default)]
+struct ParityBasis {
+    /// `rows[v]` is the row whose pivot is `v`, and zero for a non-pivot.
+    rows: Vec<Affine>,
+    /// The pivot variables as one form: the mask of the word-level scans.
+    pivots: Affine,
+}
+
+impl ParityBasis {
+    /// `a` with every pivot eliminated: equal to `a` in every model of the
+    /// rows. Each XOR clears the lowest pivot left in the form and toggles
+    /// only variables above it, so the loop ends after at most one XOR per
+    /// row.
+    fn reduce(&self, mut a: Affine) -> Affine {
+        while let Some(v) = a.first_var_masked(&self.pivots) {
+            a ^= &self.rows[v.0 as usize];
+        }
+        a
+    }
+
+    /// Records `row = 0`. A row the basis already spans adds nothing; an
+    /// inconsistent one is left to the clauses, which refute it.
+    fn record(&mut self, row: Affine) {
+        let row = self.reduce(row);
+        let Some(pivot) = row.vars().next() else {
+            return;
+        };
+        let p = pivot.0 as usize;
+        if self.rows.len() <= p {
+            self.rows.resize(p + 1, Affine::zero());
+        }
+        self.pivots.xor_var(pivot);
+        self.rows[p] = row;
+    }
 }
 
 /// The sorted literals of `lits`: the key under which a hard weight bound
@@ -95,6 +136,7 @@ impl SmtContext {
             true_lit: None,
             totalizers: HashMap::new(),
             bounds: HashMap::new(),
+            basis: ParityBasis::default(),
         }
     }
 
@@ -200,12 +242,29 @@ impl SmtContext {
 
     // ----------------------------------------------------------- affine / XOR
 
-    /// Reifies an XOR-affine form into a literal.
+    /// Reifies an XOR-affine form into a literal, unless the parity rows
+    /// asserted so far decide it.
     ///
-    /// `Affine::vars` scans the packed word representation directly, so the
-    /// XOR chain is emitted straight off set-bit positions — no intermediate
-    /// set walk or collection.
-    pub fn reify_affine(&mut self, a: &Affine) -> Lit {
+    /// The form is first reduced against the echelon basis of the rows
+    /// asserted through [`SmtContext::assert_affine_eq`]. When that leaves
+    /// a constant `c`, the form equals `c` in every model: no XOR chain is
+    /// emitted, and `Err(c)` carries that value in place of a literal. Any
+    /// other form is encoded as given, not in reduced form, exactly as it
+    /// would be without the rows. Rows asserted later leave an earlier
+    /// reification alone.
+    pub fn reify_affine(&mut self, a: &Affine) -> Result<Lit, bool> {
+        let reduced = self.basis.reduce(a.clone());
+        if reduced.is_constant() {
+            return Err(reduced.constant_part());
+        }
+        Ok(self.xor_chain(a))
+    }
+
+    /// The Tseitin encoding of an XOR-affine form. `Affine::vars` scans the
+    /// packed word representation directly, so the XOR chain is emitted
+    /// straight off set-bit positions — no intermediate set walk or
+    /// collection.
+    fn xor_chain(&mut self, a: &Affine) -> Lit {
         let mut acc: Option<Lit> = None;
         for v in a.vars() {
             let l = self.lit_of(v);
@@ -225,10 +284,16 @@ impl SmtContext {
         }
     }
 
-    /// Asserts `affine = value`.
+    /// Asserts `affine = value` and records the row in the basis that
+    /// [`SmtContext::reify_affine`] reduces against. The XOR chain and its
+    /// unit clause are emitted even for a row the basis already spans, so
+    /// an inconsistent row still makes the formula unsatisfiable.
     pub fn assert_affine_eq(&mut self, a: &Affine, value: bool) {
-        let l = self.reify_affine(a);
+        let l = self.xor_chain(a);
         self.solver.add_clause([if value { l } else { !l }]);
+        let mut row = a.clone();
+        row.xor_const(value);
+        self.basis.record(row);
     }
 
     // ----------------------------------------------------------- cardinality
@@ -835,18 +900,34 @@ mod tests {
         assert!(ctx.assert(&e).is_err());
     }
 
-    /// Models of the exported CNF, by brute force over every variable.
-    fn exported_models(ctx: &SmtContext) -> usize {
-        let cnf = ctx.export_cnf();
-        assert!(cnf.num_vars <= 20, "small enough to brute force");
-        (0u32..1 << cnf.num_vars)
-            .filter(|bits| {
-                cnf.clauses.iter().all(|cl| {
-                    cl.iter()
-                        .any(|l| ((bits >> l.var().0) & 1 == 1) == l.is_positive())
+    /// Models of the exported CNF, by exhaustive search over every
+    /// variable in order, cutting a branch once some clause is false under
+    /// the values assigned so far.
+    pub(super) fn exported_models(ctx: &SmtContext) -> usize {
+        fn count(clauses: &[Vec<Lit>], num_vars: usize, prefix: &mut Vec<bool>) -> usize {
+            let set = prefix.len();
+            let falsified = clauses.iter().any(|cl| {
+                cl.iter()
+                    .all(|l| l.var().index() < set && prefix[l.var().index()] != l.is_positive())
+            });
+            if falsified {
+                return 0;
+            }
+            if set == num_vars {
+                return 1;
+            }
+            [false, true]
+                .into_iter()
+                .map(|b| {
+                    prefix.push(b);
+                    let models = count(clauses, num_vars, prefix);
+                    prefix.pop();
+                    models
                 })
-            })
-            .count()
+                .sum()
+        }
+        let cnf = ctx.export_cnf();
+        count(&cnf.clauses, cnf.num_vars, &mut Vec::new())
     }
 
     #[test]
@@ -1068,6 +1149,92 @@ mod proptests {
                     "bound first: {bound_first}, expected sat: {expected}"
                 );
             }
+        }
+
+        #[test]
+        fn parity_basis_decides_exactly_the_forms_the_rows_fix(
+            n in 1usize..9,
+            ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<bool>()), 0..12),
+        ) {
+            // Parity rows go in through `assert_affine_eq`; unit clauses and
+            // XORs asserted as a `BExp` constrain the models too, but must
+            // not enter the basis. A form reified along the way (a sum of
+            // rows, sometimes plus one variable) comes back constant
+            // exactly when it is constant on every solution of the rows
+            // asserted before it, and the exported CNF keeps one model per
+            // solution of everything asserted.
+            let vs = vars(n);
+            let mut ctx = SmtContext::new();
+            for &v in &vs {
+                ctx.lit_of(v); // SAT variable i is classical variable i
+            }
+            let form = |mask: u32, c: bool| {
+                let mut a = Affine::constant(c);
+                for (i, &v) in vs.iter().enumerate() {
+                    if mask >> i & 1 == 1 {
+                        a.xor_var(v);
+                    }
+                }
+                a
+            };
+            let parity = |mask: u32, x: u32| (mask & x).count_ones() % 2 == 1;
+            let (mut rows, mut units, mut xors) = (Vec::new(), Vec::new(), Vec::new());
+            for (kind, a, b, bit) in ops {
+                let (i, j) = (a as usize % n, b as usize % n);
+                match kind {
+                    0 => {
+                        let mask = u32::from(a) & ((1 << n) - 1);
+                        ctx.assert_affine_eq(&form(mask, false), bit);
+                        rows.push((mask, bit));
+                    }
+                    1 => {
+                        let l = ctx.lit_of(vs[i]);
+                        ctx.add_clause([if bit { l } else { !l }]);
+                        units.push((i, bit));
+                    }
+                    2 => {
+                        let xor = BExp::xor(BExp::var(vs[i]), BExp::var(vs[j]));
+                        if bit {
+                            ctx.assert(&xor).unwrap();
+                        } else {
+                            ctx.assert_not(&xor).unwrap();
+                        }
+                        xors.push((i, j, bit));
+                    }
+                    _ => {
+                        let (mut mask, mut c) = (0, bit);
+                        for (r, &(m, rhs)) in rows.iter().enumerate() {
+                            if b >> (r % 8) & 1 == 1 {
+                                mask ^= m;
+                                c ^= rhs;
+                            }
+                        }
+                        if a & 1 == 1 {
+                            mask ^= 1 << i;
+                        }
+                        let values: Vec<bool> = (0u32..1 << n)
+                            .filter(|&x| rows.iter().all(|&(m, rhs)| parity(m, x) == rhs))
+                            .map(|x| parity(mask, x) != c)
+                            .collect();
+                        let got = ctx.reify_affine(&form(mask, c));
+                        match values.first() {
+                            Some(&v0) if values.iter().all(|&v| v == v0) => {
+                                prop_assert!(got == Err(v0), "mask {:b}: {:?}", mask, got);
+                            }
+                            Some(_) => prop_assert!(got.is_ok(), "mask {:b}: {:?}", mask, got),
+                            None => {} // inconsistent rows: every form is vacuously fixed
+                        }
+                    }
+                }
+            }
+            let solutions = (0u32..1 << n)
+                .filter(|&x| {
+                    rows.iter().all(|&(m, rhs)| parity(m, x) == rhs)
+                        && units.iter().all(|&(i, bit)| (x >> i & 1 == 1) == bit)
+                        && xors.iter().all(|&(i, j, bit)| ((x >> i ^ x >> j) & 1 == 1) == bit)
+                })
+                .count();
+            prop_assert_eq!(tests::exported_models(&ctx), solutions);
         }
 
         #[test]

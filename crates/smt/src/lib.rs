@@ -8,7 +8,10 @@
 //! exactly that fragment to CNF:
 //!
 //! * Tseitin transformation for arbitrary [`veriqec_cexpr::BExp`] structure,
-//! * XOR chains for [`veriqec_cexpr::Affine`] phase forms,
+//! * XOR chains for [`veriqec_cexpr::Affine`] phase forms. The hard rows
+//!   asserted through [`SmtContext::assert_affine_eq`] are also kept as one
+//!   GF(2) echelon basis, and a reified form those rows decide comes back
+//!   as its constant, with no chain,
 //! * totalizer-based cardinality (`Σ ≤ k`, `Σ = k`, `Σ_a ≤ Σ_b`). A
 //!   comparison under negation, inside `reify`, or behind a
 //!   [`CardinalityHandle`] gets a full, reified totalizer. A hard bound

@@ -103,19 +103,31 @@ impl VcProblem {
         }
     }
 
-    /// Builds the refutation goal literal in `ctx` (disjunction of violated
-    /// targets); `None` when there are no targets (trivially verified).
-    pub fn goal_lit(&self, ctx: &mut SmtContext) -> Option<veriqec_sat::Lit> {
-        if self.vc.targets.is_empty() {
-            return None;
+    /// Builds the refutation goal in `ctx`: the disjunction of the violated
+    /// targets that the parity rows of [`VcProblem::assert_base`] leave
+    /// open. A target those rows decide is not encoded (see
+    /// [`SmtContext::reify_affine`]): one decided 0 is never violated and
+    /// drops out, one decided 1 makes the goal the true literal. Returns
+    /// the goal, `None` when no target is left open (trivially verified),
+    /// and the number of decided targets.
+    pub fn goal_lit(&self, ctx: &mut SmtContext) -> (Option<veriqec_sat::Lit>, usize) {
+        let mut open = Vec::new();
+        let mut violated = false;
+        for t in &self.vc.targets {
+            match ctx.reify_affine(t) {
+                Ok(l) => open.push(l),
+                Err(c) => violated |= c,
+            }
         }
-        let viol: Vec<_> = self
-            .vc
-            .targets
-            .iter()
-            .map(|t| ctx.reify_affine(t))
-            .collect();
-        Some(ctx.reify_disj(&viol))
+        let decided = self.vc.targets.len() - open.len();
+        let goal = if violated {
+            Some(ctx.lit_true())
+        } else if open.is_empty() {
+            None
+        } else {
+            Some(ctx.reify_disj(&open))
+        };
+        (goal, decided)
     }
 }
 

@@ -35,12 +35,15 @@ pub struct VcSession {
 impl VcSession {
     /// Encodes `problem` (base + refutation goal) into a fresh context.
     /// The `vcgen/encode` span closes with the formula's size, as
-    /// [`VcSession::stats`] counts it (`sat_vars`, `clauses`).
+    /// [`VcSession::stats`] counts it (`sat_vars`, `clauses`), then how
+    /// many targets the goal reified (`targets`) and how many the asserted
+    /// parity rows decided instead (`decided`).
     pub fn new(problem: &VcProblem, config: SolverConfig) -> Self {
         let span = veriqec_obs::span("vcgen", "encode");
         let mut ctx = SmtContext::with_config(config);
         problem.assert_base(&mut ctx);
-        let trivial = match problem.goal_lit(&mut ctx) {
+        let (goal, decided) = problem.goal_lit(&mut ctx);
+        let trivial = match goal {
             Some(goal) => {
                 ctx.add_clause([goal]);
                 false
@@ -56,6 +59,8 @@ impl VcSession {
         span.close_with(&[
             ("sat_vars", size.sat_vars as f64),
             ("clauses", size.clauses as f64),
+            ("targets", (problem.vc.targets.len() - decided) as f64),
+            ("decided", decided as f64),
         ]);
         session
     }

@@ -76,7 +76,10 @@ fn engine_batch_trace_satisfies_chrome_schema() {
     assert!(json.contains("\"won\":1"));
 
     // Every encode closes with the size of the formula it built, counted
-    // as `VcStats` counts it.
+    // as `VcStats` counts it, and with what the asserted parity rows left
+    // of the goal: of Steane's seven targets, the six stabilizer targets
+    // are sums of the guard and decoder rows, so only the logical one is
+    // reified.
     let encodes: Vec<_> = collector
         .events()
         .iter()
@@ -85,8 +88,10 @@ fn engine_batch_trace_satisfies_chrome_schema() {
     assert!(!encodes.is_empty(), "the correction job must encode");
     for e in &encodes {
         let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, ["sat_vars", "clauses"]);
+        assert_eq!(keys, ["sat_vars", "clauses", "targets", "decided"]);
         assert!(e.args.iter().all(|&(_, v)| v > 0.0), "{e:?}");
+        assert!(e.args.contains(&("targets", 1.0)), "{e:?}");
+        assert!(e.args.contains(&("decided", 6.0)), "{e:?}");
     }
 
     // Every diagram compile closes with the size of what it compiled, so
