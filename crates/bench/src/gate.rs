@@ -251,6 +251,12 @@ mod tests {
             [
                 ("kernels", "xor_chain_d5", "median_ns", 4_500.0),
                 ("kernels", "branch_resolution_d5", "median_ns", 12_000.0),
+                (
+                    "kernels",
+                    "stabilizer_elimination_d7",
+                    "median_ns",
+                    1_800_000.0
+                ),
                 ("kernels", "frame_sequential_d5", "median_ns", 6_000.0),
                 ("kernels", "frame_batch_d5", "median_ns", 180.0),
                 ("kernels", "frame_batch_d5", "speedup", 10.0),

@@ -1,10 +1,11 @@
 //! The kernel layer of the perf gate ([`crate::gate`]).
 //!
-//! Three hot-path kernels — the affine XOR chain,
-//! `ReducedVc::resolve_branches`, and batch-vs-sequential Pauli frame
-//! sampling — each measured as the median ns per operation, plus the
-//! sequential-over-batch frame speedup at surface d=5, the acceptance bar
-//! of the bit-sliced simulator.
+//! Four hot-path kernels — the affine XOR chain,
+//! `ReducedVc::resolve_branches`, the front end's stabilizer elimination
+//! (building the rotated surface code and reducing its memory wp), and
+//! batch-vs-sequential Pauli frame sampling — each measured as the median
+//! ns per operation, plus the sequential-over-batch frame speedup at
+//! surface d=5, the acceptance bar of the bit-sliced simulator.
 
 use veriqec::sampling::faulty_memory_frame;
 use veriqec::scenario::{memory_scenario, ErrorModel};
@@ -87,6 +88,15 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
             }),
         ));
     }
+
+    // Building the code and reducing every wp conjunct: one elimination each.
+    let scenario = memory_scenario(&rotated_surface(7), ErrorModel::YErrors);
+    let wp = qec_wp(&scenario.program, scenario.post.clone()).expect("QEC fragment");
+    let elimination_ns = median_ns(samples, || {
+        std::hint::black_box(rotated_surface(7));
+        std::hint::black_box(reduce_commuting(&scenario.lhs, &wp.pre).expect("commuting case"));
+    });
+    medians.push(("stabilizer_elimination_d7".into(), elimination_ns));
 
     let (circuit, masks) = frame_workload(5, 3);
     let per_lane: Vec<Vec<bool>> = (0..LANES)

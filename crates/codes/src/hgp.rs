@@ -3,17 +3,15 @@
 //! for the quantum Tanner codes (see `DESIGN.md` on substitutions).
 
 use crate::{css_code, StabilizerCode};
-use veriqec_gf2::{BitMatrix, BitVec};
+use veriqec_gf2::{BitMatrix, BitVec, RowBasis};
 
-/// Keeps a maximal independent subset of the rows.
+/// Keeps a maximal independent subset of the rows: each row independent of
+/// the rows kept before it.
 fn independent_rows(m: &BitMatrix) -> BitMatrix {
+    let mut basis = RowBasis::new(m.num_cols(), m.num_cols());
     let mut out = BitMatrix::zeros(0, m.num_cols());
-    let mut acc = BitMatrix::zeros(0, m.num_cols());
     for row in m.iter() {
-        let mut trial = acc.clone();
-        trial.push_row(row.clone());
-        if trial.rank() > acc.rank() {
-            acc = trial;
+        if basis.insert(row.clone()).is_ok() {
             out.push_row(row.clone());
         }
     }
@@ -39,10 +37,6 @@ fn kron(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
     out
 }
 
-fn identity(n: usize) -> BitMatrix {
-    BitMatrix::identity(n)
-}
-
 /// The hypergraph product `HGP(H1, H2)` of two classical parity-check
 /// matrices: a CSS code with
 /// `Hx = [H1 ⊗ I | I ⊗ H2ᵀ]` and `Hz = [I ⊗ H2 | H1ᵀ ⊗ I]` on
@@ -60,8 +54,10 @@ pub fn hypergraph_product(
 ) -> StabilizerCode {
     let (r1, n1) = (h1.num_rows(), h1.num_cols());
     let (r2, n2) = (h2.num_rows(), h2.num_cols());
-    let hx = kron(h1, &identity(n2)).hstack(&kron(&identity(r1), &h2.transpose()));
-    let hz = kron(&identity(n1), h2).hstack(&kron(&h1.transpose(), &identity(r2)));
+    let hx =
+        kron(h1, &BitMatrix::identity(n2)).hstack(&kron(&BitMatrix::identity(r1), &h2.transpose()));
+    let hz =
+        kron(&BitMatrix::identity(n1), h2).hstack(&kron(&h1.transpose(), &BitMatrix::identity(r2)));
     let hx = independent_rows(&hx);
     let hz = independent_rows(&hz);
     css_code(name, &hx, &hz, claimed_distance).expect("hypergraph product is CSS by construction")

@@ -4,7 +4,7 @@
 //! constructors and re-verified by tests.
 
 use rand::prelude::*;
-use veriqec_gf2::{BitMatrix, BitVec};
+use veriqec_gf2::{BitVec, RowBasis};
 use veriqec_pauli::{conj1, conj2, Gate1, Gate2, PauliString, StabilizerGroup, SymPauli};
 
 use crate::StabilizerCode;
@@ -109,20 +109,15 @@ pub fn cyclic_code(n: usize, seed: CyclicSeed) -> Option<StabilizerCode> {
             v
         })
         .collect();
-    let full = BitMatrix::from_rows(rows.clone());
-    if full.rank() != n - 1 {
+    // Keep an independent subset; the shifts must have rank n − 1.
+    let mut basis = RowBasis::new(2 * n, 2 * n);
+    let gens: Vec<SymPauli> = rows
+        .into_iter()
+        .filter(|row| basis.insert(row.clone()).is_ok())
+        .map(|row| SymPauli::plain(PauliString::from_symplectic_row(&row)))
+        .collect();
+    if gens.len() != n - 1 {
         return None;
-    }
-    // Keep an independent subset.
-    let mut acc = BitMatrix::zeros(0, 2 * n);
-    let mut gens = Vec::new();
-    for row in rows {
-        let mut trial = acc.clone();
-        trial.push_row(row.clone());
-        if trial.rank() > acc.rank() {
-            acc = trial;
-            gens.push(SymPauli::plain(PauliString::from_symplectic_row(&row)));
-        }
     }
     let group = StabilizerGroup::new(gens).ok()?;
     Some(StabilizerCode::with_completed_logicals(

@@ -1,7 +1,8 @@
 //! Rotated surface codes (Fig. 5 of the paper) and the XZZX variant.
 
-use crate::{css_code, StabilizerCode};
-use veriqec_gf2::{BitMatrix, BitVec};
+use crate::css::{x_type, z_type};
+use crate::StabilizerCode;
+use veriqec_gf2::BitVec;
 use veriqec_pauli::{conj1, Gate1, StabilizerGroup, SymPauli};
 
 /// The distance-`d` rotated surface code `[[d², 1, d]]` on a `d × d` grid of
@@ -60,22 +61,20 @@ pub fn rotated_surface(d: usize) -> StabilizerCode {
         }
     }
     debug_assert_eq!(x_rows.len() + z_rows.len(), n - 1);
-    let hx = BitMatrix::from_rows(x_rows);
-    let hz = BitMatrix::from_rows(z_rows);
-    let mut code = css_code(format!("rotated surface d={d}"), &hx, &hz, Some(d))
-        .expect("valid rotated surface code");
-    // Replace completed logicals with the canonical string operators.
-    let lx = crate::css::x_type(&BitVec::from_ones(
+    let gens = x_rows.iter().map(x_type).chain(z_rows.iter().map(z_type));
+    let group = StabilizerGroup::new(gens.collect()).expect("valid rotated surface code");
+    // The canonical string operators as logicals.
+    let lx = x_type(&BitVec::from_ones(
         n,
         &(0..d).map(|r| qubit(r, 0)).collect::<Vec<_>>(),
     ));
-    let lz = crate::css::z_type(&BitVec::from_ones(
+    let lz = z_type(&BitVec::from_ones(
         n,
         &(0..d).map(|c| qubit(0, c)).collect::<Vec<_>>(),
     ));
-    code = StabilizerCode::new(
+    let code = StabilizerCode::new(
         format!("rotated surface d={d}"),
-        code.group().clone(),
+        group,
         vec![lx],
         vec![lz],
         Some(d),

@@ -241,6 +241,37 @@ pub fn reed_muller(r: usize) -> StabilizerCode {
 mod tests {
     use super::*;
 
+    /// The representatives symplectic completion picks, one `(X̄_i, Z̄_i)`
+    /// pair per line. Scenario encodings depend on them, so any rewrite of
+    /// the elimination must keep them.
+    fn completed_logicals(code: &StabilizerCode) -> Vec<(String, String)> {
+        (code.logical_x().iter().zip(code.logical_z()))
+            .map(|(x, z)| (x.pauli().to_string(), z.pauli().to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn completed_logicals_are_pinned() {
+        let pairs = |p: &[(&str, &str)]| -> Vec<(String, String)> {
+            p.iter().map(|&(x, z)| (x.into(), z.into())).collect()
+        };
+        assert_eq!(
+            completed_logicals(&gottesman8()),
+            pairs(&[
+                ("XXXXIIII", "ZXIIYIII"),
+                ("XXIIXXII", "ZIYXIIII"),
+                ("XIXIXIXI", "ZZIXXIII"),
+            ])
+        );
+        assert_eq!(
+            completed_logicals(&crate::toric(3)),
+            pairs(&[
+                ("XXXIIIIIIIIIIIIIII", "ZIIZIIZIIIIIIIIIII"),
+                ("IIIIIIIIIXIIXIIXII", "IIIIIIIIIZZZIIIIII"),
+            ])
+        );
+    }
+
     #[test]
     fn c4_is_valid_distance_2() {
         let c = c4_422();

@@ -99,21 +99,18 @@ pub fn prepare_codeword_state<R: Rng>(scenario: &Scenario, params: &CMem, rng: &
         scenario
             .lhs
             .iter()
-            .map(|g| {
-                let row = g.pauli().symplectic_row();
-                let x = row.slice(0, n);
-                let z = row.slice(n, n);
-                z.concat(&x)
-            })
+            .map(|g| g.pauli().z_bits().concat(g.pauli().x_bits()))
             .collect(),
     );
-    let destabilizers: Vec<veriqec_pauli::PauliString> = (0..scenario.lhs.len())
-        .map(|i| {
-            let mut rhs = BitVec::zeros(scenario.lhs.len());
-            rhs.set(i, true);
-            let v = swapped
-                .solve(&rhs)
-                .expect("full-rank symplectic system is solvable");
+    // One elimination of the columns serves every unit right-hand side.
+    let units: Vec<BitVec> = (0..scenario.lhs.len())
+        .map(|i| BitVec::from_ones(scenario.lhs.len(), &[i]))
+        .collect();
+    let destabilizers: Vec<veriqec_pauli::PauliString> = swapped
+        .solve(&units)
+        .into_iter()
+        .map(|v| {
+            let v = v.expect("full-rank symplectic system is solvable");
             veriqec_pauli::PauliString::from_symplectic_row(&v)
         })
         .collect();

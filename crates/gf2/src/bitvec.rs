@@ -142,10 +142,10 @@ impl BitVec {
     /// storage word `from_word` (bits below `from_word * 64` are left
     /// untouched in `self` and ignored in `other`).
     ///
-    /// This is the windowed kernel of the blocked elimination in
-    /// [`crate::BitMatrix`]: when the source row is known to have a zero
-    /// prefix (an echelon-form pivot row), skipping its leading zero words
-    /// does the same XOR with a fraction of the memory traffic.
+    /// This is the windowed kernel of [`crate::RowBasis::reduce`]: when the
+    /// source row is known to have a zero prefix (an echelon-form pivot
+    /// row), skipping its leading zero words does the same XOR with a
+    /// fraction of the memory traffic.
     ///
     /// # Panics
     ///

@@ -4,7 +4,9 @@
 //! everything from the symplectic representation of Pauli operators to
 //! parity-check matrices, decoder conditions and the generator-decomposition
 //! step of the verification-condition reduction is built on [`BitVec`] and
-//! [`BitMatrix`].
+//! [`BitMatrix`]. Elimination is written once, as the incremental echelon
+//! basis [`RowBasis`]: matrix rank, solving and nullspaces, stabilizer
+//! decomposition and every independence test run on it.
 //!
 //! # Examples
 //!
@@ -19,10 +21,12 @@
 
 #![forbid(unsafe_code)]
 
+mod basis;
 mod bitvec;
 mod matrix;
 pub mod words;
 
+pub use basis::RowBasis;
 pub use bitvec::{BitVec, IterOnes};
 pub use matrix::BitMatrix;
 
@@ -57,18 +61,6 @@ mod proptests {
         }
 
         #[test]
-        fn rref_preserves_row_space(m in arb_matrix(5, 8)) {
-            let mut r = m.clone();
-            r.rref();
-            for row in m.iter() {
-                prop_assert!(r.row_space_contains(row));
-            }
-            for row in r.iter().filter(|r| !r.is_zero()) {
-                prop_assert!(m.row_space_contains(row));
-            }
-        }
-
-        #[test]
         fn rank_bounded(m in arb_matrix(6, 9)) {
             let rk = m.rank();
             prop_assert!(rk <= 6);
@@ -79,7 +71,7 @@ mod proptests {
         fn solve_returns_actual_solutions(m in arb_matrix(5, 7), x in arb_bitvec(7)) {
             // Construct a consistent system and verify the returned solution.
             let b = m.mul_vec(&x);
-            let sol = m.solve(&b).expect("constructed to be consistent");
+            let sol = m.solve(std::slice::from_ref(&b)).remove(0).expect("constructed to be consistent");
             prop_assert_eq!(m.mul_vec(&sol), b);
         }
 
@@ -94,19 +86,6 @@ mod proptests {
         #[test]
         fn matrix_mul_associates_with_vec(m in arb_matrix(4, 5), n in arb_matrix(5, 6), v in arb_bitvec(6)) {
             prop_assert_eq!(m.mul(&n).mul_vec(&v), m.mul_vec(&n.mul_vec(&v)));
-        }
-
-        #[test]
-        fn blocked_rref_is_block_size_invariant(m in arb_matrix(9, 140), block in 1usize..6) {
-            // Wide enough to span three storage words, so the windowed XOR
-            // start offsets actually vary. block=1 is plain per-pivot
-            // back-substitution — the oracle for every other block size.
-            let mut unit = m.clone();
-            let mut blocked = m;
-            let up = unit.rref_blocked(1);
-            let bp = blocked.rref_blocked(block);
-            prop_assert_eq!(up, bp);
-            prop_assert_eq!(unit, blocked);
         }
     }
 }

@@ -1,19 +1,15 @@
-//! Dense GF(2) matrices with row-reduction, solving and nullspace computation.
+//! Dense GF(2) matrices: products, rank, solving and nullspaces, the last
+//! three on the incremental [`RowBasis`] elimination.
 
-use crate::words::BITS;
-use crate::BitVec;
+use crate::{BitVec, RowBasis};
 use std::fmt;
-
-/// Pivot-block width used by [`BitMatrix::rref`]. Back-substitution applies
-/// this many pivot rows to each target row per sweep, so a block of target
-/// rows and the pivot block stay resident in cache together.
-const RREF_BLOCK: usize = 32;
 
 /// A dense matrix over GF(2), stored as a list of bit-packed rows.
 ///
 /// Used for parity-check matrices, symplectic check matrices and the
-/// generator-decomposition step of the verification-condition reduction
-/// (case 2 of §5.1 in the paper).
+/// destabilizer systems of codeword preparation. (The generator
+/// decomposition of case 2 of §5.1 reduces against the [`RowBasis`] each
+/// stabilizer group keeps.)
 ///
 /// # Examples
 ///
@@ -127,22 +123,6 @@ impl BitMatrix {
         b.xor_assign(a);
     }
 
-    /// XORs row `src` into row `dst`, starting at storage word `from_word`.
-    /// Only valid as a full row operation when row `src` is zero below
-    /// `from_word * 64` (an echelon-form pivot row), which is how the
-    /// elimination passes use it.
-    fn xor_row_into_from_word(&mut self, src: usize, dst: usize, from_word: usize) {
-        debug_assert_ne!(src, dst, "cannot xor a row into itself");
-        let (a, b) = if src < dst {
-            let (lo, hi) = self.rows.split_at_mut(dst);
-            (&lo[src], &mut hi[0])
-        } else {
-            let (lo, hi) = self.rows.split_at_mut(src);
-            (&hi[0], &mut lo[dst])
-        };
-        b.xor_assign_from_word(a, from_word);
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> BitMatrix {
         let mut t = BitMatrix::zeros(self.cols, self.rows.len());
@@ -179,90 +159,13 @@ impl BitMatrix {
         out
     }
 
-    /// In-place reduction to *reduced row echelon form*.
-    ///
-    /// Returns the pivot columns, one per nonzero row of the result; rows are
-    /// permuted so that row `i` has its pivot at `pivots[i]` and zero rows sink
-    /// to the bottom.
-    ///
-    /// Delegates to [`BitMatrix::rref_blocked`] with a cache-sized pivot
-    /// block; the result (row permutation included) is identical to classic
-    /// one-pivot-at-a-time Gauss–Jordan.
-    pub fn rref(&mut self) -> Vec<usize> {
-        self.rref_blocked(RREF_BLOCK)
-    }
-
-    /// Cache-blocked Gauss–Jordan elimination.
-    ///
-    /// Two passes instead of the classic eliminate-everything-at-pivot-time
-    /// loop:
-    ///
-    /// 1. **Forward, windowed.** Eliminate only *below* each pivot, and start
-    ///    every row XOR at the pivot column's storage word — the pivot row is
-    ///    in echelon form, so its words below the pivot column are zero and
-    ///    the XOR skips them. This halves the memory traffic of the forward
-    ///    pass on average.
-    /// 2. **Back-substitution, blocked right-to-left.** Take the pivots in
-    ///    blocks of `block` (rightmost block first), finish the block's own
-    ///    rows against each other (descending, so each used row is already
-    ///    fully reduced), then sweep each earlier row once against the whole
-    ///    block. The block's pivot rows stay hot in cache across the sweep
-    ///    instead of being streamed in again for every pivot.
-    ///
-    /// Pivot selection — and therefore the row permutation and the final
-    /// RREF — matches the unblocked elimination exactly: candidate rows have
-    /// been reduced against all earlier pivots in both variants by the time
-    /// a column is searched, and elimination above the pivot never affects
-    /// the search. `block` must be at least 1; `rref_blocked(1)` is plain
-    /// per-pivot back-substitution and is used as the differential oracle in
-    /// the tests.
-    pub fn rref_blocked(&mut self, block: usize) -> Vec<usize> {
-        assert!(block >= 1, "block must be at least 1");
-        let mut pivots = Vec::new();
-        let mut next_row = 0;
-        for col in 0..self.cols {
-            let Some(pivot_row) = (next_row..self.rows.len()).find(|&r| self.rows[r].get(col))
-            else {
-                continue;
-            };
-            self.rows.swap(next_row, pivot_row);
-            let word = col / BITS;
-            for r in next_row + 1..self.rows.len() {
-                if self.rows[r].get(col) {
-                    self.xor_row_into_from_word(next_row, r, word);
-                }
-            }
-            pivots.push(col);
-            next_row += 1;
-            if next_row == self.rows.len() {
-                break;
-            }
-        }
-        let mut hi = pivots.len();
-        while hi > 0 {
-            let lo = hi.saturating_sub(block);
-            for i in (lo..hi).rev() {
-                for (j, &pivot) in pivots.iter().enumerate().take(hi).skip(i + 1) {
-                    if self.rows[i].get(pivot) {
-                        self.xor_row_into_from_word(j, i, pivot / BITS);
-                    }
-                }
-            }
-            for r in 0..lo {
-                for (j, &pivot) in pivots.iter().enumerate().take(hi).skip(lo) {
-                    if self.rows[r].get(pivot) {
-                        self.xor_row_into_from_word(j, r, pivot / BITS);
-                    }
-                }
-            }
-            hi = lo;
-        }
-        pivots
-    }
-
-    /// Rank of the matrix.
+    /// Rank of the matrix: the rows an incremental [`RowBasis`] keeps.
     pub fn rank(&self) -> usize {
-        self.clone().rref().len()
+        let mut basis = RowBasis::new(self.cols, self.cols);
+        self.rows
+            .iter()
+            .filter(|row| basis.insert((*row).clone()).is_ok())
+            .count()
     }
 
     /// Partial Gaussian elimination restricted to the columns set in `mask`:
@@ -304,52 +207,57 @@ impl BitMatrix {
         pivots
     }
 
-    /// Solves `self * x = b`, returning one solution if the system is consistent.
+    /// The columns, inserted left to right into one basis, each tagged with
+    /// its unit vector: `[column j | e_j]`. Column `j` is kept exactly when
+    /// it is a pivot column of the reduced row echelon form, and every kept
+    /// row is `[self * t | t]` for a `t` supported on kept columns. Also
+    /// returns the tag of each dependent column's reduction, in column
+    /// order: a null vector supported on that column and the pivot columns
+    /// before it.
+    fn column_basis(&self) -> (RowBasis, Vec<BitVec>) {
+        let (m, n) = (self.rows.len(), self.cols);
+        let mut basis = RowBasis::new(m + n, m);
+        let mut null = Vec::new();
+        for (j, column) in self.transpose().rows.iter().enumerate() {
+            let mut tagged = column.concat(&BitVec::zeros(n));
+            tagged.set(m + j, true);
+            if let Err(reduced) = basis.insert(tagged) {
+                null.push(reduced.slice(m, n));
+            }
+        }
+        (basis, null)
+    }
+
+    /// Solves `self * x = b` for every right-hand side `b` against one
+    /// elimination of the columns. Each entry is `None` when its system is
+    /// inconsistent, and otherwise its one solution supported on the pivot
+    /// columns.
     ///
     /// # Panics
     ///
-    /// Panics if `b.len() != num_rows`.
-    pub fn solve(&self, b: &BitVec) -> Option<BitVec> {
-        assert_eq!(b.len(), self.rows.len(), "dimension mismatch in solve");
-        // Row-reduce the augmented matrix [A | b].
-        let mut aug = BitMatrix::from_rows(
-            self.rows
-                .iter()
-                .zip(b.to_bools())
-                .map(|(row, bi)| row.concat(&BitVec::from_bools([bi])))
-                .collect(),
-        );
-        let pivots = aug.rref();
-        // Inconsistent iff a pivot lands in the augmented column.
-        if pivots.last() == Some(&self.cols) {
-            return None;
-        }
-        let mut x = BitVec::zeros(self.cols);
-        for (i, &p) in pivots.iter().enumerate() {
-            if aug.rows[i].get(self.cols) {
-                x.set(p, true);
-            }
-        }
-        Some(x)
+    /// Panics if some `b.len() != num_rows`.
+    pub fn solve(&self, rhs: &[BitVec]) -> Vec<Option<BitVec>> {
+        let (m, n) = (self.rows.len(), self.cols);
+        let (basis, _) = self.column_basis();
+        rhs.iter()
+            .map(|b| {
+                assert_eq!(b.len(), m, "dimension mismatch in solve");
+                let mut v = b.concat(&BitVec::zeros(n));
+                basis.reduce(&mut v);
+                // Consistent iff `b` reduced to zero: then the tag `x`
+                // satisfies `self * x = b`.
+                match v.iter_ones().next() {
+                    Some(c) if c < m => None,
+                    _ => Some(v.slice(m, n)),
+                }
+            })
+            .collect()
     }
 
-    /// A basis of the (right) nullspace: all `v` with `self * v = 0`.
+    /// A basis of the (right) nullspace: all `v` with `self * v = 0`, one
+    /// vector per non-pivot column, in column order.
     pub fn nullspace(&self) -> Vec<BitVec> {
-        let mut m = self.clone();
-        let pivots = m.rref();
-        let pivot_set: std::collections::HashSet<usize> = pivots.iter().copied().collect();
-        let mut basis = Vec::new();
-        for free in (0..self.cols).filter(|c| !pivot_set.contains(c)) {
-            let mut v = BitVec::zeros(self.cols);
-            v.set(free, true);
-            for (i, &p) in pivots.iter().enumerate() {
-                if m.rows[i].get(free) {
-                    v.set(p, true);
-                }
-            }
-            basis.push(v);
-        }
-        basis
+        self.column_basis().1
     }
 
     /// Horizontally concatenates `self | other`.
@@ -362,17 +270,6 @@ impl BitMatrix {
                 .map(|(a, b)| a.concat(b))
                 .collect(),
         )
-    }
-
-    /// True if `v` lies in the row space.
-    pub fn row_space_contains(&self, v: &BitVec) -> bool {
-        self.transpose().solve(v).is_some()
-    }
-
-    /// Expresses `v` as a combination of the rows: returns `c` with
-    /// `c * self = v` (as a row-selector vector), if one exists.
-    pub fn express_in_rows(&self, v: &BitVec) -> Option<BitVec> {
-        self.transpose().solve(v)
     }
 }
 
@@ -401,14 +298,7 @@ impl fmt::Display for BitMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rref_identity_is_fixed_point() {
-        let mut m = BitMatrix::identity(4);
-        let pivots = m.rref();
-        assert_eq!(pivots, vec![0, 1, 2, 3]);
-        assert_eq!(m, BitMatrix::identity(4));
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn rank_of_dependent_rows() {
@@ -420,7 +310,10 @@ mod tests {
     fn solve_consistent_system() {
         let m = BitMatrix::parse(&["110", "011"]);
         let b = BitVec::parse("11");
-        let x = m.solve(&b).expect("consistent");
+        let x = m
+            .solve(std::slice::from_ref(&b))
+            .remove(0)
+            .expect("consistent");
         assert_eq!(m.mul_vec(&x), b);
     }
 
@@ -428,7 +321,7 @@ mod tests {
     fn solve_inconsistent_system() {
         let m = BitMatrix::parse(&["110", "110"]);
         let b = BitVec::parse("10");
-        assert!(m.solve(&b).is_none());
+        assert_eq!(m.solve(&[b]), [None]);
     }
 
     #[test]
@@ -492,8 +385,8 @@ mod tests {
         }
     }
 
-    /// The pre-blocking Gauss–Jordan loop, kept verbatim as the oracle for
-    /// the blocked elimination.
+    /// Textbook Gauss–Jordan elimination to reduced row echelon form, kept
+    /// verbatim as the differential oracle of the incremental elimination.
     fn rref_reference(m: &mut BitMatrix) -> Vec<usize> {
         let mut pivots = Vec::new();
         let mut next_row = 0;
@@ -516,37 +409,119 @@ mod tests {
         pivots
     }
 
-    #[test]
-    fn blocked_rref_matches_reference_on_fixed_cases() {
-        let cases: &[&[&str]] = &[
-            &["1010101", "0110011", "0001111"],
-            &["110", "011", "101"],
-            &["0000", "0000"],
-            &["1"],
-            &["01", "10", "11"],
-        ];
-        for rows in cases {
-            for block in [1, 2, 3, 64] {
-                let mut blocked = BitMatrix::parse(rows);
-                let mut reference = BitMatrix::parse(rows);
-                let bp = blocked.rref_blocked(block);
-                let rp = rref_reference(&mut reference);
-                assert_eq!(bp, rp, "pivots, block {block}");
-                assert_eq!(blocked, reference, "rref, block {block}");
-            }
+    /// The solution of `m * x = b` the reference RREF of `[m | b]` reads
+    /// off: `None` when a pivot lands in the augmented column, else `x`
+    /// supported on the pivot columns.
+    fn solve_reference(m: &BitMatrix, b: &BitVec) -> Option<BitVec> {
+        let mut aug = m.hstack(&BitMatrix::from_rows(
+            b.to_bools()
+                .into_iter()
+                .map(|bit| BitVec::from_bools([bit]))
+                .collect(),
+        ));
+        let pivots = rref_reference(&mut aug);
+        if pivots.last() == Some(&m.cols) {
+            return None;
         }
+        let mut x = BitVec::zeros(m.cols);
+        for (i, &p) in pivots.iter().enumerate() {
+            x.set(p, aug.get(i, m.cols));
+        }
+        Some(x)
     }
 
-    #[test]
-    fn express_in_rows_finds_combination() {
-        let m = BitMatrix::parse(&["1100", "0110", "0011"]);
-        let v = BitVec::parse("1010"); // rows 0 + 1
-        let c = m.express_in_rows(&v).expect("in row space");
-        let mut acc = BitVec::zeros(4);
-        for i in c.iter_ones() {
-            acc.xor_assign(m.row(i));
+    /// The reference nullspace: one vector per free column of the RREF.
+    fn nullspace_reference(m: &BitMatrix) -> Vec<BitVec> {
+        let mut r = m.clone();
+        let pivots = rref_reference(&mut r);
+        (0..m.cols)
+            .filter(|c| !pivots.contains(c))
+            .map(|free| {
+                let mut v = BitVec::zeros(m.cols);
+                v.set(free, true);
+                for (i, &p) in pivots.iter().enumerate() {
+                    v.set(p, r.get(i, free));
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// Matrices of 1–13 rows and 129–200 columns (three or four storage
+    /// words), where a flagged row is the sum of the two rows above it, so
+    /// that rank deficits and inconsistent systems occur.
+    fn arb_wide_matrix() -> impl Strategy<Value = BitMatrix> {
+        (1usize..14, 129usize..201).prop_flat_map(|(rows, cols)| {
+            let row = proptest::collection::vec(any::<bool>(), cols).prop_map(BitVec::from_bools);
+            proptest::collection::vec((any::<bool>(), row), rows).prop_map(|flagged| {
+                let mut rows: Vec<BitVec> = Vec::new();
+                for (dependent, row) in flagged {
+                    let row = match rows.len() {
+                        n if dependent && n >= 2 => rows[n - 1].xored(&rows[n - 2]),
+                        _ => row,
+                    };
+                    rows.push(row);
+                }
+                BitMatrix::from_rows(rows)
+            })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn elimination_matches_reference_gauss_jordan(
+            m in arb_wide_matrix(),
+            seed in proptest::collection::vec(any::<bool>(), 200 + 13),
+        ) {
+            let mut r = m.clone();
+            prop_assert_eq!(m.rank(), rref_reference(&mut r).len());
+            prop_assert_eq!(m.nullspace(), nullspace_reference(&m));
+            // One right-hand side in the column space and one drawn at
+            // random, which a rank deficit can make inconsistent.
+            let x = BitVec::from_bools(seed[..m.num_cols()].iter().copied());
+            let b = BitVec::from_bools(seed[200..200 + m.num_rows()].iter().copied());
+            let rhs = [m.mul_vec(&x), b];
+            let expected: Vec<_> = rhs.iter().map(|b| solve_reference(&m, b)).collect();
+            prop_assert!(expected[0].is_some());
+            prop_assert_eq!(m.solve(&rhs), expected);
         }
-        assert_eq!(acc, v);
-        assert!(m.express_in_rows(&BitVec::parse("1000")).is_none());
+
+        #[test]
+        fn row_basis_tags_name_rows_with_the_same_sum(
+            m in arb_wide_matrix(),
+            pick in proptest::collection::vec(any::<bool>(), 13),
+        ) {
+            let (rows, cols) = (m.num_rows(), m.num_cols());
+            let sum_of = |tags: &BitVec| {
+                let mut sum = BitVec::zeros(cols);
+                for i in tags.iter_ones() {
+                    sum.xor_assign(m.row(i));
+                }
+                sum
+            };
+            // Every row tagged with its unit vector; a dependent row's
+            // reduction names rows (itself among them) that sum to zero.
+            let mut basis = RowBasis::new(cols + rows, cols);
+            for (i, row) in m.iter().enumerate() {
+                let mut tagged = row.concat(&BitVec::zeros(rows));
+                tagged.set(cols + i, true);
+                if let Err(reduced) = basis.insert(tagged) {
+                    prop_assert!(reduced.slice(0, cols).is_zero());
+                    let tags = reduced.slice(cols, rows);
+                    prop_assert!(tags.get(i));
+                    prop_assert!(sum_of(&tags).is_zero());
+                }
+            }
+            let mut r = m.clone();
+            prop_assert_eq!(basis.rank(), rref_reference(&mut r).len());
+            // A combination of rows reduces to zero data, and its tags name
+            // rows with the same sum.
+            let chosen = BitVec::from_bools(pick[..rows].iter().copied());
+            let combination = sum_of(&chosen);
+            let mut v = combination.concat(&BitVec::zeros(rows));
+            basis.reduce(&mut v);
+            prop_assert!(v.slice(0, cols).is_zero());
+            prop_assert_eq!(sum_of(&v.slice(cols, rows)), combination);
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Stabilizer groups: validation, syndrome maps, generator decomposition and
-//! logical-operator completion.
+//! logical-operator completion, all on one elimination of the generators
+//! that the group keeps.
 
 use crate::{PauliString, SymPauli};
 use std::fmt;
-use veriqec_gf2::{BitMatrix, BitVec};
+use veriqec_gf2::{BitMatrix, BitVec, RowBasis};
 
 /// Error from [`StabilizerGroup::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +58,10 @@ impl std::error::Error for StabilizerGroupError {}
 pub struct StabilizerGroup {
     gens: Vec<SymPauli>,
     n: usize,
+    /// The generators' symplectic rows `[x | z]`, each tagged with its unit
+    /// vector, eliminated once: a reduction's tags name the generators it
+    /// multiplied.
+    basis: RowBasis,
 }
 
 impl StabilizerGroup {
@@ -81,11 +86,16 @@ impl StabilizerGroup {
                 }
             }
         }
-        let m = BitMatrix::from_rows(gens.iter().map(|g| g.pauli().symplectic_row()).collect());
-        if !gens.is_empty() && m.rank() != gens.len() {
-            return Err(StabilizerGroupError::Dependent);
+        let m = gens.len();
+        let mut basis = RowBasis::new(2 * n + m, 2 * n);
+        for (i, g) in gens.iter().enumerate() {
+            let mut row = g.pauli().symplectic_row().concat(&BitVec::zeros(m));
+            row.set(2 * n + i, true);
+            if basis.insert(row).is_err() {
+                return Err(StabilizerGroupError::Dependent);
+            }
         }
-        Ok(StabilizerGroup { gens, n })
+        Ok(StabilizerGroup { gens, n, basis })
     }
 
     /// The generators.
@@ -101,16 +111,6 @@ impl StabilizerGroup {
     /// `k = n − (number of generators)`.
     pub fn num_logical_qubits(&self) -> usize {
         self.n - self.gens.len()
-    }
-
-    /// The symplectic check matrix (one row `[x|z]` per generator).
-    pub fn check_matrix(&self) -> BitMatrix {
-        BitMatrix::from_rows(
-            self.gens
-                .iter()
-                .map(|g| g.pauli().symplectic_row())
-                .collect(),
-        )
     }
 
     /// Syndrome of a Pauli error: bit `i` is set iff the error anticommutes
@@ -132,9 +132,17 @@ impl StabilizerGroup {
     /// Returns `None` when the target's letters are not in the group's row
     /// space.
     pub fn decompose(&self, target: &PauliString) -> Option<(Vec<usize>, SymPauli)> {
-        let m = self.check_matrix();
-        let sel = m.express_in_rows(&target.unsigned().symplectic_row())?;
-        let indices: Vec<usize> = sel.iter_ones().collect();
+        let data = 2 * self.n;
+        let mut v = target
+            .symplectic_row()
+            .concat(&BitVec::zeros(self.gens.len()));
+        self.basis.reduce(&mut v);
+        // In the group iff the letters reduce away; the tags are then the
+        // (unique) generator selection.
+        if v.iter_ones().next().is_some_and(|c| c < data) {
+            return None;
+        }
+        let indices: Vec<usize> = v.iter_ones().map(|c| c - data).collect();
         let mut acc = SymPauli::plain(PauliString::identity(self.n));
         for &i in &indices {
             acc = acc.mul(&self.gens[i]);
@@ -160,30 +168,21 @@ impl StabilizerGroup {
         let n = self.n;
         // Centralizer: vectors v with symplectic product 0 against all rows.
         // Symplectic product of u, v = u · Λ(v), Λ swaps the x/z halves.
-        let check = self.check_matrix();
         let swapped = BitMatrix::from_rows(
-            check
+            self.gens
                 .iter()
-                .map(|row| {
-                    let x = row.slice(0, n);
-                    let z = row.slice(n, n);
-                    z.concat(&x)
-                })
+                .map(|g| g.pauli().z_bits().concat(g.pauli().x_bits()))
                 .collect(),
         );
         let centralizer = swapped.nullspace(); // dim = 2n − (n−k) = n + k
 
         // Extend the stabilizer rows to a basis of the centralizer.
-        let mut basis = check.clone();
-        let mut extension: Vec<BitVec> = Vec::new();
-        for v in centralizer {
-            let mut trial = basis.clone();
-            trial.push_row(v.clone());
-            if trial.rank() > basis.rank() {
-                basis = trial;
-                extension.push(v);
-            }
-        }
+        let mut basis = self.basis.clone();
+        let untagged = BitVec::zeros(self.gens.len());
+        let extension: Vec<BitVec> = centralizer
+            .into_iter()
+            .filter(|v| basis.insert(v.concat(&untagged)).is_ok())
+            .collect();
         assert_eq!(
             extension.len(),
             2 * k,

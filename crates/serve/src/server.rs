@@ -518,6 +518,14 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
             max_t_data,
             max_t_meas,
         } => {
+            // Syndrome extraction measures X-type and Z-type checks apart.
+            if code.css_split().is_none() {
+                shared.metrics.malformed.add(1);
+                return error_response(
+                    req.id.as_deref(),
+                    "fault_tolerance requires a CSS code: every generator must be X-type or Z-type",
+                );
+            }
             let rounds = req.rounds.max(1);
             let pool_key = format!(
                 "ft|{}|{:?}|r{}|cb{:?}",
@@ -785,6 +793,33 @@ mod tests {
         assert_eq!(rs[2].get("id").unwrap().as_f64(), Some(3.0));
         // The server survives all of it.
         assert_eq!(rs[3].get("ok").unwrap().as_bool(), Some(true));
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn a_fault_tolerance_request_on_a_non_css_code_is_an_error() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let rs = roundtrip(
+            handle.addr(),
+            &[
+                r#"{"id":5,"kind":"fault_tolerance","code":"five_qubit"}"#,
+                r#"{"kind":"detection","code":"steane","dt":3}"#,
+                r#"{"op":"stats"}"#,
+            ],
+        );
+        assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(rs[0].get("id").unwrap().as_f64(), Some(5.0));
+        assert!(rs[0]
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("CSS"));
+        // The same connection still gets its next answer.
+        assert_eq!(rs[1].get("outcome").unwrap().as_str(), Some("all_detected"));
+        let stats = rs[2].get("stats").unwrap();
+        assert_eq!(stats.get("serve_malformed").unwrap().as_f64(), Some(1.0));
         handle.shutdown();
         handle.join().expect("clean join");
     }

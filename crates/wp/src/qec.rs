@@ -64,11 +64,7 @@ impl Engine {
                 Ok(())
             }
             Stmt::Gate1(g, q) => {
-                if g.is_clifford() {
-                    self.map_conjuncts(|e| conj_ext1(*g, *q, e, true));
-                } else {
-                    self.map_conjuncts(|e| conj_ext1(*g, *q, e, true));
-                }
+                self.map_conjuncts(|e| conj_ext1(*g, *q, e, true));
                 Ok(())
             }
             Stmt::Gate2(g, i, j) => {
