@@ -44,7 +44,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use rand::prelude::*;
-use veriqec::engine::{CorrectionSweep, DetectionSession, Engine, EngineConfig, Job, JobOutcome};
+use veriqec::engine::{
+    DetectionSession, Engine, EngineConfig, FaultToleranceSweep, Job, JobOutcome,
+};
 use veriqec::parallel::SplitConfig;
 use veriqec::sampling::{log2_constrained_configurations, sample_scenario};
 use veriqec::scenario::{memory_scenario, ErrorModel};
@@ -634,12 +636,9 @@ fn quick() {
     ));
     // The incremental weight sweep rides along so CI exercises the
     // assumption-driven path too.
-    let mut sweep = CorrectionSweep::new(&steane_scenario, vec![], SolverConfig::default());
-    assert!(sweep.check_weight(1).is_verified());
-    assert!(matches!(
-        sweep.check_weight(2),
-        VcOutcome::CounterExample(_)
-    ));
+    let mut sweep = FaultToleranceSweep::new(&steane_scenario, vec![], SolverConfig::default());
+    assert!(sweep.check(1, 0).is_verified());
+    assert!(matches!(sweep.check(2, 0), VcOutcome::CounterExample(_)));
     println!(
         "\nsteane weight sweep: {} queries on one encoding",
         sweep.query_count()

@@ -20,7 +20,7 @@
 //! 4.1–4.6e6/s and full runs 3.5–4.1e6/s: 3.5–4.6× headroom, enough to
 //! catch a lost fast path in `propagate` but not runner noise.
 
-use veriqec::engine::{CorrectionSweep, DetectionSession};
+use veriqec::engine::{DetectionSession, FaultToleranceSweep};
 use veriqec::scenario::{memory_scenario, ErrorModel};
 use veriqec::tasks::DistanceOutcome;
 use veriqec_codes::{rotated_surface, steane, toric};
@@ -155,12 +155,9 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
         }),
         measure("surface3_sweep_w2", runs, || {
             let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
-            let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
-            assert!(sweep.check_weight(1).is_verified());
-            assert!(matches!(
-                sweep.check_weight(2),
-                VcOutcome::CounterExample(_)
-            ));
+            let mut sweep = FaultToleranceSweep::new(&scenario, vec![], config);
+            assert!(sweep.check(1, 0).is_verified());
+            assert!(matches!(sweep.check(2, 0), VcOutcome::CounterExample(_)));
             ("w1_verified_w2_cex", sweep.session().solver_stats())
         }),
         surface_proof("surface5_proof", 5, runs, config),
@@ -182,12 +179,9 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
             }),
             measure("surface5_sweep_w3", runs, || {
                 let scenario = memory_scenario(&rotated_surface(5), ErrorModel::YErrors);
-                let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
-                assert!(sweep.check_weight(2).is_verified());
-                assert!(matches!(
-                    sweep.check_weight(3),
-                    VcOutcome::CounterExample(_)
-                ));
+                let mut sweep = FaultToleranceSweep::new(&scenario, vec![], config);
+                assert!(sweep.check(2, 0).is_verified());
+                assert!(matches!(sweep.check(3, 0), VcOutcome::CounterExample(_)));
                 ("w2_verified_w3_cex", sweep.session().solver_stats())
             }),
         ]);

@@ -118,26 +118,6 @@ impl ExtractionSchedule {
             })
         })
     }
-
-    /// Per-check majority vote over the rounds of a flattened syndrome
-    /// history — the textbook repeated-measurement estimate of the true
-    /// syndrome (ties, possible only for even round counts, report `true`:
-    /// a fired check is the conservative reading).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `history` has the wrong length.
-    pub fn majority_vote(&self, history: &[bool]) -> Vec<bool> {
-        assert_eq!(history.len(), self.num_sites(), "history length");
-        (0..self.num_checks)
-            .map(|check| {
-                let fired = (0..self.rounds)
-                    .filter(|&round| history[self.history_index(round, check)])
-                    .count();
-                2 * fired >= self.rounds
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -169,18 +149,6 @@ mod tests {
         for (i, site) in sites.iter().enumerate() {
             assert_eq!(s.history_index(site.round, site.check), i);
         }
-    }
-
-    #[test]
-    fn majority_vote_recovers_the_repeated_syndrome() {
-        let s = ExtractionSchedule::repeated(2, 3);
-        // True syndrome (1, 0); one flip in round 1 on each check.
-        let history = [
-            true, false, // round 0
-            false, true, // round 1 (both flipped)
-            true, false, // round 2
-        ];
-        assert_eq!(s.majority_vote(&history), vec![true, false]);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   once per code; every threshold `dt` is an assumption on one shared
 //!   cardinality handle, so a distance sweep pays encode + solver warm-up
 //!   exactly once and reuses learnt clauses across bounds.
-//! * [`CorrectionSweep`] — the same discipline for the general/constrained
-//!   tasks: one [`VcSession`] per (scenario, constraints), weight bounds
-//!   swept as assumptions.
+//! * [`FaultToleranceSweep`] — the same discipline for the correction
+//!   tasks: one [`VcSession`] per (scenario, constraints), the data and
+//!   measurement budgets swept as assumptions (a perfect-measurement
+//!   scenario sweeps the data budget alone).
 //! * [`Engine`] — a batch driver owning one worker pool that serves a queue
 //!   of heterogeneous [`Job`]s (code-zoo × error-model × task sweeps,
 //!   including [`JobKind::Count`] failure-enumerator jobs served by the
@@ -66,7 +67,11 @@ impl DetectionSession {
     /// Encodes the detection formula for `code` once (the shared Eqn. 15
     /// assembly of [`crate::enumerator`], plus this session's totalizer).
     pub fn new(code: &StabilizerCode, config: SolverConfig) -> Self {
-        Self::from_parts(crate::enumerator::detection_parts(code, config))
+        Self::with_schedule(
+            code,
+            &veriqec_codes::ExtractionSchedule::perfect(code.generators().len()),
+            config,
+        )
     }
 
     /// Like [`DetectionSession::new`], but under a (possibly noisy)
@@ -188,63 +193,22 @@ impl DetectionSession {
     }
 }
 
-/// An incremental weight sweep over the general/constrained correction task.
+/// An incremental sweep over the error budgets of one scenario.
 ///
 /// The base formula (guards, decoder condition `P_f`, any locality or
-/// discreteness constraints, refutation goal) is encoded once into a
-/// [`VcSession`]; the error-weight bound `Σe ≤ t` — baked into the CNF by
-/// the one-shot [`crate::tasks::verify_correction`] path — becomes an
-/// assumption on a shared cardinality handle, so one session answers every
-/// budget `t`.
-#[derive(Clone, Debug)]
-pub struct CorrectionSweep {
-    session: VcSession,
-    weight: CardinalityHandle,
-}
-
-impl CorrectionSweep {
-    /// Encodes the scenario (with optional extra constraints such as
-    /// [`crate::tasks::locality_constraint`] /
-    /// [`crate::tasks::discreteness_constraint`]) once, leaving the weight
-    /// bound open.
-    pub fn new(scenario: &Scenario, constraints: Vec<BExp>, config: SolverConfig) -> Self {
-        let problem = build_problem_unbounded(scenario, constraints);
-        let mut session = problem.session(config);
-        let lits: Vec<Lit> = scenario
-            .error_vars
-            .iter()
-            .map(|&v| session.ctx_mut().lit_of(v))
-            .collect();
-        let weight = session.ctx_mut().cardinality(&lits);
-        CorrectionSweep { session, weight }
-    }
-
-    /// Decides the task under the budget `Σe ≤ max_errors`.
-    pub fn check_weight(&mut self, max_errors: i64) -> VcOutcome {
-        let assumptions: Vec<Lit> = self.weight.at_most(max_errors).into_iter().collect();
-        self.session.query(&assumptions)
-    }
-
-    /// Number of weight queries so far.
-    pub fn query_count(&self) -> usize {
-        self.session.query_count()
-    }
-
-    /// The underlying session (problem-size and solver statistics).
-    pub fn session(&self) -> &VcSession {
-        &self.session
-    }
-}
-
-/// An incremental sweep over the faulty-measurement fault-tolerance grid.
-///
-/// The base formula of an r-round faulty-measurement scenario is encoded
-/// once; each grid point `(t_data, t_meas)` is decided under assumption
-/// literals drawn from four kinds of shared [`CardinalityHandle`]s — the
-/// adversary's data-error and measurement-flip budgets, plus every faulty
-/// decoder's *claim* budgets (`Σc ≤ t_data`, `Σf ≤ t_meas`; see
+/// discreteness constraints, refutation goal) is encoded once; each grid
+/// point `(t_data, t_meas)` is decided under assumption literals drawn from
+/// four kinds of shared [`CardinalityHandle`]s — the adversary's data-error
+/// and measurement-flip budgets, plus every faulty decoder's *claim*
+/// budgets (`Σc ≤ t_data`, `Σf ≤ t_meas`; see
 /// [`crate::tasks::build_problem_split`] for why the claims are bounded).
 /// One encoding therefore serves the whole correctable frontier.
+///
+/// A perfect-measurement scenario has no measurement flips and no claimed
+/// flips, so those handles count nothing and add no variable or clause:
+/// it sweeps `t_data` alone with `check(t, 0)`, which decides what the
+/// one-shot [`crate::tasks::verify_correction`] decides with `Σe ≤ t`
+/// baked in.
 #[derive(Clone, Debug)]
 pub struct FaultToleranceSweep {
     session: VcSession,
@@ -255,7 +219,10 @@ pub struct FaultToleranceSweep {
 }
 
 impl FaultToleranceSweep {
-    /// Encodes the scenario once, leaving every budget open.
+    /// Encodes the scenario (with optional extra constraints such as
+    /// [`crate::tasks::locality_constraint`] /
+    /// [`crate::tasks::discreteness_constraint`]) once, leaving every
+    /// budget open.
     pub fn new(scenario: &Scenario, constraints: Vec<BExp>, config: SolverConfig) -> Self {
         let problem = build_problem_unbounded(scenario, constraints);
         Self::from_problem(
@@ -1504,9 +1471,9 @@ mod tests {
     #[test]
     fn correction_sweep_matches_fresh_solves() {
         let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
-        let mut sweep = CorrectionSweep::new(&scenario, vec![], SolverConfig::default());
+        let mut sweep = FaultToleranceSweep::new(&scenario, vec![], SolverConfig::default());
         for t in 0..=2i64 {
-            let incremental = sweep.check_weight(t);
+            let incremental = sweep.check(t, 0);
             let fresh = verify_correction(&scenario, t, SolverConfig::default()).outcome;
             assert_eq!(
                 std::mem::discriminant(&incremental),
@@ -1515,7 +1482,7 @@ mod tests {
             );
         }
         // Sweeping down again after the SAT answer stays correct.
-        assert!(sweep.check_weight(1).is_verified());
+        assert!(sweep.check(1, 0).is_verified());
         assert_eq!(sweep.query_count(), 4);
 
         // Fig. 7's constrained sweeps: locality, discreteness and both,
@@ -1525,9 +1492,9 @@ mod tests {
         let disc = discreteness_constraint(&scenario, 3);
         for constraints in [loc.clone(), disc.clone(), [loc, disc].concat()] {
             let mut sweep =
-                CorrectionSweep::new(&scenario, constraints.clone(), SolverConfig::default());
+                FaultToleranceSweep::new(&scenario, constraints.clone(), SolverConfig::default());
             for t in 0..=2i64 {
-                let incremental = sweep.check_weight(t);
+                let incremental = sweep.check(t, 0);
                 let fresh =
                     verify_constrained(&scenario, t, constraints.clone(), SolverConfig::default())
                         .outcome;
@@ -1971,9 +1938,9 @@ mod proptests {
             // arbitrary (not necessarily monotone) query order.
             let code = zoo(code_idx);
             let scenario = memory_scenario(&code, ErrorModel::YErrors);
-            let mut sweep = CorrectionSweep::new(&scenario, vec![], SolverConfig::default());
+            let mut sweep = FaultToleranceSweep::new(&scenario, vec![], SolverConfig::default());
             for &t in &budgets {
-                let incremental = sweep.check_weight(t);
+                let incremental = sweep.check(t, 0);
                 let fresh = verify_correction(&scenario, t, SolverConfig::default()).outcome;
                 prop_assert!(
                     std::mem::discriminant(&incremental) == std::mem::discriminant(&fresh),

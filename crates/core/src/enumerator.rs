@@ -186,16 +186,6 @@ pub(crate) struct DetectionParts {
     pub support: Vec<Lit>,
 }
 
-/// Assembles the detection formula for `code` under the perfect
-/// single-round schedule (the paper's Eqn. 15).
-pub(crate) fn detection_parts(code: &StabilizerCode, config: SolverConfig) -> DetectionParts {
-    detection_parts_with_schedule(
-        code,
-        &ExtractionSchedule::perfect(code.generators().len()),
-        config,
-    )
-}
-
 /// Assembles the detection formula for `code` under an extraction
 /// schedule: per-qubit error components with support indicators, the
 /// *observed*-syndromes-all-zero XOR equations (`syn_i(e) ⊕ m_{i,j} = 0`

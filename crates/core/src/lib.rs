@@ -49,9 +49,9 @@ pub mod scenario;
 pub mod tasks;
 
 pub use engine::{
-    job_reason, BatchReport, CorrectionSweep, DetectionQuery, DetectionSession, Engine,
-    EngineConfig, FaultToleranceFrontier, FaultToleranceSweep, FrontierPoint, Job, JobKind,
-    JobOutcome, JobReport,
+    job_reason, BatchReport, DetectionQuery, DetectionSession, Engine, EngineConfig,
+    FaultToleranceFrontier, FaultToleranceSweep, FrontierPoint, Job, JobKind, JobOutcome,
+    JobReport,
 };
 pub use enumerator::{
     sat_enumerator, sat_enumerator_with_schedule, FailureEnumerator, WeightEnumerator,

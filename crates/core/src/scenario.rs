@@ -5,6 +5,13 @@
 //! correctness-formula sides (the pre generating set with symbolic logical
 //! phases, and the postcondition in QEC normal form), the error-indicator
 //! variables for `P_c`, and the decoder wiring for `P_f`.
+//!
+//! Every correction step is one gadget: measure the generators, decode,
+//! correct. A perfect round is the one-round noiseless
+//! [`ExtractionSchedule::perfect`]; repeated noisy extraction is the same
+//! gadget under [`ExtractionSchedule::repeated`]. The gadget derives its
+//! decoder calls from the code: one per CSS sector, or one joint call for
+//! a non-CSS code.
 
 use veriqec_cexpr::{BExp, VarId, VarRole, VarTable};
 use veriqec_codes::{ExtractionSchedule, StabilizerCode};
@@ -204,274 +211,148 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Emits one full error-correction round on a block: syndrome
-    /// measurements, decoder calls (per CSS sector when available, joint
-    /// otherwise) and conditional corrections. Optionally the corrections
-    /// are faulted by fresh indicators (the `C_E` scenario).
+    /// Emits one full error-correction round on a block: the one-round
+    /// noiseless schedule of [`ScenarioBuilder::syndrome_extraction`].
+    /// Optionally the corrections are faulted by fresh indicators (the
+    /// `C_E` scenario).
     pub fn correction_round(&mut self, block: usize, faulty_corrections: bool) {
-        self.cycle += 1;
-        let cyc = self.cycle;
-        let n = self.num_qubits();
-        let base = block * self.code.n();
-        let gens: Vec<SymPauli> = self
-            .code
-            .generators()
-            .iter()
-            .map(|g| embed_block(g, block, self.code.n(), n))
-            .collect();
-        // Measure all generators.
-        let s_vars: Vec<VarId> = (0..gens.len())
-            .map(|i| {
-                self.vt
-                    .fresh(&format!("s{cyc}b{block}_{i}"), VarRole::Syndrome)
-            })
-            .collect();
-        for (i, g) in gens.iter().enumerate() {
-            self.stmts.push(Stmt::Meas(s_vars[i], g.clone()));
-        }
-        // Decode + correct.
-        match self.code.css_split() {
-            Some((x_idx, z_idx)) => {
-                // X-type checks detect Z errors; their syndromes feed the Z
-                // decoder. Z-type checks feed the X decoder.
-                let hx = self.code.css_hx().expect("CSS");
-                let hz = self.code.css_hz().expect("CSS");
-                let sx: Vec<VarId> = x_idx.iter().map(|&i| s_vars[i]).collect();
-                let sz: Vec<VarId> = z_idx.iter().map(|&i| s_vars[i]).collect();
-                let cz: Vec<VarId> = (0..self.code.n())
-                    .map(|q| {
-                        self.vt
-                            .fresh(&format!("cz{cyc}b{block}_{q}"), VarRole::Correction)
-                    })
-                    .collect();
-                let cx: Vec<VarId> = (0..self.code.n())
-                    .map(|q| {
-                        self.vt
-                            .fresh(&format!("cx{cyc}b{block}_{q}"), VarRole::Correction)
-                    })
-                    .collect();
-                self.stmts.push(Stmt::Decode(DecodeCall {
-                    name: "decode_z".into(),
-                    outputs: cz.clone(),
-                    inputs: sx.clone(),
-                }));
-                self.stmts.push(Stmt::Decode(DecodeCall {
-                    name: "decode_x".into(),
-                    outputs: cx.clone(),
-                    inputs: sz.clone(),
-                }));
-                self.decoders.push(DecoderWiring {
-                    checks: hx
-                        .iter()
-                        .map(|row| row.iter_ones().map(|q| cz[q]).collect())
-                        .collect(),
-                    syndromes: sx,
-                    corrections: cz.clone(),
-                    flips: vec![],
-                    meas_errors: vec![],
-                });
-                self.decoders.push(DecoderWiring {
-                    checks: hz
-                        .iter()
-                        .map(|row| row.iter_ones().map(|q| cx[q]).collect())
-                        .collect(),
-                    syndromes: sz,
-                    corrections: cx.clone(),
-                    flips: vec![],
-                    meas_errors: vec![],
-                });
-                self.emit_corrections(base, &cx, Gate1::X, faulty_corrections, cyc, block);
-                self.emit_corrections(base, &cz, Gate1::Z, faulty_corrections, cyc, block);
-            }
-            None => {
-                // Joint decoder: X and Z correction bits per qubit.
-                let cx: Vec<VarId> = (0..self.code.n())
-                    .map(|q| {
-                        self.vt
-                            .fresh(&format!("cx{cyc}b{block}_{q}"), VarRole::Correction)
-                    })
-                    .collect();
-                let cz: Vec<VarId> = (0..self.code.n())
-                    .map(|q| {
-                        self.vt
-                            .fresh(&format!("cz{cyc}b{block}_{q}"), VarRole::Correction)
-                    })
-                    .collect();
-                let mut outputs = cx.clone();
-                outputs.extend(cz.iter().copied());
-                self.stmts.push(Stmt::Decode(DecodeCall {
-                    name: "decode_full".into(),
-                    outputs: outputs.clone(),
-                    inputs: s_vars.clone(),
-                }));
-                // Check rows: generator i flips under correction bits that
-                // anticommute with it locally.
-                let checks: Vec<Vec<VarId>> = self
-                    .code
-                    .generators()
-                    .iter()
-                    .map(|g| {
-                        let mut row = Vec::new();
-                        for q in 0..self.code.n() {
-                            if g.pauli().z_bit(q) {
-                                row.push(cx[q]); // X correction flips Z part
-                            }
-                            if g.pauli().x_bit(q) {
-                                row.push(cz[q]);
-                            }
-                        }
-                        row
-                    })
-                    .collect();
-                self.decoders.push(DecoderWiring {
-                    checks,
-                    syndromes: s_vars.clone(),
-                    corrections: outputs,
-                    flips: vec![],
-                    meas_errors: vec![],
-                });
-                self.emit_corrections(base, &cx, Gate1::X, faulty_corrections, cyc, block);
-                self.emit_corrections(base, &cz, Gate1::Z, faulty_corrections, cyc, block);
-            }
-        }
+        let schedule = ExtractionSchedule::perfect(self.code.generators().len());
+        self.extract(block, &schedule, faulty_corrections);
     }
 
     /// Emits a multi-round syndrome-extraction + decode + correct gadget on
     /// a block, following `schedule`: each round measures every generator —
     /// with a fresh measurement-flip indicator per site when the schedule is
     /// noisy (`s := meas[g] ^ m`) — then one decoder call per CSS sector
-    /// consumes the full round-major syndrome history, outputting its
-    /// corrections *and* its claimed flips (the space-time explanation of
-    /// the record), and the corrections are applied.
+    /// (one joint call for a non-CSS code) consumes the full round-major
+    /// syndrome history, outputting its corrections *and* its claimed flips
+    /// (the space-time explanation of the record), and the corrections are
+    /// applied.
     ///
     /// # Panics
     ///
-    /// Panics when the code is not CSS or the schedule's check count does
-    /// not match the generator count.
+    /// Panics when the schedule's check count does not match the generator
+    /// count.
     pub fn syndrome_extraction(&mut self, block: usize, schedule: &ExtractionSchedule) {
+        self.extract(block, schedule, false);
+    }
+
+    /// The extraction gadget behind every correction round. Variables are
+    /// allocated in search order: per site its syndrome, then its flip
+    /// indicator; per decoder call its corrections, then its claimed flips,
+    /// before the call is emitted.
+    fn extract(&mut self, block: usize, schedule: &ExtractionSchedule, faulty_corrections: bool) {
         self.cycle += 1;
         let cyc = self.cycle;
-        let n = self.num_qubits();
-        let base = block * self.code.n();
-        let gens: Vec<SymPauli> = self
-            .code
-            .generators()
-            .iter()
-            .map(|g| embed_block(g, block, self.code.n(), n))
-            .collect();
+        let (k, n) = (self.code.n(), self.num_qubits());
+        let code_gens = self.code.generators();
         assert_eq!(
             schedule.num_checks(),
-            gens.len(),
+            code_gens.len(),
             "schedule must cover every generator"
         );
-        let (x_idx, z_idx) = self
-            .code
-            .css_split()
-            .expect("syndrome extraction requires a CSS code");
+        let gens: Vec<SymPauli> = code_gens
+            .iter()
+            .map(|g| embed_block(g, block, k, n))
+            .collect();
         // Measure: rounds × generators, with per-site flip indicators.
         let mut s_vars: Vec<VarId> = Vec::with_capacity(schedule.num_sites());
         let mut m_vars: Vec<Option<VarId>> = Vec::with_capacity(schedule.num_sites());
         for site in schedule.sites() {
-            let s = self.vt.fresh(
-                &format!("s{cyc}b{block}r{}_{}", site.round, site.check),
-                VarRole::Syndrome,
-            );
+            let (r, i) = (site.round, site.check);
+            let g = gens[i].clone();
+            let s = self
+                .vt
+                .fresh(&format!("s{cyc}b{block}r{r}_{i}"), VarRole::Syndrome);
             s_vars.push(s);
             if site.noisy {
-                let m = self.vt.fresh(
-                    &format!("m{cyc}b{block}r{}_{}", site.round, site.check),
-                    VarRole::MeasError,
-                );
+                let m = self
+                    .vt
+                    .fresh(&format!("m{cyc}b{block}r{r}_{i}"), VarRole::MeasError);
                 self.meas_error_vars.push(m);
                 m_vars.push(Some(m));
-                self.stmts
-                    .push(Stmt::MeasFlip(s, gens[site.check].clone(), m));
+                self.stmts.push(Stmt::MeasFlip(s, g, m));
             } else {
                 m_vars.push(None);
-                self.stmts.push(Stmt::Meas(s, gens[site.check].clone()));
+                self.stmts.push(Stmt::Meas(s, g));
             }
         }
-        // One space-time decoder call per CSS sector over the full history.
-        let hx = self.code.css_hx().expect("CSS");
-        let hz = self.code.css_hz().expect("CSS");
-        let cz = self.extraction_decode(
-            &hx,
-            &x_idx,
-            schedule,
-            &s_vars,
-            &m_vars,
-            "decode_z",
-            &format!("cz{cyc}b{block}"),
-            &format!("fz{cyc}b{block}"),
-        );
-        let cx = self.extraction_decode(
-            &hz,
-            &z_idx,
-            schedule,
-            &s_vars,
-            &m_vars,
-            "decode_x",
-            &format!("cx{cyc}b{block}"),
-            &format!("fx{cyc}b{block}"),
-        );
-        self.emit_corrections(base, &cx, Gate1::X, false, cyc, block);
-        self.emit_corrections(base, &cz, Gate1::Z, false, cyc, block);
-    }
-
-    /// One CSS sector of a multi-round extraction: allocates the correction
-    /// and claimed-flip variables, emits the decoder call over the sector's
-    /// round-major syndrome history, and records the wiring for `P_f`.
-    #[allow(clippy::too_many_arguments)]
-    fn extraction_decode(
-        &mut self,
-        checks: &veriqec_gf2::BitMatrix,
-        idx: &[usize],
-        schedule: &ExtractionSchedule,
-        s_vars: &[VarId],
-        m_vars: &[Option<VarId>],
-        decoder_name: &str,
-        corr_prefix: &str,
-        flip_prefix: &str,
-    ) -> Vec<VarId> {
-        let corrections: Vec<VarId> = (0..self.code.n())
-            .map(|q| {
-                self.vt
-                    .fresh(&format!("{corr_prefix}_{q}"), VarRole::Correction)
-            })
-            .collect();
-        let mut syndromes = Vec::new();
-        let mut flips = Vec::new();
-        let mut meas_errors = Vec::new();
-        let mut check_rows = Vec::new();
-        for round in 0..schedule.rounds() {
-            for (k, &i) in idx.iter().enumerate() {
-                let site = schedule.history_index(round, i);
-                syndromes.push(s_vars[site]);
-                if let Some(m) = m_vars[site] {
-                    meas_errors.push(m);
-                    flips.push(
-                        self.vt
-                            .fresh(&format!("{flip_prefix}r{round}_{k}"), VarRole::Correction),
-                    );
+        // Decoder calls: (name tag, generators read, correction families).
+        // X-type checks detect Z errors, so their syndromes feed the Z
+        // decoder, and Z-type checks the X decoder.
+        const SECTOR_Z: &[(Gate1, &str)] = &[(Gate1::Z, "cz")];
+        const SECTOR_X: &[(Gate1, &str)] = &[(Gate1::X, "cx")];
+        const JOINT: &[(Gate1, &str)] = &[(Gate1::X, "cx"), (Gate1::Z, "cz")];
+        let calls = match self.code.css_split() {
+            Some((x_idx, z_idx)) => vec![("z", x_idx, SECTOR_Z), ("x", z_idx, SECTOR_X)],
+            None => vec![("full", (0..code_gens.len()).collect(), JOINT)],
+        };
+        let mut applied: Vec<(Gate1, Vec<VarId>)> = Vec::new();
+        for (tag, checks, kinds) in calls {
+            let mut corrections = Vec::with_capacity(kinds.len() * k);
+            for (_, family) in kinds {
+                let prefix = format!("{family}{cyc}b{block}");
+                corrections.extend(
+                    (0..k).map(|q| self.vt.fresh(&format!("{prefix}_{q}"), VarRole::Correction)),
+                );
+            }
+            // A correction flips a check where it anticommutes with it: an
+            // X correction on the check's Z part, a Z correction on its X.
+            let row = |i: usize| -> Vec<VarId> {
+                let p = code_gens[i].pauli();
+                let mut row = Vec::new();
+                for (f, (gate, _)) in kinds.iter().enumerate() {
+                    let bits = if *gate == Gate1::X {
+                        p.z_bits()
+                    } else {
+                        p.x_bits()
+                    };
+                    row.extend(bits.iter_ones().map(|q| corrections[f * k + q]));
                 }
-                check_rows.push(checks.row(k).iter_ones().map(|q| corrections[q]).collect());
+                row
+            };
+            let sites = schedule.rounds() * checks.len();
+            let (mut syndromes, mut rows) = (Vec::with_capacity(sites), Vec::with_capacity(sites));
+            let (mut flips, mut meas_errors) = (Vec::new(), Vec::new());
+            let flip_prefix = format!("f{tag}{cyc}b{block}");
+            for round in 0..schedule.rounds() {
+                for (j, &i) in checks.iter().enumerate() {
+                    let site = schedule.history_index(round, i);
+                    syndromes.push(s_vars[site]);
+                    if let Some(m) = m_vars[site] {
+                        meas_errors.push(m);
+                        flips.push(
+                            self.vt
+                                .fresh(&format!("{flip_prefix}r{round}_{j}"), VarRole::Correction),
+                        );
+                    }
+                    rows.push(row(i));
+                }
+            }
+            let mut outputs = corrections.clone();
+            outputs.extend(flips.iter().copied());
+            self.stmts.push(Stmt::Decode(DecodeCall {
+                name: format!("decode_{tag}"),
+                outputs,
+                inputs: syndromes.clone(),
+            }));
+            for (f, &(gate, _)) in kinds.iter().enumerate() {
+                applied.push((gate, corrections[f * k..(f + 1) * k].to_vec()));
+            }
+            self.decoders.push(DecoderWiring {
+                checks: rows,
+                syndromes,
+                corrections,
+                flips,
+                meas_errors,
+            });
+        }
+        // Apply the corrections, X first, then Z.
+        for gate in [Gate1::X, Gate1::Z] {
+            for (_, vars) in applied.iter().filter(|(g, _)| *g == gate) {
+                self.emit_corrections(block * k, vars, gate, faulty_corrections, cyc, block);
             }
         }
-        let mut outputs = corrections.clone();
-        outputs.extend(flips.iter().copied());
-        self.stmts.push(Stmt::Decode(DecodeCall {
-            name: decoder_name.into(),
-            outputs,
-            inputs: syndromes.clone(),
-        }));
-        self.decoders.push(DecoderWiring {
-            checks: check_rows,
-            syndromes,
-            corrections: corrections.clone(),
-            flips,
-            meas_errors,
-        });
-        corrections
     }
 
     fn emit_corrections(
@@ -660,8 +541,14 @@ pub fn cnot_propagation_scenario(code: &StabilizerCode, model: ErrorModel) -> Sc
 ///
 /// # Panics
 ///
-/// Panics when the code is not CSS.
+/// Panics when the code is not CSS: the frame cross-check
+/// ([`crate::sampling::faulty_memory_frame`]) and the space-time decoder
+/// work per CSS sector.
 pub fn faulty_memory_scenario(code: &StabilizerCode, model: ErrorModel, rounds: usize) -> Scenario {
+    assert!(
+        code.css_split().is_some(),
+        "faulty-measurement memory requires a CSS code"
+    );
     let mut b = ScenarioBuilder::new(code, 1);
     b.inject_errors(model, "");
     b.syndrome_extraction(
@@ -691,7 +578,9 @@ pub fn nonpauli_scenario(code: &StabilizerCode, gate: Gate1, qubit: usize) -> Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veriqec_codes::steane;
+    use crate::tasks::build_problem_unbounded;
+    use veriqec_codes::{five_qubit, rotated_surface, steane};
+    use veriqec_sat::SolverConfig;
 
     #[test]
     fn memory_scenario_shape() {
@@ -741,6 +630,60 @@ mod tests {
             .filter(|st| matches!(st, veriqec_prog::Stmt::MeasFlip(..)))
             .count();
         assert_eq!(flips, 18);
+    }
+
+    #[test]
+    fn extraction_gadget_encodings_are_pinned() {
+        // (sat_vars, exported clauses, FNV-1a-64 of the DIMACS text) of the
+        // unbounded problem: CSS sectors, the joint call, faulted corrections
+        // with a second cycle, three blocks, and noisy rounds with claimed
+        // flips. Variable order is search order, so any change to what the
+        // gadget allocates, or when, moves these.
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let (steane, y) = (steane(), ErrorModel::YErrors);
+        let cases = [
+            (memory_scenario(&steane, y), 184, 659, 0x0136_23b9_5e98_0128),
+            (
+                memory_scenario(&five_qubit(), ErrorModel::Depolarizing),
+                144,
+                541,
+                0xa8c2_313a_980e_f220,
+            ),
+            (
+                correction_fault_scenario(&steane, y),
+                720,
+                3_617,
+                0x3206_5855_03d2_d1ff,
+            ),
+            (
+                ghz_scenario(&steane, y),
+                3_948,
+                30_445,
+                0x11e6_ccfe_1686_c7a8,
+            ),
+            (
+                faulty_memory_scenario(&rotated_surface(3), y, 3),
+                757,
+                3_653,
+                0xfffc_35c8_4246_f8f8,
+            ),
+        ];
+        for (scenario, vars, clauses, hash) in cases {
+            let mut session =
+                build_problem_unbounded(&scenario, vec![]).session(SolverConfig::default());
+            let cnf = session.ctx_mut().export_cnf();
+            assert_eq!(
+                (session.stats().sat_vars, cnf.clauses.len()),
+                (vars, clauses),
+                "{}",
+                scenario.name
+            );
+            assert_eq!(fnv1a(cnf.to_dimacs().as_bytes()), hash, "{}", scenario.name);
+        }
     }
 
     #[test]

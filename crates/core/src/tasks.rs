@@ -54,7 +54,7 @@ pub fn build_problem(
 }
 
 /// Builds the [`VcProblem`] for a scenario *without* the global error-weight
-/// bound: the engine's weight sweeps ([`crate::engine::CorrectionSweep`])
+/// bound: the engine's budget sweeps ([`crate::engine::FaultToleranceSweep`])
 /// supply `Σe ≤ t` as an assumption on a cardinality handle instead of a
 /// baked-in clause, so one encoding serves every budget.
 ///

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use veriqec_cexpr::{VarId, VarRole, VarTable};
+use veriqec_cexpr::VarId;
 use veriqec_codes::{enumerate_errors, StabilizerCode};
 use veriqec_gf2::BitVec;
 use veriqec_pauli::PauliString;
@@ -226,40 +226,6 @@ impl MinWeightSpec {
         e_lits.extend(self.meas_errors.iter().map(|&v| ctx.lit_of(v)));
         ctx.assert_sum_le_sum(&c_lits, &e_lits, 0);
     }
-
-    /// Builds the spec for one CSS sector of a code.
-    ///
-    /// `checks` are the parity-check rows detecting the relevant error type;
-    /// fresh correction variables named `prefix_i` are allocated in `vt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the syndrome count does not match the check rows.
-    pub fn css_sector(
-        checks: &veriqec_gf2::BitMatrix,
-        syndromes: &[VarId],
-        errors: &[VarId],
-        prefix: &str,
-        vt: &mut VarTable,
-    ) -> Self {
-        assert_eq!(checks.num_rows(), syndromes.len(), "syndrome count");
-        let n = checks.num_cols();
-        let corrections: Vec<VarId> = (0..n)
-            .map(|i| vt.fresh_indexed(prefix, i, VarRole::Correction))
-            .collect();
-        let check_vars: Vec<Vec<VarId>> = checks
-            .iter()
-            .map(|row| row.iter_ones().map(|q| corrections[q]).collect())
-            .collect();
-        MinWeightSpec {
-            checks: check_vars,
-            syndromes: syndromes.to_vec(),
-            corrections,
-            errors: errors.to_vec(),
-            flips: vec![],
-            meas_errors: vec![],
-        }
-    }
 }
 
 /// An exact space-time minimum-weight decoder for one check sector over a
@@ -406,6 +372,7 @@ pub fn space_time_decode_call_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use veriqec_cexpr::{VarRole, VarTable};
     use veriqec_codes::{rotated_surface, steane};
 
     #[test]
@@ -607,8 +574,7 @@ mod tests {
     #[test]
     fn min_weight_spec_unsat_on_overweight_corrections() {
         use veriqec_cexpr::BExp;
-        let code = steane();
-        let hz = code.css_hz().unwrap();
+        // The Steane X decoder: Z checks on {0,2,4,6}, {1,2,5,6}, {3,4,5,6}.
         let mut vt = VarTable::new();
         let syndromes: Vec<VarId> = (0..3)
             .map(|i| vt.fresh_indexed("s", i, VarRole::Syndrome))
@@ -616,7 +582,20 @@ mod tests {
         let errors: Vec<VarId> = (0..7)
             .map(|i| vt.fresh_indexed("e", i, VarRole::Error))
             .collect();
-        let spec = MinWeightSpec::css_sector(&hz, &syndromes, &errors, "cx", &mut vt);
+        let corrections: Vec<VarId> = (0..7)
+            .map(|i| vt.fresh_indexed("cx", i, VarRole::Correction))
+            .collect();
+        let spec = MinWeightSpec {
+            checks: [[0, 2, 4, 6], [1, 2, 5, 6], [3, 4, 5, 6]]
+                .iter()
+                .map(|row| row.iter().map(|&q| corrections[q]).collect())
+                .collect(),
+            syndromes,
+            corrections,
+            errors: errors.clone(),
+            flips: vec![],
+            meas_errors: vec![],
+        };
         let mut ctx = SmtContext::new();
         spec.assert_into(&mut ctx);
         // Single error budget but demand 2 corrections: unsat.

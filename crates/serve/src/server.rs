@@ -518,7 +518,8 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
             max_t_data,
             max_t_meas,
         } => {
-            // Syndrome extraction measures X-type and Z-type checks apart.
+            // `faulty_memory_scenario` is CSS-only: its frame cross-check
+            // and the space-time decoder work per CSS sector.
             if code.css_split().is_none() {
                 shared.metrics.malformed.add(1);
                 return error_response(
@@ -551,6 +552,15 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
             (outcome, cause, stats, DdStats::default(), label, queries)
         }
         RequestKind::Count => {
+            // The failure enumerator counts the perfect-measurement formula;
+            // answering a noisy request with it would be a wrong count.
+            if req.rounds > 0 {
+                shared.metrics.malformed.add(1);
+                return error_response(
+                    req.id.as_deref(),
+                    "count supports perfect extraction only: rounds must be 0",
+                );
+            }
             // Only correction jobs are split across engine workers, so one
             // worker serves a count job in full.
             let engine = Engine::new(EngineConfig { workers: 1, solver });
@@ -816,6 +826,33 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("CSS"));
+        // The same connection still gets its next answer.
+        assert_eq!(rs[1].get("outcome").unwrap().as_str(), Some("all_detected"));
+        let stats = rs[2].get("stats").unwrap();
+        assert_eq!(stats.get("serve_malformed").unwrap().as_f64(), Some(1.0));
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn a_count_request_with_noisy_rounds_is_an_error() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let rs = roundtrip(
+            handle.addr(),
+            &[
+                r#"{"id":6,"kind":"count","code":"repetition_3","model":"x","rounds":2}"#,
+                r#"{"kind":"detection","code":"steane","dt":3}"#,
+                r#"{"op":"stats"}"#,
+            ],
+        );
+        assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(rs[0].get("id").unwrap().as_f64(), Some(6.0));
+        assert!(rs[0]
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("perfect extraction only"));
         // The same connection still gets its next answer.
         assert_eq!(rs[1].get("outcome").unwrap().as_str(), Some("all_detected"));
         let stats = rs[2].get("stats").unwrap();

@@ -26,7 +26,7 @@ pub use veriqec_wp;
 
 /// One-stop imports for interactive use.
 pub mod prelude {
-    pub use veriqec::engine::{CorrectionSweep, DetectionSession, Engine, EngineConfig, Job};
+    pub use veriqec::engine::{DetectionSession, Engine, EngineConfig, FaultToleranceSweep, Job};
     pub use veriqec::enumerator::{FailureEnumerator, WeightEnumerator};
     pub use veriqec::scenario::{memory_scenario, ErrorModel, Scenario, ScenarioBuilder};
     pub use veriqec::tasks::{
