@@ -1,11 +1,12 @@
 //! The kernel layer of the perf gate ([`crate::gate`]).
 //!
-//! Four hot-path kernels — the affine XOR chain,
+//! Five hot-path kernels — the affine XOR chain,
 //! `ReducedVc::resolve_branches`, the front end's stabilizer elimination
-//! (building the rotated surface code and reducing its memory wp), and
-//! batch-vs-sequential Pauli frame sampling — each measured as the median
-//! ns per operation, plus the sequential-over-batch frame speedup at
-//! surface d=5, the acceptance bar of the bit-sliced simulator.
+//! (building the rotated surface code and reducing its memory wp), the QEC
+//! wp engine on the surface memory scenario, and batch-vs-sequential Pauli
+//! frame sampling — each measured as the median ns per operation, plus the
+//! sequential-over-batch frame speedup at surface d=5, the acceptance bar
+//! of the bit-sliced simulator.
 
 use veriqec::sampling::faulty_memory_frame;
 use veriqec::scenario::{memory_scenario, ErrorModel};
@@ -97,6 +98,16 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
         std::hint::black_box(reduce_commuting(&scenario.lhs, &wp.pre).expect("commuting case"));
     });
     medians.push(("stabilizer_elimination_d7".into(), elimination_ns));
+
+    // The wp engine over one surface memory round. A rebuild of every
+    // conjunct per error statement reads about 7 ms here, past the bound.
+    let scenario = memory_scenario(&rotated_surface(9), ErrorModel::YErrors);
+    let wp_ns = median_ns(samples, || {
+        std::hint::black_box(
+            qec_wp(&scenario.program, scenario.post.clone()).expect("QEC fragment"),
+        );
+    });
+    medians.push(("memory_wp_d9".into(), wp_ns));
 
     let (circuit, masks) = frame_workload(5, 3);
     let per_lane: Vec<Vec<bool>> = (0..LANES)

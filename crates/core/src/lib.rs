@@ -72,3 +72,13 @@ pub use tasks::{
     verify_fault_tolerance, verify_nonpauli_memory, DetectionOutcome, DistanceOutcome,
     VerificationReport,
 };
+
+#[cfg(test)]
+mod test_support {
+    /// FNV-1a-64, the fingerprint the encoding pins hash DIMACS text with.
+    pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+}

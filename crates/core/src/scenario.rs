@@ -579,6 +579,7 @@ pub fn nonpauli_scenario(code: &StabilizerCode, gate: Gate1, qubit: usize) -> Sc
 mod tests {
     use super::*;
     use crate::tasks::build_problem_unbounded;
+    use crate::test_support::fnv1a;
     use veriqec_codes::{five_qubit, rotated_surface, steane};
     use veriqec_sat::SolverConfig;
 
@@ -639,11 +640,6 @@ mod tests {
         // with a second cycle, three blocks, and noisy rounds with claimed
         // flips. Variable order is search order, so any change to what the
         // gadget allocates, or when, moves these.
-        fn fnv1a(bytes: &[u8]) -> u64 {
-            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        }
         let (steane, y) = (steane(), ErrorModel::YErrors);
         let cases = [
             (memory_scenario(&steane, y), 184, 659, 0x0136_23b9_5e98_0128),

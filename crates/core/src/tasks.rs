@@ -334,6 +334,7 @@ pub fn verify_nonpauli_memory(
 mod tests {
     use super::*;
     use crate::scenario::{memory_scenario, ErrorModel};
+    use crate::test_support::fnv1a;
     use veriqec_codes::{rotated_surface, steane};
 
     #[test]
@@ -344,17 +345,25 @@ mod tests {
         // of the guard and decoder rows. Full totalizers gave 2,329 vars /
         // 17,939 exported clauses at d = 7 and 4,178 / 43,373 at d = 9;
         // capped ones with every target reified 1,272 / 4,624 and
-        // 2,235 / 8,476.
-        for (d, max_vars, max_clauses) in [(7, 1_000, 3_500), (9, 1_800, 6_500)] {
+        // 2,235 / 8,476. These are the proofs the surface-correction
+        // benchmark solves, pinned exactly: (sat_vars, exported clauses,
+        // FNV-1a-64 of the DIMACS text), so a front-end change that moves
+        // the formula fails here.
+        let cases = [
+            (7, 983, 3_422, 0x9148_551f_b8a7_892d),
+            (9, 1_738, 6_410, 0x11ad_80a9_f409_0667),
+        ];
+        for (d, vars, clauses, hash) in cases {
             let scenario = memory_scenario(&rotated_surface(d), ErrorModel::YErrors);
             let t = (d as i64 - 1) / 2;
             let mut session = build_problem(&scenario, t, vec![]).session(SolverConfig::default());
-            let vars = session.stats().sat_vars;
-            let clauses = session.ctx_mut().export_cnf().clauses.len();
-            assert!(
-                vars <= max_vars && clauses <= max_clauses,
-                "d={d}: {vars} vars, {clauses} clauses"
+            let cnf = session.ctx_mut().export_cnf();
+            assert_eq!(
+                (session.stats().sat_vars, cnf.clauses.len()),
+                (vars, clauses),
+                "d={d}"
             );
+            assert_eq!(fnv1a(cnf.to_dimacs().as_bytes()), hash, "d={d}");
         }
     }
 

@@ -143,25 +143,16 @@ impl Assertion {
         self.map(&|a| match a {
             Assertion::Bool(b) => Some(Assertion::Bool(b.subst(v, e))),
             Assertion::Pauli(p) => {
-                let terms: Vec<_> = p
-                    .terms()
-                    .iter()
-                    .map(|t| {
-                        if t.phase().contains(v) {
-                            let aff = affine.clone().unwrap_or_else(|| {
-                                panic!("non-affine substitution into a Pauli phase")
-                            });
-                            veriqec_pauli::ExtTerm::new(
-                                t.coeff(),
-                                t.pauli().clone(),
-                                t.phase().subst(v, &aff),
-                            )
-                        } else {
-                            t.clone()
-                        }
-                    })
-                    .collect();
-                Some(Assertion::Pauli(ExtPauli::from_terms(terms)))
+                let mut p = p.clone();
+                p.update_phases(|_, phase| {
+                    if phase.contains(v) {
+                        let aff = affine
+                            .as_ref()
+                            .expect("non-affine substitution into a Pauli phase");
+                        *phase = phase.subst(v, aff);
+                    }
+                });
+                Some(Assertion::Pauli(p))
             }
             _ => None,
         })

@@ -68,18 +68,7 @@ impl QecAssertion {
                     *g = g.subst(v, &val);
                 }
                 for c in &mut conjuncts {
-                    let terms: Vec<_> = c
-                        .terms()
-                        .iter()
-                        .map(|t| {
-                            veriqec_pauli::ExtTerm::new(
-                                t.coeff(),
-                                t.pauli().clone(),
-                                t.phase().subst(v, &val),
-                            )
-                        })
-                        .collect();
-                    *c = ExtPauli::from_terms(terms);
+                    c.update_phases(|_, phase| *phase = phase.subst(v, &val));
                 }
             }
             // Guard with constant value 1 kills the branch.

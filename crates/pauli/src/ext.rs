@@ -115,11 +115,6 @@ pub struct ExtPauli {
 }
 
 impl ExtPauli {
-    /// The zero expression.
-    pub fn zero() -> Self {
-        ExtPauli { terms: Vec::new() }
-    }
-
     /// A single symbolic Pauli as an expression.
     pub fn from_sym(p: SymPauli) -> Self {
         ExtPauli {
@@ -165,13 +160,6 @@ impl ExtPauli {
         }
     }
 
-    /// Sum of two expressions.
-    pub fn add(&self, other: &ExtPauli) -> ExtPauli {
-        let mut terms = self.terms.clone();
-        terms.extend(other.terms.iter().cloned());
-        ExtPauli::from_terms(terms)
-    }
-
     /// Scales all coefficients.
     pub fn scale(&self, k: Dyadic) -> ExtPauli {
         ExtPauli::from_terms(
@@ -187,26 +175,18 @@ impl ExtPauli {
         )
     }
 
-    /// Multiplies on the right by a symbolic Pauli that commutes or
-    /// anticommutes with each term; phases are tracked exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any term's product with `p` is non-Hermitian (`±i` phase),
-    /// which cannot arise for the commuting multiplications used by the
-    /// verification-condition reduction.
-    pub fn mul_sym(&self, p: &SymPauli) -> ExtPauli {
-        ExtPauli::from_terms(
-            self.terms
-                .iter()
-                .map(|t| {
-                    let prod = t.pauli.mul(p.pauli());
-                    let mut phase = t.phase.clone();
-                    phase ^= p.phase();
-                    ExtTerm::new(t.coeff, prod, phase)
-                })
-                .collect(),
-        )
+    /// Edits every term's phase in place: `f` sees the term's letters and
+    /// its phase. Letters and coefficients never change, so a single term
+    /// stays simplified; a sum is re-simplified, because an edit can make
+    /// two terms with the same letters equal and the term order sorts on
+    /// the phase.
+    pub fn update_phases(&mut self, mut f: impl FnMut(&PauliString, &mut Affine)) {
+        for t in &mut self.terms {
+            f(&t.pauli, &mut t.phase);
+        }
+        if self.terms.len() > 1 {
+            self.simplify();
+        }
     }
 
     /// The general operator product of two Pauli expressions (distributing
@@ -305,24 +285,25 @@ mod tests {
         SymPauli::plain(PauliString::from_letters("X").unwrap())
     }
 
-    fn y() -> SymPauli {
-        SymPauli::plain(PauliString::from_letters("Y").unwrap())
+    fn term(coeff: Dyadic, letters: &str) -> ExtTerm {
+        ExtTerm::new(
+            coeff,
+            PauliString::from_letters(letters).unwrap(),
+            Affine::zero(),
+        )
     }
 
     #[test]
     fn like_terms_combine() {
-        let a = ExtPauli::from_sym(x());
-        let b = ExtPauli::from_sym(x());
-        let s = a.add(&b);
+        let s = ExtPauli::from_terms(vec![term(Dyadic::one(), "X"), term(Dyadic::one(), "X")]);
         assert_eq!(s.terms().len(), 1);
         assert_eq!(s.terms()[0].coeff(), Dyadic::from_int(2));
     }
 
     #[test]
     fn opposite_terms_cancel() {
-        let a = ExtPauli::from_sym(x());
-        let b = a.scale(-Dyadic::one());
-        assert!(a.add(&b).is_zero());
+        let s = ExtPauli::from_terms(vec![term(Dyadic::one(), "X"), term(-Dyadic::one(), "X")]);
+        assert!(s.is_zero());
     }
 
     #[test]
@@ -334,33 +315,138 @@ mod tests {
 
     #[test]
     fn t_image_squares_back() {
-        // ((X−Y)/√2 multiplied by itself via mul_sym is not defined (terms
-        // anticommute), but scaling and adding works:
+        // The sum of the T images of X and Y:
         // (X−Y)/√2 + (X+Y)/√2 = √2·X.
         let c = Dyadic::inv_sqrt2();
-        let e1 = ExtPauli::from_terms(vec![
-            ExtTerm::new(c, PauliString::from_letters("X").unwrap(), Affine::zero()),
-            ExtTerm::new(-c, PauliString::from_letters("Y").unwrap(), Affine::zero()),
+        let s = ExtPauli::from_terms(vec![
+            term(c, "X"),
+            term(-c, "Y"),
+            term(c, "X"),
+            term(c, "Y"),
         ]);
-        let e2 = ExtPauli::from_terms(vec![
-            ExtTerm::new(c, PauliString::from_letters("X").unwrap(), Affine::zero()),
-            ExtTerm::new(c, PauliString::from_letters("Y").unwrap(), Affine::zero()),
-        ]);
-        let s = e1.add(&e2);
         assert_eq!(s.terms().len(), 1);
         assert_eq!(s.terms()[0].coeff(), Dyadic::sqrt2());
-        let _ = y();
+    }
+}
+
+#[cfg(test)]
+mod update_phases_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use veriqec_cexpr::VarId;
+
+    /// The reference: every term rebuilt with its new phase, then the
+    /// whole sum simplified from scratch.
+    fn rebuild(e: &ExtPauli, f: impl Fn(&PauliString, &Affine) -> Affine) -> ExtPauli {
+        ExtPauli::from_terms(
+            e.terms()
+                .iter()
+                .map(|t| ExtTerm::new(t.coeff(), t.pauli().clone(), f(t.pauli(), t.phase())))
+                .collect(),
+        )
     }
 
-    #[test]
-    fn mul_sym_by_commuting_stabilizer() {
-        // (X₀X₁) · (Z₀Z₁) = −Y₀Y₁ — commuting, sign folds into coefficient.
-        let xx = SymPauli::plain(PauliString::from_letters("XX").unwrap());
-        let zz = SymPauli::plain(PauliString::from_letters("ZZ").unwrap());
-        let e = ExtPauli::from_sym(xx).mul_sym(&zz);
-        assert_eq!(e.terms().len(), 1);
-        assert_eq!(e.terms()[0].coeff(), -Dyadic::one());
-        assert_eq!(e.terms()[0].pauli().to_string(), "YY");
+    /// An affine form over `v0..v3`: bit `i` of `mask` selects `v_i`, bit 4
+    /// the constant.
+    fn form(mask: u8) -> Affine {
+        let mut a = Affine::constant(mask & 16 != 0);
+        for i in 0..4 {
+            if mask >> i & 1 == 1 {
+                a.xor_var(VarId(i));
+            }
+        }
+        a
+    }
+
+    /// 1–4 terms over 3 qubits with coefficients ±1 or ±1/√2. The first
+    /// term's letters repeat with probability one half, so sums of two
+    /// terms with the same letters and different phases are common.
+    fn arb_expr() -> impl Strategy<Value = ExtPauli> {
+        let letters = (0u8..4, 0u8..4, 0u8..4).prop_map(|(a, b, c)| {
+            [a, b, c]
+                .iter()
+                .map(|&l| ['I', 'X', 'Y', 'Z'][l as usize])
+                .collect::<String>()
+        });
+        let coeff = (any::<bool>(), any::<bool>()).prop_map(|(neg, half)| {
+            let c = if half {
+                Dyadic::inv_sqrt2()
+            } else {
+                Dyadic::one()
+            };
+            if neg {
+                -c
+            } else {
+                c
+            }
+        });
+        let term = (letters, coeff, 0u8..32, any::<bool>());
+        proptest::collection::vec(term, 1..5).prop_map(|terms| {
+            let first = terms[0].0.clone();
+            ExtPauli::from_terms(
+                terms
+                    .into_iter()
+                    .map(|(letters, c, phase, repeat)| {
+                        let letters = if repeat { first.clone() } else { letters };
+                        let p = PauliString::from_letters(&letters).unwrap();
+                        ExtTerm::new(c, p, form(phase))
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn update_phases_matches_the_per_term_rebuild(
+            e in arb_expr(),
+            error in (0usize..3, 1u8..4),
+            guard in 0u8..32,
+            var in 0u32..4,
+            image in 0u8..32,
+            merge in any::<bool>(),
+        ) {
+            // A conditional Pauli error: XOR the guard into every term that
+            // anticommutes with the one-qubit error.
+            let (q, letter) = error;
+            let err = PauliString::single(3, ['X', 'Y', 'Z'][letter as usize - 1], q);
+            let guard = form(guard);
+            let mut fast = e.clone();
+            fast.update_phases(|p, phase| {
+                if p.anticommutes_with(&err) {
+                    *phase ^= &guard;
+                }
+            });
+            let slow = rebuild(&e, |p, phase| {
+                let mut phase = phase.clone();
+                if p.anticommutes_with(&err) {
+                    phase ^= &guard;
+                }
+                phase
+            });
+            prop_assert_eq!(&fast, &slow);
+
+            // A substitution `v := image`. With `merge`, the image is
+            // `a ⊕ b ⊕ v` for the first two terms' phases `a` and `b`: when
+            // exactly one of them contains `v`, the two phases become
+            // equal, and terms with the same letters combine.
+            let v = VarId(var);
+            let image = match (merge, fast.terms()) {
+                (true, [a, b, ..]) => {
+                    let mut diff = a.phase().clone();
+                    diff ^= b.phase();
+                    diff ^= &Affine::var(v);
+                    diff
+                }
+                _ => form(image),
+            };
+            let mut fast2 = fast.clone();
+            fast2.update_phases(|_, phase| *phase = phase.subst(v, &image));
+            let slow2 = rebuild(&fast, |_, phase| phase.subst(v, &image));
+            prop_assert_eq!(&fast2, &slow2);
+        }
     }
 }
 

@@ -295,9 +295,14 @@ pub fn resolve_code(spec: &CodeSpec) -> Result<StabilizerCode, String> {
             let gens: Vec<SymPauli> = stabilizers
                 .iter()
                 .map(|s| {
-                    PauliString::from_letters(s)
-                        .map(SymPauli::plain)
-                        .map_err(|e| format!("bad stabilizer {s:?}: {e}"))
+                    let p = PauliString::from_letters(s)
+                        .map_err(|e| format!("bad stabilizer {s:?}: {e}"))?;
+                    if p.hermitian_sign().is_none() {
+                        return Err(format!(
+                            "bad stabilizer {s:?}: a stabilizer must be Hermitian (sign + or −)"
+                        ));
+                    }
+                    Ok(SymPauli::plain(p))
                 })
                 .collect::<Result<_, _>>()?;
             let group =
@@ -480,6 +485,14 @@ mod tests {
             distance: None,
         };
         assert!(resolve_code(&bad).unwrap_err().contains("bad stabilizer"));
+        let imaginary = CodeSpec::Inline {
+            name: "bad".into(),
+            stabilizers: vec!["iZZI".into(), "IZZ".into()],
+            distance: None,
+        };
+        assert!(resolve_code(&imaginary)
+            .unwrap_err()
+            .contains("must be Hermitian"));
     }
 
     #[test]

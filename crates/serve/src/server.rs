@@ -788,6 +788,7 @@ mod tests {
                 "{not json",
                 r#"{"op":"frobnicate"}"#,
                 r#"{"id":3,"kind":"distance","code":"bogus_code"}"#,
+                r#"{"id":4,"kind":"fault_tolerance","stabilizers":["iZZI","IZZ"],"model":"x"}"#,
                 r#"{"kind":"distance","code":"five_qubit","max":3}"#,
             ],
         );
@@ -801,8 +802,17 @@ mod tests {
         assert_eq!(rs[1].get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(rs[2].get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(rs[2].get("id").unwrap().as_f64(), Some(3.0));
+        // A non-Hermitian inline stabilizer is a request error, not a panic.
+        assert_eq!(rs[3].get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(rs[3].get("id").unwrap().as_f64(), Some(4.0));
+        assert!(rs[3]
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("must be Hermitian"));
         // The server survives all of it.
-        assert_eq!(rs[3].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(rs[4].get("ok").unwrap().as_bool(), Some(true));
         handle.shutdown();
         handle.join().expect("clean join");
     }

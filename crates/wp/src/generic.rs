@@ -3,7 +3,7 @@
 //!
 //! Exponential in the number of branching statements (each measurement or
 //! `if` doubles the assertion), so this engine is the *reference semantics*
-//! used for validation; the scalable engine lives in [`crate::QecWp`].
+//! used for validation; the scalable engine is [`crate::qec_wp`].
 
 use crate::WpError;
 use veriqec_cexpr::BExp;
@@ -14,7 +14,7 @@ use veriqec_prog::Stmt;
 /// Conjugates every term of a Pauli expression by a single-qubit gate
 /// (`U† · U` when `wp` is true).
 pub fn conj_ext1(gate: Gate1, q: usize, e: &ExtPauli, wp: bool) -> ExtPauli {
-    let mut out = ExtPauli::zero();
+    let mut terms = Vec::with_capacity(e.terms().len());
     for t in e.terms() {
         let sp = SymPauli::new(t.pauli().clone(), t.phase().clone());
         let image = if gate.is_clifford() {
@@ -22,20 +22,20 @@ pub fn conj_ext1(gate: Gate1, q: usize, e: &ExtPauli, wp: bool) -> ExtPauli {
         } else {
             conj1_ext(gate, q, &sp, wp)
         };
-        out = out.add(&image.scale(t.coeff()));
+        terms.extend_from_slice(image.scale(t.coeff()).terms());
     }
-    out
+    ExtPauli::from_terms(terms)
 }
 
 /// Conjugates every term of a Pauli expression by a two-qubit gate.
 pub fn conj_ext2(gate: Gate2, i: usize, j: usize, e: &ExtPauli, wp: bool) -> ExtPauli {
-    let mut out = ExtPauli::zero();
+    let mut terms = Vec::with_capacity(e.terms().len());
     for t in e.terms() {
         let sp = SymPauli::new(t.pauli().clone(), t.phase().clone());
         let image = ExtPauli::from_sym(conj2(gate, i, j, &sp, wp));
-        out = out.add(&image.scale(t.coeff()));
+        terms.extend_from_slice(image.scale(t.coeff()).terms());
     }
-    out
+    ExtPauli::from_terms(terms)
 }
 
 /// Computes the weakest liberal precondition of a loop-free statement.

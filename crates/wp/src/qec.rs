@@ -5,9 +5,14 @@
 //! updates phases in place, exactly as in the paper's derivations (§4.2,
 //! Appendix C.1):
 //!
-//! * Clifford gates conjugate the conjuncts' letters (rules U-*);
-//! * conditional Pauli errors XOR the guard into anticommuting conjuncts'
-//!   phases (the derived rules after Fig. 3);
+//! * Clifford gates conjugate the conjuncts' letters (rules U-*), building
+//!   each conjunct's image anew;
+//! * a conditional Pauli error `[b] q *= P` changes no letter: it XORs `b`
+//!   into the phase of every term that anticommutes with `P` on `q` (the
+//!   derived rules after Fig. 3). Anticommutation is a bit test at `q`, and
+//!   [`ExtPauli::update_phases`] edits the phases in place, so an error
+//!   statement clones no string and rebuilds no conjunct; assignments
+//!   substitute into the phases the same way;
 //! * measurements add an or-bound conjunct `(−1)^s g`, merging duplicate
 //!   letters into branch guards via `P ∧ −P ≡ ⊥` (Prop. A.3);
 //! * decoder calls stay uninterpreted and are recorded for the VC layer.
@@ -15,7 +20,7 @@
 use crate::{conj_ext1, conj_ext2, WpError};
 use veriqec_cexpr::{BExp, VarId};
 use veriqec_logic::{bexp_to_affine, QecAssertion};
-use veriqec_pauli::{ExtPauli, ExtTerm, PauliString, SymPauli};
+use veriqec_pauli::{ExtPauli, PauliString, SymPauli};
 use veriqec_prog::{DecodeCall, Stmt};
 
 /// The result of running the engine backward over a program.
@@ -104,52 +109,41 @@ impl Engine {
 
     fn cond_gate(&mut self, b: &BExp, g: veriqec_pauli::Gate1, q: usize) -> Result<(), WpError> {
         use veriqec_pauli::Gate1;
-        match g {
-            Gate1::X | Gate1::Y | Gate1::Z => {
-                let guard = bexp_to_affine(b).ok_or(WpError::NonAffineSubstitution {
-                    var: "<guard>".into(),
-                })?;
-                let n = self.a.num_qubits;
-                let error = PauliString::single(n, letter_of(g), q);
-                for c in &mut self.a.conjuncts {
-                    let terms: Vec<ExtTerm> = c
-                        .terms()
-                        .iter()
-                        .map(|t| {
-                            let mut phase = t.phase().clone();
-                            if t.pauli().anticommutes_with(&error) {
-                                phase ^= &guard;
-                            }
-                            ExtTerm::new(t.coeff(), t.pauli().clone(), phase)
-                        })
-                        .collect();
-                    *c = ExtPauli::from_terms(terms);
+        // A term anticommutes with a one-qubit Pauli `g` on `q` iff its
+        // letter there is one of the other two: a bit test at `q`.
+        let anticommutes: fn(&PauliString, usize) -> bool = match g {
+            Gate1::X => |p, q| p.z_bit(q),
+            Gate1::Z => |p, q| p.x_bit(q),
+            Gate1::Y => |p, q| p.x_bit(q) != p.z_bit(q),
+            _ => {
+                return match b {
+                    BExp::Const(true) => {
+                        self.map_conjuncts(|e| conj_ext1(g, q, e, true));
+                        Ok(())
+                    }
+                    BExp::Const(false) => Ok(()),
+                    _ => Err(WpError::SymbolicNonPauliError),
                 }
-                Ok(())
             }
-            _ => match b {
-                BExp::Const(true) => {
-                    self.map_conjuncts(|e| conj_ext1(g, q, e, true));
-                    Ok(())
+        };
+        let guard = bexp_to_affine(b).ok_or(WpError::NonAffineSubstitution {
+            var: "<guard>".into(),
+        })?;
+        for c in &mut self.a.conjuncts {
+            c.update_phases(|p, phase| {
+                if anticommutes(p, q) {
+                    *phase ^= &guard;
                 }
-                BExp::Const(false) => Ok(()),
-                _ => Err(WpError::SymbolicNonPauliError),
-            },
+            });
         }
+        Ok(())
     }
 
     fn assign(&mut self, x: VarId, e: &BExp) -> Result<(), WpError> {
         match bexp_to_affine(e) {
             Some(aff) => {
                 for c in &mut self.a.conjuncts {
-                    let terms: Vec<ExtTerm> = c
-                        .terms()
-                        .iter()
-                        .map(|t| {
-                            ExtTerm::new(t.coeff(), t.pauli().clone(), t.phase().subst(x, &aff))
-                        })
-                        .collect();
-                    *c = ExtPauli::from_terms(terms);
+                    c.update_phases(|_, phase| *phase = phase.subst(x, &aff));
                 }
                 for g in &mut self.a.guards {
                     *g = g.subst(x, &aff);
@@ -210,15 +204,6 @@ impl Engine {
         )));
         self.a.or_vars.push(x);
         Ok(())
-    }
-}
-
-fn letter_of(g: veriqec_pauli::Gate1) -> char {
-    match g {
-        veriqec_pauli::Gate1::X => 'X',
-        veriqec_pauli::Gate1::Y => 'Y',
-        veriqec_pauli::Gate1::Z => 'Z',
-        _ => unreachable!("Pauli gates only"),
     }
 }
 
