@@ -258,6 +258,7 @@ mod tests {
                     1_800_000.0
                 ),
                 ("kernels", "memory_wp_d9", "median_ns", 1_800_000.0),
+                ("kernels", "cnot_wp_d9", "median_ns", 9_000_000.0),
                 ("kernels", "frame_sequential_d5", "median_ns", 6_000.0),
                 ("kernels", "frame_batch_d5", "median_ns", 180.0),
                 ("kernels", "frame_batch_d5", "speedup", 10.0),

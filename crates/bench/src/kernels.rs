@@ -1,15 +1,16 @@
 //! The kernel layer of the perf gate ([`crate::gate`]).
 //!
-//! Five hot-path kernels — the affine XOR chain,
+//! Six hot-path kernels — the affine XOR chain,
 //! `ReducedVc::resolve_branches`, the front end's stabilizer elimination
 //! (building the rotated surface code and reducing its memory wp), the QEC
-//! wp engine on the surface memory scenario, and batch-vs-sequential Pauli
-//! frame sampling — each measured as the median ns per operation, plus the
+//! wp engine on the surface memory scenario and on the transversal-CNOT
+//! scenario (its Clifford rule), and batch-vs-sequential Pauli frame
+//! sampling — each measured as the median ns per operation, plus the
 //! sequential-over-batch frame speedup at surface d=5, the acceptance bar
 //! of the bit-sliced simulator.
 
 use veriqec::sampling::faulty_memory_frame;
-use veriqec::scenario::{memory_scenario, ErrorModel};
+use veriqec::scenario::{cnot_propagation_scenario, memory_scenario, ErrorModel};
 use veriqec_cexpr::{Affine, VarId};
 use veriqec_codes::{rotated_surface, ExtractionSchedule};
 use veriqec_qsim::LANES;
@@ -108,6 +109,17 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
         );
     });
     medians.push(("memory_wp_d9".into(), wp_ns));
+
+    // The Clifford rule: a transversal CNOT between two d = 9 blocks, then
+    // a correction round on each. Rebuilding every conjunct at each gate
+    // reads about 22 ms here, past the bound.
+    let scenario = cnot_propagation_scenario(&rotated_surface(9), ErrorModel::YErrors);
+    let cnot_ns = median_ns(samples, || {
+        std::hint::black_box(
+            qec_wp(&scenario.program, scenario.post.clone()).expect("QEC fragment"),
+        );
+    });
+    medians.push(("cnot_wp_d9".into(), cnot_ns));
 
     let (circuit, masks) = frame_workload(5, 3);
     let per_lane: Vec<Vec<bool>> = (0..LANES)

@@ -5,7 +5,7 @@
 
 use rand::prelude::*;
 use veriqec_gf2::{BitVec, RowBasis};
-use veriqec_pauli::{conj1, conj2, Gate1, Gate2, PauliString, StabilizerGroup, SymPauli};
+use veriqec_pauli::{Gate1, Gate2, PauliString, StabilizerGroup, SymPauli};
 
 use crate::StabilizerCode;
 
@@ -23,7 +23,7 @@ pub fn random_code<R: Rng>(n: usize, k: usize, rng: &mut R) -> StabilizerCode {
                 let q = rng.gen_range(0..n);
                 let g = *[Gate1::H, Gate1::S].choose(rng).expect("nonempty");
                 for p in &mut gens {
-                    *p = conj1(g, q, p, false);
+                    p.conjugate(|s| s.conjugate1(g.inverse(), q));
                 }
             }
             _ => {
@@ -34,7 +34,7 @@ pub fn random_code<R: Rng>(n: usize, k: usize, rng: &mut R) -> StabilizerCode {
                 }
                 let g = *[Gate2::Cnot, Gate2::Cz].choose(rng).expect("nonempty");
                 for p in &mut gens {
-                    *p = conj2(g, i, j, p, false);
+                    p.conjugate(|s| s.conjugate2(g.inverse(), i, j));
                 }
             }
         }
@@ -191,7 +191,7 @@ pub fn hill_climb_distance<R: Rng>(
                     let q = rng.gen_range(0..n);
                     let g = *[Gate1::H, Gate1::S].choose(rng).expect("nonempty");
                     for p in &mut gens {
-                        *p = conj1(g, q, p, false);
+                        p.conjugate(|s| s.conjugate1(g.inverse(), q));
                     }
                 }
                 _ => {
@@ -202,7 +202,7 @@ pub fn hill_climb_distance<R: Rng>(
                     }
                     let g = *[Gate2::Cnot, Gate2::Cz].choose(rng).expect("nonempty");
                     for p in &mut gens {
-                        *p = conj2(g, i, j, p, false);
+                        p.conjugate(|s| s.conjugate2(g.inverse(), i, j));
                     }
                 }
             }

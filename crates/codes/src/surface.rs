@@ -3,7 +3,7 @@
 use crate::css::{x_type, z_type};
 use crate::StabilizerCode;
 use veriqec_gf2::BitVec;
-use veriqec_pauli::{conj1, Gate1, StabilizerGroup, SymPauli};
+use veriqec_pauli::{Gate1, StabilizerGroup, SymPauli};
 
 /// The distance-`d` rotated surface code `[[d², 1, d]]` on a `d × d` grid of
 /// data qubits (qubit `(r, c)` has index `r·d + c`).
@@ -96,13 +96,11 @@ pub fn xzzx_surface(d: usize) -> StabilizerCode {
     let n = base.n();
     let conj_all = |p: &SymPauli| -> SymPauli {
         let mut out = p.clone();
-        for r in 0..d {
-            for c in 0..d {
-                if (r + c) % 2 == 1 {
-                    out = conj1(Gate1::H, r * d + c, &out, true);
-                }
+        out.conjugate(|s| {
+            for q in (0..n).filter(|q| (q / d + q % d) % 2 == 1) {
+                s.conjugate1(Gate1::H, q);
             }
-        }
+        });
         out
     };
     let gens: Vec<SymPauli> = base.generators().iter().map(&conj_all).collect();

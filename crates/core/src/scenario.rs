@@ -17,7 +17,7 @@ use veriqec_cexpr::{BExp, VarId, VarRole, VarTable};
 use veriqec_codes::{ExtractionSchedule, StabilizerCode};
 use veriqec_gf2::BitVec;
 use veriqec_logic::QecAssertion;
-use veriqec_pauli::{conj1, conj2, ExtPauli, Gate1, Gate2, PauliString, SymPauli};
+use veriqec_pauli::{ExtPauli, Gate1, Gate2, PauliString, SymPauli};
 use veriqec_prog::{DecodeCall, Stmt};
 
 /// Which single-qubit error is injected at each location.
@@ -173,18 +173,13 @@ impl ScenarioBuilder {
         for q in 0..self.code.n() {
             self.stmts.push(Stmt::Gate1(gate, base + q));
         }
-        let conj_all = |p: &SymPauli| {
-            let mut out = p.clone();
-            for q in 0..self.code.n() {
-                out = conj1(gate, base + q, &out, false);
-            }
-            out
-        };
-        for l in &mut self.logical_x[block] {
-            *l = conj_all(l);
-        }
-        for l in &mut self.logical_z[block] {
-            *l = conj_all(l);
+        // A logical becomes `U L U†`: the wp conjugation by `U†`.
+        let (n, inv) = (self.code.n(), gate.inverse());
+        for l in self.logical_x[block]
+            .iter_mut()
+            .chain(&mut self.logical_z[block])
+        {
+            l.conjugate(|p| (base..base + n).for_each(|q| p.conjugate1(inv, q)));
         }
     }
 
@@ -194,20 +189,15 @@ impl ScenarioBuilder {
         for q in 0..self.code.n() {
             self.stmts.push(Stmt::Gate2(Gate2::Cnot, cb + q, tb + q));
         }
-        let conj_all = |p: &SymPauli| {
-            let mut out = p.clone();
-            for q in 0..self.code.n() {
-                out = conj2(Gate2::Cnot, cb + q, tb + q, &out, false);
-            }
-            out
-        };
-        for b in 0..self.blocks {
-            for l in &mut self.logical_x[b] {
-                *l = conj_all(l);
-            }
-            for l in &mut self.logical_z[b] {
-                *l = conj_all(l);
-            }
+        // CNOT is its own inverse, so the forward image is the wp one.
+        let n = self.code.n();
+        for l in self
+            .logical_x
+            .iter_mut()
+            .chain(&mut self.logical_z)
+            .flatten()
+        {
+            l.conjugate(|p| (0..n).for_each(|q| p.conjugate2(Gate2::Cnot, cb + q, tb + q)));
         }
     }
 

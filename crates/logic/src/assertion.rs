@@ -172,10 +172,15 @@ impl Assertion {
         }
     }
 
-    /// Transforms every Pauli atom (used by the unitary proof rules).
-    pub fn map_pauli(&self, f: &dyn Fn(&ExtPauli) -> ExtPauli) -> Assertion {
+    /// Copies the assertion, editing every Pauli atom's copy in place with
+    /// `f` (used by the unitary proof rules).
+    pub fn map_pauli(&self, f: &dyn Fn(&mut ExtPauli)) -> Assertion {
         self.map(&|a| match a {
-            Assertion::Pauli(p) => Some(Assertion::Pauli(f(p))),
+            Assertion::Pauli(p) => {
+                let mut p = p.clone();
+                f(&mut p);
+                Some(Assertion::Pauli(p))
+            }
             _ => None,
         })
     }

@@ -1,12 +1,17 @@
 //! Clifford (+T) conjugation of Pauli operators.
 //!
 //! The proof rules for unitary statements in Fig. 3 substitute each
-//! elementary Pauli `p` by `U† p U`; the simulator needs the forward
-//! direction `U p U†`. Both are implemented here on the symplectic
-//! representation, with exact phase tracking. Conjugation by `T`/`T†` leaves
-//! the Clifford frame and returns an [`ExtPauli`] sum (Theorem 3.1).
+//! elementary Pauli `p` by `U† p U`. [`PauliString::conjugate1`] and
+//! [`PauliString::conjugate2`] do this in place by table lookup on the
+//! gate's one or two qubits, with exact phase tracking; the simulators'
+//! forward direction `U p U†` is the wp direction of `gate.inverse()`.
+//! [`SymPauli::conjugate`](crate::SymPauli::conjugate) and
+//! [`ExtPauli::conjugate`] fold the image's sign into the phase.
+//! Conjugation by `T`/`T†` leaves the Clifford frame and returns an
+//! [`ExtPauli`] sum (Theorem 3.1): [`conj1_ext`] is the one conjugation that
+//! builds new terms.
 
-use crate::{Dyadic, ExtPauli, ExtTerm, PauliString, SymPauli};
+use crate::{Dyadic, ExtPauli, ExtTerm, PauliString};
 use std::fmt;
 
 /// Single-qubit gates of the language (§4.1).
@@ -123,225 +128,195 @@ fn table1(gate: Gate1) -> [(bool, bool, u8); 3] {
     }
 }
 
-/// Conjugates a symbolic Pauli by a single-qubit Clifford gate on qubit `q`.
-///
-/// `direction_wp = true` computes `U† P U` (the proof-rule substitution);
-/// `false` computes `U P U†` (the Heisenberg/simulator direction).
-///
-/// # Panics
-///
-/// Panics on `T`/`T†` (use [`conj1_ext`]) or `q` out of range.
-pub fn conj1(gate: Gate1, q: usize, p: &SymPauli, direction_wp: bool) -> SymPauli {
-    let gate = if direction_wp { gate } else { gate.inverse() };
-    let (x, z) = (p.pauli().x_bit(q), p.pauli().z_bit(q));
-    if !x && !z {
-        return p.clone();
-    }
-    let idx = match (x, z) {
-        (true, false) => 0,
-        (false, true) => 1,
-        (true, true) => 2,
-        _ => unreachable!(),
-    };
-    let (nx, nz, d) = table1(gate)[idx];
-    let mut ps = p.pauli().clone();
-    ps.set_local(q, nx, nz);
-    ps.add_ipow(d);
-    SymPauli::new(ps, p.phase().clone())
-}
+/// The bits of a local operator `X_i^a X_j^b Z_i^c Z_j^d` on a two-qubit
+/// gate's qubits `(i, j)`: the mask `a | b<<1 | c<<2 | d<<3`.
+const XI: u8 = 1;
+const XJ: u8 = 2;
+const ZI: u8 = 4;
+const ZJ: u8 = 8;
 
-/// The wp-direction images `U† X_k U`, `U† Z_k U` for a two-qubit gate on
-/// `(i, j)`; `k ∈ {i, j}`. Returned as `n`-qubit strings.
-fn images2(gate: Gate2, i: usize, j: usize, n: usize) -> [PauliString; 4] {
-    let p = |spec: &[(usize, char)], ipow: u8| -> PauliString {
-        let mut acc = PauliString::identity(n);
-        for &(q, c) in spec {
-            acc = acc.mul(&PauliString::single(n, c, q));
-        }
-        acc.add_ipow(ipow);
-        acc
-    };
+/// Local conjugation table for a two-qubit gate on `(i, j)`, in the *wp*
+/// direction: the images `U† X_i U`, `U† X_j U`, `U† Z_i U`, `U† Z_j U`
+/// (entry `k` is the image of the local bit `1 << k`) as `(mask, Δipow)`.
+fn table2(gate: Gate2) -> [(u8, u8); 4] {
     match gate {
-        // CNOT (self-inverse): X_i → X_i X_j, Z_i → Z_i, X_j → X_j, Z_j → Z_i Z_j.
-        Gate2::Cnot => [
-            p(&[(i, 'X'), (j, 'X')], 0),
-            p(&[(i, 'Z')], 0),
-            p(&[(j, 'X')], 0),
-            p(&[(i, 'Z'), (j, 'Z')], 0),
-        ],
-        // CZ (self-inverse): X_i → X_i Z_j, Z_i → Z_i, X_j → Z_i X_j, Z_j → Z_j.
-        Gate2::Cz => [
-            p(&[(i, 'X'), (j, 'Z')], 0),
-            p(&[(i, 'Z')], 0),
-            p(&[(i, 'Z'), (j, 'X')], 0),
-            p(&[(j, 'Z')], 0),
-        ],
-        // iSWAP (wp, from rule U-iSWAP): X_i → Z_i Y_j, Z_i → Z_j,
-        //                                X_j → Y_i Z_j, Z_j → Z_i.
-        Gate2::ISwap => [
-            p(&[(i, 'Z'), (j, 'Y')], 0),
-            p(&[(j, 'Z')], 0),
-            p(&[(i, 'Y'), (j, 'Z')], 0),
-            p(&[(i, 'Z')], 0),
-        ],
-        // iSWAP† (wp) == iSWAP (forward): derived by inverting the map above:
-        // X_i → −Z_i Y_j, Z_i → Z_j, X_j → −Y_i Z_j, Z_j → Z_i.
-        Gate2::ISwapDg => [
-            p(&[(i, 'Z'), (j, 'Y')], 2),
-            p(&[(j, 'Z')], 0),
-            p(&[(i, 'Y'), (j, 'Z')], 2),
-            p(&[(i, 'Z')], 0),
-        ],
+        // CNOT (self-inverse): X_i → X_i X_j, Z_j → Z_i Z_j.
+        Gate2::Cnot => [(XI | XJ, 0), (XJ, 0), (ZI, 0), (ZI | ZJ, 0)],
+        // CZ (self-inverse): X_i → X_i Z_j, X_j → Z_i X_j.
+        Gate2::Cz => [(XI | ZJ, 0), (XJ | ZI, 0), (ZI, 0), (ZJ, 0)],
+        // iSWAP (wp, from rule U-iSWAP): X_i → Z_i Y_j = i·X_j Z_i Z_j,
+        // X_j → Y_i Z_j = i·X_i Z_i Z_j, Z_i → Z_j, Z_j → Z_i.
+        Gate2::ISwap => [(XJ | ZI | ZJ, 1), (XI | ZI | ZJ, 1), (ZJ, 0), (ZI, 0)],
+        // iSWAP† (wp) == iSWAP (forward), the inverse of the map above:
+        // X_i → −Z_i Y_j, X_j → −Y_i Z_j, Z_i → Z_j, Z_j → Z_i.
+        Gate2::ISwapDg => [(XJ | ZI | ZJ, 3), (XI | ZI | ZJ, 3), (ZJ, 0), (ZI, 0)],
     }
 }
 
-/// Conjugates a symbolic Pauli by a two-qubit gate on qubits `(i, j)`.
-///
-/// `direction_wp = true` computes `U† P U`; `false` computes `U P U†`.
-///
-/// # Panics
-///
-/// Panics if `i == j` or either index is out of range.
-pub fn conj2(gate: Gate2, i: usize, j: usize, p: &SymPauli, direction_wp: bool) -> SymPauli {
-    assert_ne!(i, j, "two-qubit gate requires distinct qubits");
-    let gate = if direction_wp { gate } else { gate.inverse() };
-    let n = p.num_qubits();
-    let (xi, zi) = (p.pauli().x_bit(i), p.pauli().z_bit(i));
-    let (xj, zj) = (p.pauli().x_bit(j), p.pauli().z_bit(j));
-    if !(xi || zi || xj || zj) {
-        return p.clone();
+impl PauliString {
+    /// Conjugates in place by a single-qubit Clifford gate on qubit `q`, in
+    /// the wp direction `U† P U`, with the exact `i^t` phase; only qubit `q`
+    /// changes. For the forward direction `U P U†`, pass `gate.inverse()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `T`/`T†` (use [`conj1_ext`]) or `q` out of range.
+    pub fn conjugate1(&mut self, gate: Gate1, q: usize) {
+        let idx = match (self.x_bit(q), self.z_bit(q)) {
+            (false, false) => return,
+            (true, false) => 0,
+            (false, true) => 1,
+            (true, true) => 2,
+        };
+        let (x, z, d) = table1(gate)[idx];
+        self.set_local(q, x, z);
+        self.add_ipow(d);
     }
-    // Factor P = i^t · (local on i,j) ⊗ (elsewhere); conjugate the local part
-    // as the ordered product X_i^xi X_j^xj Z_i^zi Z_j^zj.
-    let mut elsewhere = p.pauli().clone();
-    elsewhere.set_local(i, false, false);
-    elsewhere.set_local(j, false, false);
-    // The local factorization is exact: removing both qubits' bits removes
-    // exactly the local X and Z factors, and cross-qubit factors commute.
-    let [img_xi, img_zi, img_xj, img_zj] = images2(gate, i, j, n);
-    let mut local = PauliString::identity(n);
-    if xi {
-        local = local.mul(&img_xi);
+
+    /// Conjugates in place by a two-qubit gate on qubits `(i, j)`, in the wp
+    /// direction `U† P U`, with the exact `i^t` phase; only qubits `i` and
+    /// `j` change. For the forward direction pass `gate.inverse()`.
+    ///
+    /// The local operator `X_i^a X_j^b Z_i^c Z_j^d` maps to the product of
+    /// the selected images in that order, where
+    /// `(X^x Z^z)(X^x' Z^z') = (−1)^{z·x'} X^{x⊕x'} Z^{z⊕z'}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == j` or either index is out of range.
+    pub fn conjugate2(&mut self, gate: Gate2, i: usize, j: usize) {
+        assert_ne!(i, j, "two-qubit gate requires distinct qubits");
+        let local = u8::from(self.x_bit(i))
+            | u8::from(self.x_bit(j)) << 1
+            | u8::from(self.z_bit(i)) << 2
+            | u8::from(self.z_bit(j)) << 3;
+        if local == 0 {
+            return;
+        }
+        let (mut bits, mut ipow) = (0u8, 0u8);
+        for (k, (image, d)) in table2(gate).into_iter().enumerate() {
+            if local >> k & 1 == 1 {
+                let sign = (bits >> 2 & image).count_ones() as u8 & 1;
+                bits ^= image;
+                ipow += d + 2 * sign;
+            }
+        }
+        self.set_local(i, bits & XI != 0, bits & ZI != 0);
+        self.set_local(j, bits & XJ != 0, bits & ZJ != 0);
+        self.add_ipow(ipow % 4);
     }
-    if xj {
-        local = local.mul(&img_xj);
-    }
-    if zi {
-        local = local.mul(&img_zi);
-    }
-    if zj {
-        local = local.mul(&img_zj);
-    }
-    let result = elsewhere.mul(&local);
-    SymPauli::new(result, p.phase().clone())
 }
 
-/// Conjugates by `T`/`T†` on qubit `q`, producing a Pauli-expression sum.
+/// Conjugates a Pauli expression by `T`/`T†` on qubit `q` in the wp
+/// direction — the one conjugation that builds new terms (Theorem 3.1).
 ///
-/// wp direction: `T† X T = (X − Y)/√2`, `T† Y T = (X + Y)/√2`, `Z` fixed.
-/// Forward direction swaps the roles (`T X T† = (X + Y)/√2`).
+/// `T† X T = (X − Y)/√2`, `T† Y T = (X + Y)/√2`, `Z` fixed; `T†` swaps the
+/// signs. For the forward direction pass `gate.inverse()`.
 ///
 /// # Panics
 ///
 /// Panics if `gate` is not `T`/`T†`.
-pub fn conj1_ext(gate: Gate1, q: usize, p: &SymPauli, direction_wp: bool) -> ExtPauli {
+pub fn conj1_ext(gate: Gate1, q: usize, e: &ExtPauli) -> ExtPauli {
     assert!(
         matches!(gate, Gate1::T | Gate1::Tdg),
         "conj1_ext only handles T/T†"
     );
-    let gate = if direction_wp { gate } else { gate.inverse() };
-    let (x, z) = (p.pauli().x_bit(q), p.pauli().z_bit(q));
-    if !x {
-        // Z and I are fixed by T.
-        return ExtPauli::from_sym(p.clone());
-    }
-    // Local operator is X^1 Z^z. Write P = elsewhere ⊗ local (exact: disjoint
-    // supports commute). conj(local) = conj(X) · Z^z.
-    let n = p.num_qubits();
-    let mut elsewhere = p.pauli().clone();
-    elsewhere.set_local(q, false, false);
-
-    // conj(X) for T (wp):  (X − Y)/√2 ; for Tdg (wp): (X + Y)/√2.
-    let minus = matches!(gate, Gate1::T);
-    let xq = PauliString::single(n, 'X', q);
-    let yq = PauliString::single(n, 'Y', q);
-    let zq = PauliString::single(n, 'Z', q);
-    let mk = |string: PauliString, coeff: Dyadic| -> ExtTerm {
-        let mut s = elsewhere.mul(&string);
-        if z {
-            s = s.mul(&zq);
-        }
-        ExtTerm::new(coeff, s, p.phase().clone())
-    };
     let c = Dyadic::inv_sqrt2();
-    let t1 = mk(xq, c);
-    let t2 = mk(yq, if minus { -c } else { c });
-    ExtPauli::from_terms(vec![t1, t2])
+    let cy = if gate == Gate1::T { -c } else { c };
+    let mut terms = Vec::with_capacity(2 * e.terms().len());
+    for t in e.terms() {
+        if !t.pauli().x_bit(q) {
+            // Z and I are fixed by T.
+            terms.push(t.clone());
+            continue;
+        }
+        // The local operator X Z^z maps to conj(X) · Z^z: the term's own
+        // letters, plus Y Z^z = i·X Z^{1⊕z}.
+        let mut x = t.pauli().clone();
+        if t.is_iodd() {
+            x.add_ipow(1);
+        }
+        let mut y = x.clone();
+        y.set_local(q, true, !t.pauli().z_bit(q));
+        y.add_ipow(1);
+        terms.push(ExtTerm::new_general(t.coeff() * c, x, t.phase().clone()));
+        terms.push(ExtTerm::new_general(t.coeff() * cy, y, t.phase().clone()));
+    }
+    ExtPauli::from_terms(terms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SymPauli;
     use veriqec_cexpr::Affine;
 
     fn sp(s: &str) -> SymPauli {
         SymPauli::plain(PauliString::from_letters(s).unwrap())
     }
 
+    /// `U† P U` for a one-qubit gate, through [`SymPauli::conjugate`].
+    fn wp1(gate: Gate1, q: usize, p: &SymPauli) -> SymPauli {
+        let mut p = p.clone();
+        p.conjugate(|s| s.conjugate1(gate, q));
+        p
+    }
+
+    /// `U† P U` for a two-qubit gate, through [`SymPauli::conjugate`].
+    fn wp2(gate: Gate2, i: usize, j: usize, p: &SymPauli) -> SymPauli {
+        let mut p = p.clone();
+        p.conjugate(|s| s.conjugate2(gate, i, j));
+        p
+    }
+
     #[test]
     fn h_rule_matches_paper() {
         // (U-H): X → Z, Z → X, Y → −Y.
-        assert_eq!(conj1(Gate1::H, 0, &sp("X"), true).to_string(), "Z");
-        assert_eq!(conj1(Gate1::H, 0, &sp("Z"), true).to_string(), "X");
-        assert_eq!(conj1(Gate1::H, 0, &sp("Y"), true).to_string(), "-Y");
+        assert_eq!(wp1(Gate1::H, 0, &sp("X")).to_string(), "Z");
+        assert_eq!(wp1(Gate1::H, 0, &sp("Z")).to_string(), "X");
+        assert_eq!(wp1(Gate1::H, 0, &sp("Y")).to_string(), "-Y");
     }
 
     #[test]
     fn s_rule_matches_paper() {
         // (U-S): X → −Y, Y → X, Z → Z.
-        assert_eq!(conj1(Gate1::S, 0, &sp("X"), true).to_string(), "-Y");
-        assert_eq!(conj1(Gate1::S, 0, &sp("Y"), true).to_string(), "X");
-        assert_eq!(conj1(Gate1::S, 0, &sp("Z"), true).to_string(), "Z");
+        assert_eq!(wp1(Gate1::S, 0, &sp("X")).to_string(), "-Y");
+        assert_eq!(wp1(Gate1::S, 0, &sp("Y")).to_string(), "X");
+        assert_eq!(wp1(Gate1::S, 0, &sp("Z")).to_string(), "Z");
         // Forward: S X S† = Y.
-        assert_eq!(conj1(Gate1::S, 0, &sp("X"), false).to_string(), "Y");
+        assert_eq!(wp1(Gate1::S.inverse(), 0, &sp("X")).to_string(), "Y");
     }
 
     #[test]
     fn cnot_rule_matches_paper() {
         // (U-CNOT): X_i → X_i X_j, Y_i → Y_i X_j, Y_j → Z_i Y_j, Z_j → Z_i Z_j.
-        assert_eq!(conj2(Gate2::Cnot, 0, 1, &sp("XI"), true).to_string(), "XX");
-        assert_eq!(conj2(Gate2::Cnot, 0, 1, &sp("YI"), true).to_string(), "YX");
-        assert_eq!(conj2(Gate2::Cnot, 0, 1, &sp("IY"), true).to_string(), "ZY");
-        assert_eq!(conj2(Gate2::Cnot, 0, 1, &sp("IZ"), true).to_string(), "ZZ");
-        assert_eq!(conj2(Gate2::Cnot, 0, 1, &sp("ZI"), true).to_string(), "ZI");
-        assert_eq!(conj2(Gate2::Cnot, 0, 1, &sp("IX"), true).to_string(), "IX");
+        assert_eq!(wp2(Gate2::Cnot, 0, 1, &sp("XI")).to_string(), "XX");
+        assert_eq!(wp2(Gate2::Cnot, 0, 1, &sp("YI")).to_string(), "YX");
+        assert_eq!(wp2(Gate2::Cnot, 0, 1, &sp("IY")).to_string(), "ZY");
+        assert_eq!(wp2(Gate2::Cnot, 0, 1, &sp("IZ")).to_string(), "ZZ");
+        assert_eq!(wp2(Gate2::Cnot, 0, 1, &sp("ZI")).to_string(), "ZI");
+        assert_eq!(wp2(Gate2::Cnot, 0, 1, &sp("IX")).to_string(), "IX");
     }
 
     #[test]
     fn cz_rule_matches_paper() {
         // (U-CZ): X_i → X_i Z_j, Y_i → Y_i Z_j, X_j → Z_i X_j, Y_j → Z_i Y_j.
-        assert_eq!(conj2(Gate2::Cz, 0, 1, &sp("XI"), true).to_string(), "XZ");
-        assert_eq!(conj2(Gate2::Cz, 0, 1, &sp("YI"), true).to_string(), "YZ");
-        assert_eq!(conj2(Gate2::Cz, 0, 1, &sp("IX"), true).to_string(), "ZX");
-        assert_eq!(conj2(Gate2::Cz, 0, 1, &sp("IY"), true).to_string(), "ZY");
+        assert_eq!(wp2(Gate2::Cz, 0, 1, &sp("XI")).to_string(), "XZ");
+        assert_eq!(wp2(Gate2::Cz, 0, 1, &sp("YI")).to_string(), "YZ");
+        assert_eq!(wp2(Gate2::Cz, 0, 1, &sp("IX")).to_string(), "ZX");
+        assert_eq!(wp2(Gate2::Cz, 0, 1, &sp("IY")).to_string(), "ZY");
     }
 
     #[test]
     fn iswap_rule_matches_paper() {
         // (U-iSWAP): X_i → Z_i Y_j, Y_i → −Z_i X_j, Z_i → Z_j,
         //            X_j → Y_i Z_j, Y_j → −X_i Z_j, Z_j → Z_i.
-        assert_eq!(conj2(Gate2::ISwap, 0, 1, &sp("XI"), true).to_string(), "ZY");
-        assert_eq!(
-            conj2(Gate2::ISwap, 0, 1, &sp("YI"), true).to_string(),
-            "-ZX"
-        );
-        assert_eq!(conj2(Gate2::ISwap, 0, 1, &sp("ZI"), true).to_string(), "IZ");
-        assert_eq!(conj2(Gate2::ISwap, 0, 1, &sp("IX"), true).to_string(), "YZ");
-        assert_eq!(
-            conj2(Gate2::ISwap, 0, 1, &sp("IY"), true).to_string(),
-            "-XZ"
-        );
-        assert_eq!(conj2(Gate2::ISwap, 0, 1, &sp("IZ"), true).to_string(), "ZI");
+        assert_eq!(wp2(Gate2::ISwap, 0, 1, &sp("XI")).to_string(), "ZY");
+        assert_eq!(wp2(Gate2::ISwap, 0, 1, &sp("YI")).to_string(), "-ZX");
+        assert_eq!(wp2(Gate2::ISwap, 0, 1, &sp("ZI")).to_string(), "IZ");
+        assert_eq!(wp2(Gate2::ISwap, 0, 1, &sp("IX")).to_string(), "YZ");
+        assert_eq!(wp2(Gate2::ISwap, 0, 1, &sp("IY")).to_string(), "-XZ");
+        assert_eq!(wp2(Gate2::ISwap, 0, 1, &sp("IZ")).to_string(), "ZI");
     }
 
     #[test]
@@ -351,15 +326,15 @@ mod tests {
             let p = sp(s);
             for g in [Gate1::X, Gate1::Y, Gate1::Z, Gate1::H, Gate1::S, Gate1::Sdg] {
                 for q in 0..3 {
-                    let there = conj1(g, q, &p, true);
-                    let back = conj1(g, q, &there, false);
+                    let there = wp1(g, q, &p);
+                    let back = wp1(g.inverse(), q, &there);
                     assert_eq!(back, p, "gate {g} on {s} qubit {q}");
                 }
             }
             for g in [Gate2::Cnot, Gate2::Cz, Gate2::ISwap] {
                 for (i, j) in [(0, 1), (1, 2), (2, 0), (1, 0)] {
-                    let there = conj2(g, i, j, &p, true);
-                    let back = conj2(g, i, j, &there, false);
+                    let there = wp2(g, i, j, &p);
+                    let back = wp2(g.inverse(), i, j, &there);
                     assert_eq!(back, p, "gate {g} on {s} at ({i},{j})");
                 }
             }
@@ -372,7 +347,7 @@ mod tests {
         // of the phase, but the symbolic (variable) part must be untouched.
         let v = veriqec_cexpr::VarId(7);
         let p = SymPauli::new(PauliString::from_letters("XZ").unwrap(), Affine::var(v));
-        let q = conj2(Gate2::Cnot, 0, 1, &p, true);
+        let q = wp2(Gate2::Cnot, 0, 1, &p);
         assert_eq!(q.pauli().to_string(), "YY");
         assert!(q.phase().contains(v));
         assert!(
@@ -381,15 +356,15 @@ mod tests {
         );
         // A sign-free case keeps the phase exactly.
         let p2 = SymPauli::new(PauliString::from_letters("XX").unwrap(), Affine::var(v));
-        let q2 = conj2(Gate2::Cnot, 0, 1, &p2, true);
+        let q2 = wp2(Gate2::Cnot, 0, 1, &p2);
         assert_eq!(q2.pauli().to_string(), "XI");
         assert_eq!(q2.phase(), p2.phase());
     }
 
     #[test]
     fn t_conjugation_splits_x() {
-        let p = sp("X");
-        let e = conj1_ext(Gate1::T, 0, &p, true);
+        let p = ExtPauli::from_sym(sp("X"));
+        let e = conj1_ext(Gate1::T, 0, &p);
         assert_eq!(e.terms().len(), 2);
         // (X − Y)/√2
         let s = e.to_string();
@@ -399,8 +374,8 @@ mod tests {
 
     #[test]
     fn t_fixes_z() {
-        let p = sp("Z");
-        let e = conj1_ext(Gate1::T, 0, &p, true);
+        let p = ExtPauli::from_sym(sp("Z"));
+        let e = conj1_ext(Gate1::T, 0, &p);
         assert_eq!(e.terms().len(), 1);
     }
 }

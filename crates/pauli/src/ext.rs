@@ -4,6 +4,7 @@
 //! under conjugation by `T` (Theorem 3.1) requires sums with coefficients in
 //! Z[1/√2], e.g. `T† X T = (X − Y)/√2`.
 
+use crate::sym::fold_sign;
 use crate::{Dyadic, PauliString, SymPauli};
 use std::fmt;
 use veriqec_cexpr::Affine;
@@ -38,7 +39,7 @@ impl ExtTerm {
     }
 
     /// Creates a term allowing a residual `i` factor.
-    pub fn new_general(coeff: Dyadic, pauli: PauliString, phase: Affine) -> Self {
+    pub fn new_general(coeff: Dyadic, mut pauli: PauliString, phase: Affine) -> Self {
         let d = (pauli.ipow() + 4 - (pauli.y_count() % 4) as u8) % 4;
         let (coeff, iodd) = match d {
             0 => (coeff, false),
@@ -46,9 +47,10 @@ impl ExtTerm {
             2 => (-coeff, false),
             _ => (-coeff, true),
         };
+        pauli.add_ipow(4 - d);
         ExtTerm {
             coeff,
-            pauli: pauli.unsigned(),
+            pauli,
             phase,
             iodd,
         }
@@ -103,9 +105,9 @@ impl fmt::Debug for ExtTerm {
 /// # Examples
 ///
 /// ```
-/// use veriqec_pauli::{conj1_ext, Gate1, PauliString, SymPauli};
-/// let x = SymPauli::plain(PauliString::from_letters("X").unwrap());
-/// let e = conj1_ext(Gate1::T, 0, &x, true); // (X − Y)/√2
+/// use veriqec_pauli::{conj1_ext, ExtPauli, Gate1, PauliString, SymPauli};
+/// let x = ExtPauli::from_sym(SymPauli::plain(PauliString::from_letters("X").unwrap()));
+/// let e = conj1_ext(Gate1::T, 0, &x); // (X − Y)/√2
 /// assert_eq!(e.terms().len(), 2);
 /// assert!(e.as_single().is_none());
 /// ```
@@ -160,21 +162,6 @@ impl ExtPauli {
         }
     }
 
-    /// Scales all coefficients.
-    pub fn scale(&self, k: Dyadic) -> ExtPauli {
-        ExtPauli::from_terms(
-            self.terms
-                .iter()
-                .map(|t| ExtTerm {
-                    coeff: t.coeff * k,
-                    pauli: t.pauli.clone(),
-                    phase: t.phase.clone(),
-                    iodd: t.iodd,
-                })
-                .collect(),
-        )
-    }
-
     /// Edits every term's phase in place: `f` sees the term's letters and
     /// its phase. Letters and coefficients never change, so a single term
     /// stays simplified; a sum is re-simplified, because an edit can make
@@ -183,6 +170,25 @@ impl ExtPauli {
     pub fn update_phases(&mut self, mut f: impl FnMut(&PauliString, &mut Affine)) {
         for t in &mut self.terms {
             f(&t.pauli, &mut t.phase);
+        }
+        if self.terms.len() > 1 {
+            self.simplify();
+        }
+    }
+
+    /// Conjugates in place: `edit` maps every term's string to its image
+    /// under a Clifford conjugation, e.g. [`PauliString::conjugate2`]. Each
+    /// image's sign folds into its term's phase constant, not into the
+    /// coefficient. A sum is re-simplified, because the term order sorts on
+    /// the letters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edited string is not Hermitian.
+    pub fn conjugate(&mut self, mut edit: impl FnMut(&mut PauliString)) {
+        for t in &mut self.terms {
+            edit(&mut t.pauli);
+            fold_sign(&mut t.pauli, &mut t.phase);
         }
         if self.terms.len() > 1 {
             self.simplify();
@@ -281,10 +287,6 @@ impl From<SymPauli> for ExtPauli {
 mod tests {
     use super::*;
 
-    fn x() -> SymPauli {
-        SymPauli::plain(PauliString::from_letters("X").unwrap())
-    }
-
     fn term(coeff: Dyadic, letters: &str) -> ExtTerm {
         ExtTerm::new(
             coeff,
@@ -308,7 +310,7 @@ mod tests {
 
     #[test]
     fn as_single_folds_minus_one() {
-        let e = ExtPauli::from_sym(x()).scale(-Dyadic::one());
+        let e = ExtPauli::from_terms(vec![term(-Dyadic::one(), "X")]);
         let s = e.as_single().unwrap();
         assert!(s.phase().is_one());
     }
@@ -463,8 +465,8 @@ mod mul_ext_tests {
         // direct computation.
         let a = SymPauli::plain(PauliString::from_letters("XX").unwrap());
         let b = SymPauli::plain(PauliString::from_letters("XZ").unwrap());
-        let ca = conj1_ext(Gate1::T, 0, &a, true);
-        let cb = conj1_ext(Gate1::T, 0, &b, true);
+        let ca = conj1_ext(Gate1::T, 0, &a.into());
+        let cb = conj1_ext(Gate1::T, 0, &b.into());
         let prod = ca.mul_ext(&cb);
         // (X0X1)(X0Z1) = X0X0 ⊗ X1Z1 = (−i)·I⊗Y = non-Hermitian global −iY1;
         // use commuting pair instead: (X0X1)(X0X1) = I.
@@ -483,8 +485,8 @@ mod mul_ext_tests {
         // factors on the shared qubit square away).
         let g1 = SymPauli::plain(PauliString::from_letters("XIXIXIX").unwrap());
         let g3 = SymPauli::plain(PauliString::from_letters("IIIXXXX").unwrap());
-        let c1 = conj1_ext(Gate1::T, 4, &g1, true);
-        let c3 = conj1_ext(Gate1::T, 4, &g3, true);
+        let c1 = conj1_ext(Gate1::T, 4, &g1.into());
+        let c3 = conj1_ext(Gate1::T, 4, &g3.into());
         assert_eq!(c1.terms().len(), 2);
         assert_eq!(c3.terms().len(), 2);
         let prod = c1.mul_ext(&c3);

@@ -8,26 +8,27 @@
 //!   (the device of Observation 3.1);
 //! * [`ExtPauli`] — ring-weighted sums of symbolic Paulis (`PExp`, Eqn. 4),
 //!   closed under `T` conjugation (Theorem 3.1);
-//! * [`conj1`]/[`conj2`]/[`conj1_ext`] — the `U† P U` substitutions of the
-//!   proof rules in Fig. 3 and the forward `U P U†` direction for simulation;
+//! * [`PauliString::conjugate1`]/[`PauliString::conjugate2`] — the
+//!   `U† P U` substitutions of the proof rules in Fig. 3, in place on the
+//!   gate's qubits (the simulators' forward `U P U†` passes
+//!   `gate.inverse()`); [`SymPauli::conjugate`] and [`ExtPauli::conjugate`]
+//!   fold the image's sign into the phase, and [`conj1_ext`] is the `T`/`T†`
+//!   rule that builds new terms;
 //! * [`StabilizerGroup`] — generator validation, syndromes, decomposition
 //!   (used by VC-reduction case 2) and logical-operator completion.
 //!
 //! # Examples
 //!
 //! ```
-//! use veriqec_pauli::{conj1, Gate1, PauliString, SymPauli};
+//! use veriqec_pauli::{Gate1, PauliString, SymPauli};
 //! use veriqec_cexpr::{Affine, VarId};
 //!
 //! // (−1)^b Z̄ through a transversal Hadamard becomes (−1)^b X̄.
-//! let zbar = SymPauli::new(
+//! let mut p = SymPauli::new(
 //!     PauliString::from_letters("ZZZZZZZ").unwrap(),
 //!     Affine::var(VarId(0)),
 //! );
-//! let mut p = zbar;
-//! for q in 0..7 {
-//!     p = conj1(Gate1::H, q, &p, true);
-//! }
+//! p.conjugate(|s| (0..7).for_each(|q| s.conjugate1(Gate1::H, q)));
 //! assert_eq!(p.pauli().to_string(), "XXXXXXX");
 //! ```
 
@@ -40,7 +41,7 @@ mod pauli;
 mod ring;
 mod sym;
 
-pub use clifford::{conj1, conj1_ext, conj2, Gate1, Gate2};
+pub use clifford::{conj1_ext, Gate1, Gate2};
 pub use ext::{ExtPauli, ExtTerm};
 pub use group::{StabilizerGroup, StabilizerGroupError};
 pub use pauli::{ParsePauliError, PauliString};
@@ -107,8 +108,9 @@ mod proptests {
             let sa = SymPauli::new(a.unsigned(), Affine::zero());
             let sb = SymPauli::new(b.unsigned(), Affine::zero());
             for g in [Gate1::H, Gate1::S, Gate1::Sdg, Gate1::X, Gate1::Y, Gate1::Z] {
-                let ca = conj1(g, q, &sa, true);
-                let cb = conj1(g, q, &sb, true);
+                let (mut ca, mut cb) = (sa.clone(), sb.clone());
+                ca.conjugate(|p| p.conjugate1(g, q));
+                cb.conjugate(|p| p.conjugate1(g, q));
                 prop_assert_eq!(
                     a.commutes_with(&b),
                     ca.pauli().commutes_with(cb.pauli())
@@ -116,8 +118,9 @@ mod proptests {
             }
             for g in [Gate2::Cnot, Gate2::Cz, Gate2::ISwap] {
                 let j = (q + 1) % 4;
-                let ca = conj2(g, q, j, &sa, true);
-                let cb = conj2(g, q, j, &sb, true);
+                let (mut ca, mut cb) = (sa.clone(), sb.clone());
+                ca.conjugate(|p| p.conjugate2(g, q, j));
+                cb.conjugate(|p| p.conjugate2(g, q, j));
                 prop_assert_eq!(
                     a.commutes_with(&b),
                     ca.pauli().commutes_with(cb.pauli())
@@ -138,9 +141,12 @@ mod proptests {
                 let sb = SymPauli::new(b.unsigned(), Affine::zero());
                 let sab = sa.mul(&sb);
                 for g in [Gate2::Cnot, Gate2::Cz, Gate2::ISwap] {
-                    let lhs = conj2(g, 0, 1, &sab, true);
-                    let rhs = conj2(g, 0, 1, &sa, true).mul(&conj2(g, 0, 1, &sb, true));
-                    prop_assert_eq!(lhs, rhs);
+                    let conj = |p: &SymPauli| {
+                        let mut p = p.clone();
+                        p.conjugate(|s| s.conjugate2(g, 0, 1));
+                        p
+                    };
+                    prop_assert_eq!(conj(&sab), conj(&sa).mul(&conj(&sb)));
                 }
             }
         }

@@ -225,7 +225,11 @@ impl PauliString {
 
     /// Number of `Y` letters (both bits set).
     pub fn y_count(&self) -> usize {
-        self.x.anded(&self.z).weight()
+        let (x, z) = (self.x.as_words(), self.z.as_words());
+        x.iter()
+            .zip(z)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
     }
 
     /// For Hermitian `±1` Pauli operators: returns `Some(negative)` where

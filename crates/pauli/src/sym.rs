@@ -40,16 +40,9 @@ impl SymPauli {
     /// # Panics
     ///
     /// Panics if `pauli` carries a `±i` global phase (non-Hermitian).
-    pub fn new(pauli: PauliString, phase: Affine) -> Self {
-        let negative = pauli
-            .hermitian_sign()
-            .expect("symbolic Pauli must be Hermitian (±1 sign)");
-        let mut phase = phase;
-        phase.xor_const(negative);
-        SymPauli {
-            pauli: pauli.unsigned(),
-            phase,
-        }
+    pub fn new(mut pauli: PauliString, mut phase: Affine) -> Self {
+        fold_sign(&mut pauli, &mut phase);
+        SymPauli { pauli, phase }
     }
 
     /// A positively-signed Pauli with constant phase `+1`.
@@ -86,6 +79,18 @@ impl SymPauli {
         SymPauli::new(prod, phase)
     }
 
+    /// Conjugates in place: `edit` maps the string to its image under a
+    /// Clifford conjugation, e.g. [`PauliString::conjugate1`]. The image's
+    /// sign folds into the phase's constant, as in [`SymPauli::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edited string is not Hermitian.
+    pub fn conjugate(&mut self, edit: impl FnOnce(&mut PauliString)) {
+        edit(&mut self.pauli);
+        fold_sign(&mut self.pauli, &mut self.phase);
+    }
+
     /// Evaluates to a concrete signed Pauli under a classical memory.
     pub fn eval(&self, m: &CMem) -> PauliString {
         let mut p = self.pauli.clone();
@@ -93,6 +98,22 @@ impl SymPauli {
             p.add_ipow(2);
         }
         p
+    }
+}
+
+/// Folds the sign of a Hermitian string into the phase's constant, leaving
+/// the string unsigned.
+///
+/// # Panics
+///
+/// Panics if `pauli` carries a `±i` global phase (non-Hermitian).
+pub(crate) fn fold_sign(pauli: &mut PauliString, phase: &mut Affine) {
+    let negative = pauli
+        .hermitian_sign()
+        .expect("symbolic Pauli must be Hermitian (±1 sign)");
+    if negative {
+        pauli.add_ipow(2);
+        phase.xor_const(true);
     }
 }
 

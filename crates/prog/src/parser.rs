@@ -441,6 +441,7 @@ impl Parser<'_> {
     // ------------------------------------------------------------- Pauli lit
 
     fn pauli_literal(&mut self) -> Result<SymPauli, ParseProgramError> {
+        let start = self.offset();
         let negative = if self.peek() == Some(&Tok::Minus) {
             self.pos += 1;
             true
@@ -471,7 +472,11 @@ impl Parser<'_> {
         }
         let max_q = factors.iter().map(|&(_, q)| q).max().unwrap_or(0);
         self.num_qubits = self.num_qubits.max(max_q + 1);
-        Ok(build_pauli(&factors, negative, None))
+        build_pauli(&factors, negative).ok_or_else(|| ParseProgramError {
+            message: "a Pauli literal must be Hermitian: two letters on one qubit multiply to ±i"
+                .into(),
+            offset: start,
+        })
     }
 
     // ------------------------------------------------------------ statements
@@ -668,6 +673,7 @@ impl Parser<'_> {
     }
 
     fn qubit_statement(&mut self) -> Result<(Stmt, usize), ParseProgramError> {
+        let start = self.offset();
         let q = self.qubit_index()?;
         match self.peek() {
             Some(Tok::Comma) => {
@@ -681,6 +687,12 @@ impl Parser<'_> {
                     message: format!("unknown two-qubit gate `{g}`"),
                     offset: self.offset(),
                 })?;
+                if q == q2 {
+                    return Err(ParseProgramError {
+                        message: "a two-qubit gate needs two distinct qubits".into(),
+                        offset: start,
+                    });
+                }
                 Ok((Stmt::Gate2(gate, q, q2), q))
             }
             Some(Tok::Assign) => {
@@ -727,14 +739,10 @@ fn parse_gate2(s: &str) -> Option<Gate2> {
     }
 }
 
-/// Builds a Pauli literal over at least `min_qubits.unwrap_or(max+1)` qubits.
-fn build_pauli(factors: &[(char, usize)], negative: bool, min_qubits: Option<usize>) -> SymPauli {
-    let n = factors
-        .iter()
-        .map(|&(_, q)| q + 1)
-        .chain(min_qubits)
-        .max()
-        .unwrap_or(1);
+/// Builds a Pauli literal over its highest qubit; `None` when the product
+/// is not Hermitian (e.g. `X[0]*Z[0] = −iY`).
+fn build_pauli(factors: &[(char, usize)], negative: bool) -> Option<SymPauli> {
+    let n = factors.iter().map(|&(_, q)| q + 1).max().unwrap_or(1);
     let mut p = PauliString::identity(n);
     for &(letter, q) in factors {
         p = p.mul(&PauliString::single(n, letter, q));
@@ -742,7 +750,8 @@ fn build_pauli(factors: &[(char, usize)], negative: bool, min_qubits: Option<usi
     if negative {
         p.add_ipow(2);
     }
-    SymPauli::new(p, veriqec_cexpr::Affine::zero())
+    p.hermitian_sign()?;
+    Some(SymPauli::new(p, veriqec_cexpr::Affine::zero()))
 }
 
 /// Parses a program. Measurement Pauli operators are padded to the final
@@ -891,6 +900,15 @@ mod tests {
         assert!(e.message.contains("unknown single-qubit gate"));
         assert!(parse_program("q[0] *=").is_err());
         assert!(parse_program("@").is_err());
+        // X·Z = −iY: a non-Hermitian literal is an error at its start.
+        let e = parse_program("s[0] := meas[X[0]*Z[0]]").unwrap_err();
+        assert!(e.message.contains("Hermitian"), "{}", e.message);
+        assert_eq!(e.offset, 13);
+        assert!(parse_program("s[0] := meas[Z[0]*Z[1]]").is_ok());
+        // A two-qubit gate on one qubit, reported at the statement.
+        let e = parse_program("q[1] *= H; q[0], q[0] *= CNOT").unwrap_err();
+        assert!(e.message.contains("two distinct qubits"), "{}", e.message);
+        assert_eq!(e.offset, 11);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! samples — this is what makes testing fast and is the honest baseline for
 //! the paper's §7.2 comparison.
 
-use veriqec_cexpr::Affine;
-use veriqec_pauli::{conj1, conj2, Gate1, Gate2, PauliString, SymPauli};
+use veriqec_pauli::{Gate1, Gate2, PauliString};
 
 /// One step of a compiled Clifford reference circuit.
 #[derive(Clone, Debug)]
@@ -132,14 +131,9 @@ impl FrameCircuit {
         let mut outcomes = Vec::new();
         for op in &self.ops {
             match op {
-                FrameOp::Gate1(g, q) => {
-                    let sp = SymPauli::new(frame.unsigned(), Affine::zero());
-                    frame = conj1(*g, *q, &sp, false).pauli().clone();
-                }
-                FrameOp::Gate2(g, i, j) => {
-                    let sp = SymPauli::new(frame.unsigned(), Affine::zero());
-                    frame = conj2(*g, *i, *j, &sp, false).pauli().clone();
-                }
+                // The frame's phase never reaches an outcome.
+                FrameOp::Gate1(g, q) => frame.conjugate1(g.inverse(), *q),
+                FrameOp::Gate2(g, i, j) => frame.conjugate2(g.inverse(), *i, *j),
                 FrameOp::ErrorSite(idx, p) => {
                     if errors[*idx] {
                         frame = frame.mul(p);
@@ -297,8 +291,7 @@ mod proptests {
                     fc.gate1(g, q);
                     reference.apply_gate1(g, q);
                     for gen in &mut gens {
-                        let sp = SymPauli::new(gen.clone(), Affine::zero());
-                        *gen = conj1(g, q, &sp, false).pauli().clone();
+                        gen.conjugate1(g.inverse(), q);
                     }
                     steps.push(Step::G1(g, q));
                 }
@@ -309,8 +302,7 @@ mod proptests {
                     fc.gate2(g, i, j);
                     reference.apply_gate2(g, i, j);
                     for gen in &mut gens {
-                        let sp = SymPauli::new(gen.clone(), Affine::zero());
-                        *gen = conj2(g, i, j, &sp, false).pauli().clone();
+                        gen.conjugate2(g.inverse(), i, j);
                     }
                     steps.push(Step::G2(g, i, j));
                 }

@@ -52,7 +52,7 @@ impl FrameBatch {
 
     /// Conjugates every lane's frame by a single-qubit Clifford gate.
     ///
-    /// Phaseless image of the `conj1` tables: Paulis fix the frame, `H`
+    /// Phaseless image of `PauliString::conjugate1`: Paulis fix the frame, `H`
     /// swaps the planes, `S`/`S†` fold X into Z.
     ///
     /// # Panics

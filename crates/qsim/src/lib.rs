@@ -36,7 +36,9 @@ mod conjugation_validation {
 
     use super::*;
     use veriqec_cexpr::Affine;
-    use veriqec_pauli::{conj1, conj1_ext, conj2, Gate1, Gate2, PauliString, SymPauli};
+    use veriqec_pauli::{
+        conj1_ext, Dyadic, ExtPauli, ExtTerm, Gate1, Gate2, PauliString, SymPauli,
+    };
 
     fn mat_mul(a: &[Vec<C64>], b: &[Vec<C64>]) -> Vec<Vec<C64>> {
         let n = a.len();
@@ -112,6 +114,33 @@ mod conjugation_validation {
         pauli_matrix(&ps)
     }
 
+    /// `Σ coeff · (−1)^φ · P` over the terms, reading each string as the
+    /// unsigned letters the term representation promises.
+    fn ext_matrix(e: &ExtPauli, n: usize) -> Vec<Vec<C64>> {
+        let dim = 1usize << n;
+        let mut got = vec![vec![C64::zero(); dim]; dim];
+        let m = veriqec_cexpr::CMem::new();
+        for term in e.terms() {
+            let mut ps = term.pauli().unsigned();
+            if term.phase().eval(&m) {
+                ps.add_ipow(2);
+            }
+            let tm = pauli_matrix(&ps);
+            let c = C64::real(term.coeff().to_f64());
+            for (gr, tr) in got.iter_mut().zip(&tm) {
+                for (g, t) in gr.iter_mut().zip(tr) {
+                    *g += *t * c;
+                }
+            }
+        }
+        got
+    }
+
+    /// `U† M U`.
+    fn wp_of(u: &[Vec<C64>], m: &[Vec<C64>]) -> Vec<Vec<C64>> {
+        mat_mul(&mat_mul(&dagger(u), m), u)
+    }
+
     fn all_paulis(n: usize) -> Vec<PauliString> {
         // All sign-free letter combinations.
         let letters = ['I', 'X', 'Y', 'Z'];
@@ -128,44 +157,76 @@ mod conjugation_validation {
         out
     }
 
+    /// Every 3-qubit string under each of the four `i^t` prefixes: tableau
+    /// rows and frames carry exact phases.
+    fn all_phased_paulis() -> Vec<PauliString> {
+        let mut out = Vec::new();
+        for p in all_paulis(3) {
+            for t in 0..4 {
+                let mut p = p.clone();
+                p.add_ipow(t);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Checks `edit` against `U† P U` (and the forward `inv_edit` against
+    /// `U P U†`) on every phased 3-qubit string; the Hermitian ones also go
+    /// through [`SymPauli::conjugate`]'s sign fold.
+    fn check_against(
+        u: &[Vec<C64>],
+        edit: impl Fn(&mut PauliString),
+        inv_edit: impl Fn(&mut PauliString),
+        what: &str,
+    ) {
+        let udg = dagger(u);
+        for p in all_phased_paulis() {
+            let mut got = p.clone();
+            edit(&mut got);
+            let expect = wp_of(u, &pauli_matrix(&p));
+            assert!(mat_close(&pauli_matrix(&got), &expect), "{what} on {p}");
+            let mut got_f = p.clone();
+            inv_edit(&mut got_f);
+            let expect_f = wp_of(&udg, &pauli_matrix(&p));
+            assert!(
+                mat_close(&pauli_matrix(&got_f), &expect_f),
+                "fwd {what} on {p}"
+            );
+            if p.hermitian_sign().is_some() {
+                let mut sp = SymPauli::new(p.clone(), Affine::zero());
+                sp.conjugate(&edit);
+                assert!(mat_close(&sym_matrix(&sp), &expect), "sym {what} on {p}");
+            }
+        }
+    }
+
     #[test]
     fn single_qubit_wp_tables_match_matrices() {
-        let n = 2;
+        let n = 3;
         for gate in [Gate1::X, Gate1::Y, Gate1::Z, Gate1::H, Gate1::S, Gate1::Sdg] {
-            let u = embed1(gate, 0, n);
-            let udg = dagger(&u);
-            for p in all_paulis(n) {
-                let sp = SymPauli::new(p.clone(), Affine::zero());
-                let got = sym_matrix(&conj1(gate, 0, &sp, true));
-                let expect = mat_mul(&mat_mul(&udg, &pauli_matrix(&p)), &u);
-                assert!(mat_close(&got, &expect), "gate {gate:?} on {p}");
-                // Forward direction too.
-                let got_f = sym_matrix(&conj1(gate, 0, &sp, false));
-                let expect_f = mat_mul(&mat_mul(&u, &pauli_matrix(&p)), &udg);
-                assert!(mat_close(&got_f, &expect_f), "fwd gate {gate:?} on {p}");
+            for q in 0..n {
+                check_against(
+                    &embed1(gate, q, n),
+                    |p| p.conjugate1(gate, q),
+                    |p| p.conjugate1(gate.inverse(), q),
+                    &format!("gate {gate:?} on {q}"),
+                );
             }
         }
     }
 
     #[test]
     fn two_qubit_wp_tables_match_matrices() {
-        let n = 2;
+        let n = 3;
         for gate in [Gate2::Cnot, Gate2::Cz, Gate2::ISwap, Gate2::ISwapDg] {
-            for (i, j) in [(0usize, 1usize), (1, 0)] {
-                let u = embed2(gate, i, j, n);
-                let udg = dagger(&u);
-                for p in all_paulis(n) {
-                    let sp = SymPauli::new(p.clone(), Affine::zero());
-                    let got = sym_matrix(&conj2(gate, i, j, &sp, true));
-                    let expect = mat_mul(&mat_mul(&udg, &pauli_matrix(&p)), &u);
-                    assert!(mat_close(&got, &expect), "gate {gate:?} ({i},{j}) on {p}");
-                    let got_f = sym_matrix(&conj2(gate, i, j, &sp, false));
-                    let expect_f = mat_mul(&mat_mul(&u, &pauli_matrix(&p)), &udg);
-                    assert!(
-                        mat_close(&got_f, &expect_f),
-                        "fwd {gate:?} ({i},{j}) on {p}"
-                    );
-                }
+            for (i, j) in [(0usize, 1usize), (1, 0), (0, 2), (2, 1)] {
+                check_against(
+                    &embed2(gate, i, j, n),
+                    |p| p.conjugate2(gate, i, j),
+                    |p| p.conjugate2(gate.inverse(), i, j),
+                    &format!("gate {gate:?} ({i},{j})"),
+                );
             }
         }
     }
@@ -177,26 +238,10 @@ mod conjugation_validation {
             let u = embed1(gate, 0, n);
             let udg = dagger(&u);
             for p in all_paulis(n) {
-                let sp = SymPauli::new(p.clone(), Affine::zero());
+                let e = ExtPauli::from_sym(SymPauli::new(p.clone(), Affine::zero()));
                 for wp in [true, false] {
-                    let ext = conj1_ext(gate, 0, &sp, wp);
-                    // Sum the term matrices with their Dyadic coefficients.
-                    let dim = 1usize << n;
-                    let mut got = vec![vec![C64::zero(); dim]; dim];
-                    let m = veriqec_cexpr::CMem::new();
-                    for term in ext.terms() {
-                        let mut ps = term.pauli().clone();
-                        if term.phase().eval(&m) {
-                            ps.add_ipow(2);
-                        }
-                        let tm = pauli_matrix(&ps);
-                        let c = C64::real(term.coeff().to_f64());
-                        for (gr, tr) in got.iter_mut().zip(&tm) {
-                            for (g, t) in gr.iter_mut().zip(tr) {
-                                *g += *t * c;
-                            }
-                        }
-                    }
+                    let g = if wp { gate } else { gate.inverse() };
+                    let got = ext_matrix(&conj1_ext(g, 0, &e), n);
                     let expect = if wp {
                         mat_mul(&mat_mul(&udg, &pauli_matrix(&p)), &u)
                     } else {
@@ -205,6 +250,60 @@ mod conjugation_validation {
                     assert!(mat_close(&got, &expect), "T conj {gate:?} wp={wp} on {p}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn clifford_sequences_conjugate_t_image_sums_in_place() {
+        // Sums of 1–4 terms on 3 qubits — T images, so coefficients ±1/√2
+        // and pairs of terms sharing letters, with random constant phases —
+        // conjugated in place by random Clifford sequences match `V† M V`,
+        // `V` the product of the gates in order.
+        use rand::prelude::*;
+        let n = 3;
+        let mut rng = StdRng::seed_from_u64(23);
+        let letters = ['I', 'X', 'Y', 'Z'];
+        for round in 0..200 {
+            let terms = (0..rng.gen_range(1..3))
+                .map(|_| {
+                    let s: String = (0..n).map(|_| letters[rng.gen_range(0..4usize)]).collect();
+                    let p = PauliString::from_letters(&s).unwrap();
+                    ExtTerm::new(Dyadic::one(), p, Affine::constant(rng.gen()))
+                })
+                .collect();
+            let t = *[Gate1::T, Gate1::Tdg].choose(&mut rng).unwrap();
+            let mut e = conj1_ext(t, rng.gen_range(0..n), &ExtPauli::from_terms(terms));
+            let dim = 1usize << n;
+            let mut v: Vec<Vec<C64>> = (0..dim)
+                .map(|r| {
+                    (0..dim)
+                        .map(|c| if r == c { C64::one() } else { C64::zero() })
+                        .collect()
+                })
+                .collect();
+            let m = ext_matrix(&e, n);
+            for _ in 0..rng.gen_range(1..7) {
+                if rng.gen() {
+                    let g = *[Gate1::X, Gate1::Y, Gate1::Z, Gate1::H, Gate1::S, Gate1::Sdg]
+                        .choose(&mut rng)
+                        .unwrap();
+                    let q = rng.gen_range(0..n);
+                    e.conjugate(|p| p.conjugate1(g, q));
+                    v = mat_mul(&v, &embed1(g, q, n));
+                } else {
+                    let g = *[Gate2::Cnot, Gate2::Cz, Gate2::ISwap, Gate2::ISwapDg]
+                        .choose(&mut rng)
+                        .unwrap();
+                    let i = rng.gen_range(0..n);
+                    let j = (i + rng.gen_range(1..n)) % n;
+                    e.conjugate(|p| p.conjugate2(g, i, j));
+                    v = mat_mul(&v, &embed2(g, i, j, n));
+                }
+            }
+            assert!(
+                mat_close(&ext_matrix(&e, n), &wp_of(&v, &m)),
+                "round {round}: {e}"
+            );
         }
     }
 

@@ -337,7 +337,7 @@ mod tests {
         // (X − Y)/√2 is a Hermitian involution; +1 eigenspace has dim 1.
         use veriqec_pauli::{conj1_ext, Gate1};
         let x = SymPauli::plain(ps("X"));
-        let e = conj1_ext(Gate1::T, 0, &x, true);
+        let e = conj1_ext(Gate1::T, 0, &x.into());
         let m = veriqec_cexpr::CMem::new();
         let s = Subspace::ext_pauli_plus_eigenspace(&e, &m);
         assert_eq!(s.dim(), 1);

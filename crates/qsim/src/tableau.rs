@@ -6,8 +6,7 @@
 //! Clifford circuits, but only *tests* one error configuration per run, which
 //! is exactly why verification is needed.
 
-use veriqec_cexpr::Affine;
-use veriqec_pauli::{conj1, conj2, Gate1, Gate2, PauliString, SymPauli};
+use veriqec_pauli::{Gate1, Gate2, PauliString};
 
 /// A stabilizer state of `n` qubits as a CHP-style tableau.
 ///
@@ -51,26 +50,6 @@ impl Tableau {
         &self.stab
     }
 
-    fn conj_row_fwd1(gate: Gate1, q: usize, row: &PauliString) -> PauliString {
-        let sp = SymPauli::new(row.clone(), Affine::zero());
-        let out = conj1(gate, q, &sp, false);
-        let mut p = out.pauli().clone();
-        if out.phase().constant_part() {
-            p.add_ipow(2);
-        }
-        p
-    }
-
-    fn conj_row_fwd2(gate: Gate2, i: usize, j: usize, row: &PauliString) -> PauliString {
-        let sp = SymPauli::new(row.clone(), Affine::zero());
-        let out = conj2(gate, i, j, &sp, false);
-        let mut p = out.pauli().clone();
-        if out.phase().constant_part() {
-            p.add_ipow(2);
-        }
-        p
-    }
-
     /// Applies a single-qubit Clifford gate.
     ///
     /// # Panics
@@ -78,15 +57,18 @@ impl Tableau {
     /// Panics on `T`/`T†` — the tableau representation is Clifford-only.
     pub fn apply_gate1(&mut self, gate: Gate1, q: usize) {
         assert!(gate.is_clifford(), "tableau simulation is Clifford-only");
+        // Each row becomes `U row U†`: the wp conjugation by `U†`.
+        let inv = gate.inverse();
         for row in self.stab.iter_mut().chain(self.destab.iter_mut()) {
-            *row = Self::conj_row_fwd1(gate, q, row);
+            row.conjugate1(inv, q);
         }
     }
 
     /// Applies a two-qubit gate.
     pub fn apply_gate2(&mut self, gate: Gate2, i: usize, j: usize) {
+        let inv = gate.inverse();
         for row in self.stab.iter_mut().chain(self.destab.iter_mut()) {
-            *row = Self::conj_row_fwd2(gate, i, j, row);
+            row.conjugate2(inv, i, j);
         }
     }
 

@@ -254,7 +254,7 @@ mod tests {
     fn sums_are_routed_to_case3() {
         use veriqec_pauli::{conj1_ext, Gate1};
         let lhs = vec![sp("X")];
-        let ext = conj1_ext(Gate1::T, 0, &sp("X"), true);
+        let ext = conj1_ext(Gate1::T, 0, &sp("X").into());
         let rhs = QecAssertion::from_conjuncts(1, vec![ext]);
         assert_eq!(
             reduce_commuting(&lhs, &rhs).unwrap_err(),

@@ -8,34 +8,18 @@
 use crate::WpError;
 use veriqec_cexpr::BExp;
 use veriqec_logic::{bexp_to_affine, Assertion};
-use veriqec_pauli::{conj1, conj1_ext, conj2, ExtPauli, Gate1, Gate2, SymPauli};
+use veriqec_pauli::{conj1_ext, ExtPauli, Gate1, SymPauli};
 use veriqec_prog::Stmt;
 
-/// Conjugates every term of a Pauli expression by a single-qubit gate
-/// (`U† · U` when `wp` is true).
-pub fn conj_ext1(gate: Gate1, q: usize, e: &ExtPauli, wp: bool) -> ExtPauli {
-    let mut terms = Vec::with_capacity(e.terms().len());
-    for t in e.terms() {
-        let sp = SymPauli::new(t.pauli().clone(), t.phase().clone());
-        let image = if gate.is_clifford() {
-            ExtPauli::from_sym(conj1(gate, q, &sp, wp))
-        } else {
-            conj1_ext(gate, q, &sp, wp)
-        };
-        terms.extend_from_slice(image.scale(t.coeff()).terms());
+/// `U† e U` for a single-qubit gate `U` on `q`, in place. A Clifford gate
+/// edits every term's letters ([`ExtPauli::conjugate`]); `T`/`T†` rebuild
+/// the sum through [`conj1_ext`], the one conjugation that builds terms.
+pub(crate) fn conj_ext1(gate: Gate1, q: usize, e: &mut ExtPauli) {
+    if gate.is_clifford() {
+        e.conjugate(|p| p.conjugate1(gate, q));
+    } else {
+        *e = conj1_ext(gate, q, e);
     }
-    ExtPauli::from_terms(terms)
-}
-
-/// Conjugates every term of a Pauli expression by a two-qubit gate.
-pub fn conj_ext2(gate: Gate2, i: usize, j: usize, e: &ExtPauli, wp: bool) -> ExtPauli {
-    let mut terms = Vec::with_capacity(e.terms().len());
-    for t in e.terms() {
-        let sp = SymPauli::new(t.pauli().clone(), t.phase().clone());
-        let image = ExtPauli::from_sym(conj2(gate, i, j, &sp, wp));
-        terms.extend_from_slice(image.scale(t.coeff()).terms());
-    }
-    ExtPauli::from_terms(terms)
 }
 
 /// Computes the weakest liberal precondition of a loop-free statement.
@@ -54,11 +38,11 @@ pub fn wp_loopfree(stmt: &Stmt, post: &Assertion) -> Result<Assertion, WpError> 
             }
             Ok(a)
         }
-        Stmt::Gate1(g, q) => Ok(post.map_pauli(&|p| conj_ext1(*g, *q, p, true))),
-        Stmt::Gate2(g, i, j) => Ok(post.map_pauli(&|p| conj_ext2(*g, *i, *j, p, true))),
+        Stmt::Gate1(g, q) => Ok(post.map_pauli(&|e| conj_ext1(*g, *q, e))),
+        Stmt::Gate2(g, i, j) => Ok(post.map_pauli(&|e| e.conjugate(|p| p.conjugate2(*g, *i, *j)))),
         Stmt::CondGate1(b, g, q) => {
             // (¬b ∧ A) ∨ (b ∧ U†AU) — the (If) rule applied to the sugar.
-            let on = post.map_pauli(&|p| conj_ext1(*g, *q, p, true));
+            let on = post.map_pauli(&|e| conj_ext1(*g, *q, e));
             Ok(Assertion::or(
                 Assertion::and(Assertion::boolean(BExp::not(b.clone())), post.clone()),
                 Assertion::and(Assertion::boolean(b.clone()), on),
@@ -109,7 +93,7 @@ pub fn wp_loopfree(stmt: &Stmt, post: &Assertion) -> Result<Assertion, WpError> 
                 p.add_ipow(2);
                 SymPauli::plain(p)
             };
-            let flipped = post.map_pauli(&|p| conj_ext1(Gate1::X, *q, p, true));
+            let flipped = post.map_pauli(&|e| e.conjugate(|p| p.conjugate1(Gate1::X, *q)));
             Ok(Assertion::or(
                 Assertion::and(Assertion::pauli(zq), post.clone()),
                 Assertion::and(Assertion::pauli(mzq), flipped),

@@ -33,7 +33,7 @@ mod validate;
 mod while_rule;
 
 pub use error::WpError;
-pub use generic::{conj_ext1, conj_ext2, wp_loopfree};
+pub use generic::wp_loopfree;
 pub use qec::{qec_wp, QecWpResult};
 pub use validate::triple_holds;
 pub use while_rule::{check_while, WhileTriple};
@@ -61,7 +61,7 @@ mod soundness {
             let choice = self.rng.gen_range(0..if qec_fragment { 6 } else { 8 });
             match choice {
                 0 => {
-                    let g = *[Gate1::H, Gate1::S, Gate1::X, Gate1::Z]
+                    let g = *[Gate1::H, Gate1::S, Gate1::Sdg, Gate1::X, Gate1::Y, Gate1::Z]
                         .choose(&mut self.rng)
                         .unwrap();
                     Stmt::Gate1(g, self.rng.gen_range(0..self.n))
@@ -72,7 +72,9 @@ mod soundness {
                     while j == i {
                         j = self.rng.gen_range(0..self.n);
                     }
-                    let g = *[Gate2::Cnot, Gate2::Cz].choose(&mut self.rng).unwrap();
+                    let g = *[Gate2::Cnot, Gate2::Cz, Gate2::ISwap]
+                        .choose(&mut self.rng)
+                        .unwrap();
                     Stmt::Gate2(g, i, j)
                 }
                 2 => {

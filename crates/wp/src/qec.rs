@@ -5,8 +5,10 @@
 //! updates phases in place, exactly as in the paper's derivations (§4.2,
 //! Appendix C.1):
 //!
-//! * Clifford gates conjugate the conjuncts' letters (rules U-*), building
-//!   each conjunct's image anew;
+//! * Clifford gates conjugate the conjuncts' letters in place (rules U-*):
+//!   a table lookup on the gate's qubits per term, whose sign folds into the
+//!   term's phase ([`ExtPauli::conjugate`]), so a gate clones no string;
+//!   only `T`/`T†` rebuild a conjunct, as a sum;
 //! * a conditional Pauli error `[b] q *= P` changes no letter: it XORs `b`
 //!   into the phase of every term that anticommutes with `P` on `q` (the
 //!   derived rules after Fig. 3). Anticommutation is a bit test at `q`, and
@@ -17,7 +19,8 @@
 //!   letters into branch guards via `P ∧ −P ≡ ⊥` (Prop. A.3);
 //! * decoder calls stay uninterpreted and are recorded for the VC layer.
 
-use crate::{conj_ext1, conj_ext2, WpError};
+use crate::generic::conj_ext1;
+use crate::WpError;
 use veriqec_cexpr::{BExp, VarId};
 use veriqec_logic::{bexp_to_affine, QecAssertion};
 use veriqec_pauli::{ExtPauli, PauliString, SymPauli};
@@ -69,11 +72,13 @@ impl Engine {
                 Ok(())
             }
             Stmt::Gate1(g, q) => {
-                self.map_conjuncts(|e| conj_ext1(*g, *q, e, true));
+                self.gate1(*g, *q);
                 Ok(())
             }
             Stmt::Gate2(g, i, j) => {
-                self.map_conjuncts(|e| conj_ext2(*g, *i, *j, e, true));
+                for c in &mut self.a.conjuncts {
+                    c.conjugate(|p| p.conjugate2(*g, *i, *j));
+                }
                 Ok(())
             }
             Stmt::CondGate1(b, g, q) => self.cond_gate(b, *g, *q),
@@ -101,9 +106,9 @@ impl Engine {
         }
     }
 
-    fn map_conjuncts<F: Fn(&ExtPauli) -> ExtPauli>(&mut self, f: F) {
+    fn gate1(&mut self, g: veriqec_pauli::Gate1, q: usize) {
         for c in &mut self.a.conjuncts {
-            *c = f(c);
+            conj_ext1(g, q, c);
         }
     }
 
@@ -118,7 +123,7 @@ impl Engine {
             _ => {
                 return match b {
                     BExp::Const(true) => {
-                        self.map_conjuncts(|e| conj_ext1(g, q, e, true));
+                        self.gate1(g, q);
                         Ok(())
                     }
                     BExp::Const(false) => Ok(()),
