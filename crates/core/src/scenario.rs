@@ -250,22 +250,25 @@ impl ScenarioBuilder {
         let mut m_vars: Vec<Option<VarId>> = Vec::with_capacity(schedule.num_sites());
         for site in schedule.sites() {
             let (r, i) = (site.round, site.check);
-            let g = gens[i].clone();
             let s = self
                 .vt
                 .fresh(&format!("s{cyc}b{block}r{r}_{i}"), VarRole::Syndrome);
             s_vars.push(s);
-            if site.noisy {
+            let g = if site.noisy {
+                // A faulty readout measures (−1)^m g.
                 let m = self
                     .vt
                     .fresh(&format!("m{cyc}b{block}r{r}_{i}"), VarRole::MeasError);
                 self.meas_error_vars.push(m);
                 m_vars.push(Some(m));
-                self.stmts.push(Stmt::MeasFlip(s, g, m));
+                let mut phase = gens[i].phase().clone();
+                phase.xor_var(m);
+                SymPauli::new(gens[i].pauli().clone(), phase)
             } else {
                 m_vars.push(None);
-                self.stmts.push(Stmt::Meas(s, g));
-            }
+                gens[i].clone()
+            };
+            self.stmts.push(Stmt::Meas(s, g));
         }
         // Decoder calls: (name tag, generators read, correction families).
         // X-type checks detect Z errors, so their syndromes feed the Z
@@ -613,12 +616,12 @@ mod tests {
             assert_eq!(w.meas_errors.len(), 9);
             assert_eq!(w.checks.len(), 9);
         }
-        // The program uses the flip-annotated measurement statement.
+        // Each faulty readout measures (−1)^m g: a flip in the phase.
         let flips = s
             .program
             .flatten()
             .iter()
-            .filter(|st| matches!(st, veriqec_prog::Stmt::MeasFlip(..)))
+            .filter(|st| matches!(st, veriqec_prog::Stmt::Meas(_, g) if !g.phase().is_constant()))
             .count();
         assert_eq!(flips, 18);
     }

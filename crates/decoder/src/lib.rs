@@ -5,12 +5,23 @@
 //! reproduce the measured syndromes and weigh no more than the injected
 //! errors. This crate provides:
 //!
-//! * [`LookupDecoder`] — an exact minimum-weight decoder built by
-//!   breadth-first enumeration (used by simulation baselines and by the
-//!   fixed-error/non-Pauli pipeline);
-//! * [`MinWeightSpec`] — the `P_f` constraint emitter for the SMT layer;
-//! * [`decode_call_oracle`] — adapts lookup decoders to program
-//!   interpretation.
+//! * [`MinWeightSpec`] — the `P_f` constraint emitter for the SMT layer,
+//!   one per decoder call of every verification problem
+//!   (`veriqec::tasks::build_problem*`);
+//! * [`CssLookupDecoder`] — per-sector minimum-weight lookup tables, the
+//!   concrete decoder of the fixed-error/non-Pauli pipeline
+//!   (`veriqec::tasks::verify_nonpauli_memory`) and of the tableau sampling
+//!   baseline (`tables stim`);
+//! * [`decode_call_oracle`] — adapts a [`CssLookupDecoder`] to program
+//!   interpretation (`decode_x`/`decode_z` calls), for the same two users;
+//! * [`SpaceTimeDecoder`] — the exact budget-aware space-time decoder of
+//!   repeated extraction, behind the Pauli-frame cross-check of
+//!   `tables fault_tolerance` (`veriqec::sampling::exhaustive_frame_check`);
+//! * [`space_time_decode_call_oracle`] — adapts a pair of
+//!   [`SpaceTimeDecoder`]s to program interpretation, for the faulty-readout
+//!   differential tests;
+//! * [`LookupDecoder`] — a whole-code minimum-weight lookup decoder, used
+//!   by the pipeline-consistency tests.
 //!
 //! # Examples
 //!
@@ -136,7 +147,7 @@ impl CssLookupDecoder {
     }
 }
 
-/// Adapts CSS lookup decoders to the interpreter's
+/// Adapts a [`CssLookupDecoder`] to the interpreter's
 /// `veriqec_prog::DecoderOracle` interface: decoder names
 /// `decode_x` (inputs = Z-check syndromes, outputs = X corrections) and
 /// `decode_z` (inputs = X-check syndromes, outputs = Z corrections).

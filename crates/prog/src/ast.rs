@@ -35,14 +35,11 @@ pub enum Stmt {
     CondGate1(BExp, Gate1, usize),
     /// `x := e` — classical (boolean) assignment.
     Assign(VarId, BExp),
-    /// `x := meas[P]` — projective Pauli measurement.
+    /// `x := meas[P]` — projective measurement of a signed Pauli. A faulty
+    /// readout `x := meas[P] ^ m` is the measurement of `(−1)^m P`, with the
+    /// flip indicator `m` in the phase: it projects as measuring `P` does
+    /// and records the true outcome XOR `m`.
     Meas(VarId, SymPauli),
-    /// `x := meas[P] ^ m` — faulty projective measurement: the recorded
-    /// outcome is the true outcome XOR the flip indicator `m` (a fresh
-    /// symbolic measurement-error variable per measurement site). The
-    /// post-measurement *state* is the same as for [`Stmt::Meas`]; only the
-    /// classical record is corrupted.
-    MeasFlip(VarId, SymPauli, VarId),
     /// Decoder call.
     Decode(DecodeCall),
     /// `if b then S1 else S0 end`.
@@ -131,9 +128,13 @@ impl Stmt {
             Stmt::Gate2(g, i, j) => writeln!(f, "{pad}q[{i}], q[{j}] *= {g}"),
             Stmt::CondGate1(b, g, q) => writeln!(f, "{pad}[{}] q[{q}] *= {g}", bexp(b)),
             Stmt::Assign(x, e) => writeln!(f, "{pad}{} := {}", name(x), bexp(e)),
-            Stmt::Meas(x, p) => writeln!(f, "{pad}{} := meas[{p}]", name(x)),
-            Stmt::MeasFlip(x, p, m) => {
-                writeln!(f, "{pad}{} := meas[{p}] ^ {}", name(x), name(m))
+            Stmt::Meas(x, p) => {
+                let sign = if p.phase().constant_part() { "-" } else { "" };
+                write!(f, "{pad}{} := meas[{sign}{}]", name(x), p.pauli())?;
+                for m in p.phase().vars() {
+                    write!(f, " ^ {}", name(&m))?;
+                }
+                writeln!(f)
             }
             Stmt::Decode(d) => {
                 let outs: Vec<String> = d.outputs.iter().map(&name).collect();
@@ -211,7 +212,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veriqec_cexpr::VarRole;
+    use veriqec_cexpr::{Affine, VarRole};
     use veriqec_pauli::PauliString;
 
     #[test]
@@ -249,10 +250,9 @@ mod tests {
         let s = vt.fresh("s_0", VarRole::Syndrome);
         let m = vt.fresh("m_0", VarRole::MeasError);
         let prog = Program::new(
-            Stmt::MeasFlip(
+            Stmt::Meas(
                 s,
-                SymPauli::plain(PauliString::from_letters("ZZ").unwrap()),
-                m,
+                SymPauli::new(PauliString::from_letters("ZZ").unwrap(), Affine::var(m)),
             ),
             2,
             vt,

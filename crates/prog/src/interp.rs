@@ -15,6 +15,29 @@ pub trait DecoderOracle {
     ///
     /// Implementations may panic on unknown decoder names.
     fn decode(&self, name: &str, inputs: &[bool]) -> Vec<bool>;
+
+    /// Executes a decoder call on a classical memory: reads the call's
+    /// inputs, decodes, and writes its outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the decoder returns a different number of bits than the
+    /// call has outputs.
+    fn apply(&self, call: &DecodeCall, mem: &mut CMem) {
+        let inputs: Vec<bool> = call.inputs.iter().map(|&v| mem.get(v).as_bool()).collect();
+        let outputs = self.decode(&call.name, &inputs);
+        assert_eq!(
+            outputs.len(),
+            call.outputs.len(),
+            "decoder `{}` returned {} bits, expected {}",
+            call.name,
+            outputs.len(),
+            call.outputs.len()
+        );
+        for (&var, &bit) in call.outputs.iter().zip(&outputs) {
+            mem.set(var, Value::Bool(bit));
+        }
+    }
 }
 
 /// An oracle for programs without decoder calls.
@@ -141,30 +164,10 @@ fn exec<O: DecoderOracle>(
                 out
             })
             .collect(),
-        Stmt::MeasFlip(x, p, flip) => configs
-            .into_iter()
-            .flat_map(|(m, st)| {
-                // Same projection as Meas; only the recorded bit is XORed
-                // with the flip indicator's current value.
-                let concrete = p.eval(&m);
-                let recorded_flip = m.get(*flip).as_bool();
-                let mut out = Vec::new();
-                for outcome in [false, true] {
-                    let mut branch = st.clone();
-                    let prob = branch.project_pauli(&concrete, outcome);
-                    if prob > BRANCH_TOL {
-                        let mut m2 = m.clone();
-                        m2.set(*x, Value::Bool(outcome ^ recorded_flip));
-                        out.push((m2, branch));
-                    }
-                }
-                out
-            })
-            .collect(),
         Stmt::Decode(call) => configs
             .into_iter()
             .map(|(mut m, st)| {
-                apply_decode(call, &mut m, oracle);
+                oracle.apply(call, &mut m);
                 (m, st)
             })
             .collect(),
@@ -191,22 +194,6 @@ fn exec<O: DecoderOracle>(
         Stmt::Seq(v) => v
             .iter()
             .fold(configs, |cfgs, s| exec(s, cfgs, oracle, fuel)),
-    }
-}
-
-fn apply_decode<O: DecoderOracle>(call: &DecodeCall, m: &mut CMem, oracle: &O) {
-    let inputs: Vec<bool> = call.inputs.iter().map(|&v| m.get(v).as_bool()).collect();
-    let outputs = oracle.decode(&call.name, &inputs);
-    assert_eq!(
-        outputs.len(),
-        call.outputs.len(),
-        "decoder `{}` returned {} bits, expected {}",
-        call.name,
-        outputs.len(),
-        call.outputs.len()
-    );
-    for (&var, &bit) in call.outputs.iter().zip(&outputs) {
-        m.set(var, Value::Bool(bit));
     }
 }
 
@@ -258,13 +245,7 @@ fn run_tab<O: DecoderOracle, F: FnMut() -> bool>(
             let outcome = state.measure_pauli(&concrete, &mut *coin);
             mem.set(*x, Value::Bool(outcome));
         }
-        Stmt::MeasFlip(x, p, flip) => {
-            let concrete = p.eval(mem);
-            let outcome = state.measure_pauli(&concrete, &mut *coin);
-            let flipped = outcome ^ mem.get(*flip).as_bool();
-            mem.set(*x, Value::Bool(flipped));
-        }
-        Stmt::Decode(call) => apply_decode(call, mem, oracle),
+        Stmt::Decode(call) => oracle.apply(call, mem),
         Stmt::If(b, s1, s0) => {
             if b.eval(mem) {
                 run_tab(s1, mem, state, oracle, coin, fuel);
@@ -291,7 +272,7 @@ fn run_tab<O: DecoderOracle, F: FnMut() -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veriqec_cexpr::{BExp, VarRole, VarTable};
+    use veriqec_cexpr::{Affine, BExp, VarRole, VarTable};
     use veriqec_pauli::{Gate1, SymPauli};
 
     fn ps(s: &str) -> PauliString {
@@ -382,7 +363,7 @@ mod tests {
         let m = vt.fresh("m_0", VarRole::MeasError);
         let prog = Stmt::seq([
             Stmt::Gate1(Gate1::X, 0), // the error: true syndrome fires
-            Stmt::MeasFlip(s, SymPauli::plain(ps("ZZ")), m),
+            Stmt::Meas(s, SymPauli::new(ps("ZZ"), Affine::var(m))),
         ]);
         for flip in [false, true] {
             let mut mem = CMem::new();

@@ -14,7 +14,9 @@
 //! (`a..b`, exclusive) and are unrolled at parse time; loop variables may
 //! appear in index arithmetic (`+`, `-`, `*`). Statements are separated by
 //! `;` or the paper's `#`. Variable roles are inferred from the family name
-//! (`e`/`ep` errors, `s` syndromes, `x`/`z`/`c` corrections, `b` parameters).
+//! (`e`/`ep` errors, `s` syndromes, `x`/`z`/`c` corrections, `b` parameters,
+//! `m` measurement flips). A faulty readout `s[0] := meas[P] ^ m[0]` is the
+//! measurement of `(−1)^{m_0} P`.
 
 use crate::{DecodeCall, Program, Stmt};
 use std::collections::HashMap;
@@ -625,16 +627,18 @@ impl Parser<'_> {
                 if self.at_ident("meas") {
                     self.pos += 1;
                     self.eat(&Tok::LBracket)?;
-                    let p = self.pauli_literal()?;
+                    let mut p = self.pauli_literal()?;
                     self.eat(&Tok::RBracket)?;
                     if self.peek() == Some(&Tok::Caret) {
-                        // x := meas[P] ^ m — faulty measurement.
+                        // x := meas[P] ^ m — a faulty readout, the
+                        // measurement of (−1)^m P.
                         self.pos += 1;
                         let Some(Tok::Ident(f)) = self.bump() else {
                             return self.err("expected flip-indicator variable after `^`");
                         };
-                        let m = self.var_ref(f)?;
-                        return Ok(Stmt::MeasFlip(var, p, m));
+                        let mut phase = p.phase().clone();
+                        phase.xor_var(self.var_ref(f)?);
+                        p = SymPauli::new(p.pauli().clone(), phase);
                     }
                     Ok(Stmt::Meas(var, p))
                 } else {
@@ -755,7 +759,7 @@ fn build_pauli(factors: &[(char, usize)], negative: bool) -> Option<SymPauli> {
 }
 
 /// Parses a program. Measurement Pauli operators are padded to the final
-/// qubit count after parsing.
+/// qubit count after parsing, keeping their phase.
 ///
 /// # Errors
 ///
@@ -782,22 +786,15 @@ pub fn parse_program(src: &str) -> Result<Program, ParseProgramError> {
 
 fn pad_paulis(stmt: Stmt, n: usize) -> Stmt {
     match stmt {
-        Stmt::Meas(x, p) => {
-            if p.num_qubits() < n {
-                let mut padded = PauliString::identity(n);
-                for q in 0..p.num_qubits() {
-                    let local = p.pauli().letter(q);
-                    if local != 'I' {
-                        padded = padded.mul(&PauliString::single(n, local, q));
-                    }
+        Stmt::Meas(x, p) if p.num_qubits() < n => {
+            let mut padded = PauliString::identity(n);
+            for q in 0..p.num_qubits() {
+                let local = p.pauli().letter(q);
+                if local != 'I' {
+                    padded = padded.mul(&PauliString::single(n, local, q));
                 }
-                if p.phase().constant_part() {
-                    padded.add_ipow(2);
-                }
-                Stmt::Meas(x, SymPauli::new(padded, veriqec_cexpr::Affine::zero()))
-            } else {
-                Stmt::Meas(x, p)
             }
+            Stmt::Meas(x, SymPauli::new(padded, p.phase().clone()))
         }
         Stmt::Seq(v) => Stmt::Seq(v.into_iter().map(|s| pad_paulis(s, n)).collect()),
         Stmt::If(b, s1, s0) => Stmt::If(
@@ -813,6 +810,9 @@ fn pad_paulis(stmt: Stmt, n: usize) -> Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_tableau, NoDecoders};
+    use veriqec_cexpr::{Affine, CMem, Value};
+    use veriqec_qsim::Tableau;
 
     #[test]
     fn parse_gates_and_loops() {
@@ -885,13 +885,35 @@ mod tests {
     #[test]
     fn faulty_measurement_parses_with_flip_indicator() {
         let p = parse_program("s[0] := meas[Z[0]*Z[1]] ^ m[0]").unwrap();
-        let Stmt::MeasFlip(s, sp, m) = p.stmt.flatten()[0] else {
-            panic!("expected MeasFlip, got {:?}", p.stmt)
+        let Stmt::Meas(s, sp) = p.stmt.flatten()[0] else {
+            panic!("expected Meas, got {:?}", p.stmt)
         };
+        let m = p.vars.lookup("m_0").expect("flip indicator declared");
         assert_eq!(p.vars.role(*s), VarRole::Syndrome);
-        assert_eq!(p.vars.role(*m), VarRole::MeasError);
-        assert!(sp.phase().is_zero());
+        assert_eq!(p.vars.role(m), VarRole::MeasError);
+        assert_eq!(*sp.phase(), Affine::var(m), "the flip is the phase");
         assert!(p.pretty().contains("s_0 := meas[ZZ] ^ m_0"));
+
+        // A literal narrower than the program is padded with its phase:
+        // the record is the true outcome (0 on |00⟩) XOR the flip.
+        let p = parse_program("q[1] *= H; s[0] := meas[Z[0]] ^ m[0]").unwrap();
+        let Stmt::Meas(s, sp) = p.stmt.flatten()[1] else {
+            panic!("expected Meas, got {:?}", p.stmt)
+        };
+        let m = p.vars.lookup("m_0").expect("flip indicator declared");
+        assert_eq!(sp.num_qubits(), 2);
+        assert_eq!(*sp.phase(), Affine::var(m));
+        for (flip, record) in [(None, false), (Some(true), true)] {
+            let mut mem = CMem::new();
+            if let Some(b) = flip {
+                mem.set(m, Value::Bool(b));
+            }
+            let mut tab = Tableau::zero_state(2);
+            run_tableau(&p.stmt, &mut mem, &mut tab, &NoDecoders, &mut || {
+                panic!("Z on |0⟩ is deterministic")
+            });
+            assert_eq!(mem.get(*s).as_bool(), record, "flip {flip:?}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::fmt;
 
 use veriqec_cexpr::{CMem, Value, VarId};
 use veriqec_pauli::{ExtPauli, StabilizerGroup, SymPauli};
-use veriqec_prog::{DecodeCall, DecoderOracle};
+use veriqec_prog::DecoderOracle;
 use veriqec_wp::QecWpResult;
 
 /// Why the heuristic could not complete.
@@ -80,7 +80,8 @@ pub enum NonPauliOutcome {
 }
 
 /// Verifies a fixed-location non-Pauli VC:
-/// `⋀ lhs ⊨ ⋁_s wp-branches`, with decoder calls resolved by `oracle`.
+/// `⋀ lhs ⊨ ⋁_s wp-branches`, with decoder calls resolved by `oracle`
+/// ([`DecoderOracle::apply`], as in the interpreters).
 ///
 /// `params` are the free specification parameters (logical phases `b_i`) to
 /// quantify over.
@@ -88,6 +89,11 @@ pub enum NonPauliOutcome {
 /// # Errors
 ///
 /// See [`NonPauliError`].
+///
+/// # Panics
+///
+/// Panics when the oracle returns a different number of bits than a
+/// decoder call has outputs.
 pub fn verify_nonpauli<O: DecoderOracle>(
     lhs: &[SymPauli],
     wp: &QecWpResult,
@@ -190,7 +196,7 @@ pub fn verify_nonpauli<O: DecoderOracle>(
             }
             // Resolve decoder outputs.
             for call in &wp.decoder_calls {
-                apply_call(call, &mut m, oracle);
+                oracle.apply(call, &mut m);
             }
             // Branch validity: guards must vanish.
             if wp.pre.guards.iter().any(|g| g.eval(&m)) {
@@ -221,12 +227,4 @@ pub fn verify_nonpauli<O: DecoderOracle>(
         }
     }
     Ok(NonPauliOutcome::Verified)
-}
-
-fn apply_call<O: DecoderOracle>(call: &DecodeCall, m: &mut CMem, oracle: &O) {
-    let inputs: Vec<bool> = call.inputs.iter().map(|&v| m.get(v).as_bool()).collect();
-    let outputs = oracle.decode(&call.name, &inputs);
-    for (&var, &bit) in call.outputs.iter().zip(&outputs) {
-        m.set(var, Value::Bool(bit));
-    }
 }

@@ -62,22 +62,11 @@ pub fn wp_loopfree(stmt: &Stmt, post: &Assertion) -> Result<Assertion, WpError> 
             Ok(post.subst_classical(*x, e))
         }
         Stmt::Meas(x, g) => {
-            // (P ∧ A[0/x]) ∨ (¬P ∧ A[1/x]).
+            // (g ∧ A[0/x]) ∨ (¬g ∧ A[1/x]). A faulty readout measures
+            // g = (−1)^m P, so for m = 1 the branches swap.
             let p = Assertion::pauli(g.clone());
             let a0 = post.subst_classical(*x, &BExp::ff());
             let a1 = post.subst_classical(*x, &BExp::tt());
-            Ok(Assertion::or(
-                Assertion::and(p.clone(), a0),
-                Assertion::and(Assertion::not(p), a1),
-            ))
-        }
-        Stmt::MeasFlip(x, g, m) => {
-            // Faulty measurement records outcome ⊕ m: the (Meas) rule with
-            // the recorded value shifted by the flip indicator,
-            // (P ∧ A[m/x]) ∨ (¬P ∧ A[¬m/x]).
-            let p = Assertion::pauli(g.clone());
-            let a0 = post.subst_classical(*x, &BExp::var(*m));
-            let a1 = post.subst_classical(*x, &BExp::not(BExp::var(*m)));
             Ok(Assertion::or(
                 Assertion::and(p.clone(), a0),
                 Assertion::and(Assertion::not(p), a1),

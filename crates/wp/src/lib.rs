@@ -95,11 +95,14 @@ mod soundness {
                     Stmt::Assign(x, BExp::xor(BExp::var(e), BExp::Const(self.rng.gen())))
                 }
                 5 => {
-                    // Faulty measurement: fresh syndrome + flip indicator.
+                    // Faulty readout: fresh syndrome, measuring (−1)^m P
+                    // for a fresh flip indicator m.
                     let s = self.fresh_var("s", VarRole::Syndrome);
                     let m = self.fresh_var("m", VarRole::MeasError);
                     let p = self.random_pauli();
-                    Stmt::MeasFlip(s, p, m)
+                    let mut phase = p.phase().clone();
+                    phase.xor_var(m);
+                    Stmt::Meas(s, SymPauli::new(p.pauli().clone(), phase))
                 }
                 6 => {
                     if depth == 0 {
@@ -259,10 +262,9 @@ mod soundness {
                     out.push(*x);
                     e.free_vars(out);
                 }
-                Stmt::Meas(x, _) => out.push(*x),
-                Stmt::MeasFlip(x, _, m) => {
+                Stmt::Meas(x, p) => {
                     out.push(*x);
-                    out.push(*m);
+                    out.extend(p.phase().vars());
                 }
                 Stmt::If(b, a, c) => {
                     b.free_vars(out);

@@ -83,8 +83,7 @@ impl Engine {
             }
             Stmt::CondGate1(b, g, q) => self.cond_gate(b, *g, *q),
             Stmt::Assign(x, e) => self.assign(*x, e),
-            Stmt::Meas(x, g) => self.measure(*x, g, None),
-            Stmt::MeasFlip(x, g, m) => self.measure(*x, g, Some(*m)),
+            Stmt::Meas(x, g) => self.measure(*x, g),
             Stmt::Decode(call) => {
                 for out in &call.outputs {
                     if self.a.or_vars.contains(out) {
@@ -178,11 +177,10 @@ impl Engine {
         }
     }
 
-    /// The measurement rule; `flip` carries the indicator of a faulty
-    /// measurement (`x := meas[g] ⊕ flip`): the true outcome is then
-    /// `x ⊕ flip`, so the flip is XORed into the new conjunct's phase —
-    /// measurement noise enters the VC purely as one more phase variable.
-    fn measure(&mut self, x: VarId, g: &SymPauli, flip: Option<VarId>) -> Result<(), WpError> {
+    /// The measurement rule. A faulty readout measures `g = (−1)^m P`, so
+    /// its flip indicator `m` is already in `g`'s phase — measurement noise
+    /// enters the VC purely as one more phase variable.
+    fn measure(&mut self, x: VarId, g: &SymPauli) -> Result<(), WpError> {
         if self.a.or_vars.contains(&x) {
             return Err(WpError::DuplicateMeasurementVariable {
                 var: format!("v{}", x.0),
@@ -200,9 +198,6 @@ impl Engine {
         // forced to respond to the real syndrome).
         let mut new_phase = g.phase().clone();
         new_phase.xor_var(x);
-        if let Some(m) = flip {
-            new_phase.xor_var(m);
-        }
         self.a.conjuncts.push(ExtPauli::from_sym(SymPauli::new(
             g.pauli().clone(),
             new_phase,
@@ -251,17 +246,34 @@ mod tests {
 
     #[test]
     fn faulty_measurement_xors_flip_into_the_phase() {
-        // x := meas[g] ⊕ m: the true outcome is x ⊕ m, so the or-bound
-        // conjunct carries (−1)^{x ⊕ m} |g|.
+        // x := meas[g] ⊕ m measures (−1)^m g: the true outcome is x ⊕ m, so
+        // the or-bound conjunct carries (−1)^{x ⊕ m} |g|.
         let mut vt = VarTable::new();
         let s = vt.fresh("s", VarRole::Syndrome);
         let m = vt.fresh("m", VarRole::MeasError);
         let post = QecAssertion::from_conjuncts(2, vec![plain("XX")]);
-        let g = SymPauli::plain(PauliString::from_letters("ZZ").unwrap());
-        let r = qec_wp(&Stmt::MeasFlip(s, g, m), post).unwrap();
+        let g = SymPauli::new(PauliString::from_letters("ZZ").unwrap(), Affine::var(m));
+        let r = qec_wp(&Stmt::Meas(s, g), post).unwrap();
         assert_eq!(r.pre.or_vars, vec![s], "only the syndrome is or-bound");
         let added = r.pre.conjuncts[1].as_single().unwrap();
         assert!(added.phase().contains(s) && added.phase().contains(m));
+    }
+
+    #[test]
+    fn parsed_faulty_readout_is_padded_with_its_phase() {
+        // The literal `Z[0]` is narrower than the program; the parser widens
+        // it to ZI and keeps the flip in its phase, so the H rule on qubit 1
+        // has a letter to edit.
+        let p = veriqec_prog::parse_program("q[1] *= H; s[0] := meas[Z[0]] ^ m[0]").unwrap();
+        let (s, m) = (p.vars.lookup("s_0").unwrap(), p.vars.lookup("m_0").unwrap());
+        let post = QecAssertion::from_conjuncts(2, vec![plain("ZX")]);
+        let r = qec_wp(&p.stmt, post).unwrap();
+        assert_eq!(r.pre.or_vars, vec![s]);
+        let kept = r.pre.conjuncts[0].as_single().unwrap();
+        assert_eq!(kept.pauli(), &PauliString::from_letters("ZZ").unwrap());
+        let added = r.pre.conjuncts[1].as_single().unwrap();
+        assert_eq!(added.pauli(), &PauliString::from_letters("ZI").unwrap());
+        assert_eq!(*added.phase(), Affine::sum_vars([s, m]));
     }
 
     #[test]

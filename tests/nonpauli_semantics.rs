@@ -16,7 +16,8 @@ use veriqec_decoder::{decode_call_oracle, CssLookupDecoder};
 use veriqec_pauli::Gate1;
 use veriqec_prog::run_all_branches;
 use veriqec_qsim::DenseState;
-use veriqec_vcgen::NonPauliOutcome;
+use veriqec_vcgen::{verify_nonpauli, NonPauliOutcome};
+use veriqec_wp::qec_wp;
 
 /// Prepares the joint +1 eigenstate of the scenario's LHS generating set at
 /// given parameter values by projective filtering of a generic state.
@@ -121,4 +122,21 @@ fn repetition_code_cannot_correct_t_errors() {
         Ok(NonPauliOutcome::Verified) => panic!("symbolic verifier unsoundly verified"),
         Ok(NonPauliOutcome::Failed { .. }) | Err(_) => {}
     }
+}
+
+#[test]
+#[should_panic(expected = "returned 6 bits, expected 7")]
+fn short_decoder_oracle_is_rejected() {
+    // An oracle that drops its last output bit must stop the verifier, as
+    // it stops the interpreters, instead of leaving that correction unset.
+    let code = steane();
+    let scenario = nonpauli_scenario(&code, Gate1::T, 2);
+    let wp = qec_wp(&scenario.program, scenario.post.clone()).unwrap();
+    let full = decode_call_oracle(CssLookupDecoder::for_code(&code, 1), code.n());
+    let short = |name: &str, inputs: &[bool]| {
+        let mut bits = full(name, inputs);
+        bits.pop();
+        bits
+    };
+    let _ = verify_nonpauli(&scenario.lhs, &wp, &short, &scenario.params);
 }
