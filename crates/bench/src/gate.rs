@@ -269,7 +269,9 @@ mod tests {
                 ("solver", "surface5_proof", "wall_ms", 450.0),
                 ("solver", "surface5_proof", "conflicts", 1_500.0),
                 ("solver", "surface7_proof", "wall_ms", 900.0),
-                ("solver", "surface7_proof", "conflicts", 21_000.0),
+                ("solver", "surface7_proof", "conflicts", 4_500.0),
+                ("solver", "surface9_proof", "wall_ms", 750.0),
+                ("solver", "surface9_proof", "conflicts", 12_000.0),
                 ("solver", "aggregate", "props_per_sec", 1.0e6),
                 ("dd", "five-qubit [[5,1,3]]", "wall_ms", 18.0),
                 ("dd", "Steane [[7,1,3]]", "wall_ms", 36.0),

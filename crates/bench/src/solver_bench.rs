@@ -9,11 +9,15 @@
 //! aggregate propagation and conflict throughput. Every run re-asserts the
 //! instance's pinned verdict, so the gate never times a wrong answer.
 //!
-//! Both modes run the one-shot surface-5 and surface-7 proofs. Their
-//! conflict baselines, 500 and 7,000, put the bounds at 1,500 and 21,000:
-//! above this encoding's 371 and 6,054 conflicts, below the 3,227 and
-//! 27,333 of one that reifies every target, so the quick gate fails if the
-//! stabilizer targets the asserted parity rows decide are encoded again.
+//! Both modes run the one-shot surface-5, surface-7 and surface-9 proofs.
+//! Their conflict baselines, 500, 1,500 and 4,000, put the bounds at
+//! 1,500, 4,500 and 12,000. The solver reads 126, 846 and 1,842. Without
+//! Gauss–Jordan propagation it reads 371, 6,054 and 61,082 (and 3.7 s at
+//! d = 9 against a 750 ms bound), so the quick gate fails if the asserted
+//! parity rows stop reaching the solver. An encoding that reifies every
+//! stabilizer target again reads 166, 820 and 2,169 with the propagator,
+//! inside the bounds; `capped_cardinality_pins_the_surface_query_size`
+//! pins that encoding instead.
 //!
 //! The aggregate propagations/s row has a baseline of 3.0e6, so its floor
 //! is 1.0e6/s. On a 2-core Xeon dev container, quick runs read
@@ -162,6 +166,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
         }),
         surface_proof("surface5_proof", 5, runs, config),
         surface_proof("surface7_proof", 7, runs, config),
+        surface_proof("surface9_proof", 9, runs, config),
     ];
     if !quick {
         measured.extend([

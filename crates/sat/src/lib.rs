@@ -33,6 +33,7 @@
 
 mod arena;
 mod dimacs;
+mod gauss;
 mod heap;
 mod lit;
 mod share;
@@ -211,5 +212,143 @@ mod proptests {
                 }
             }
         }
+    }
+
+    /// The direct CNF of `Σ vars = rhs`: one clause excluding each
+    /// assignment of the wrong parity.
+    fn xor_clauses(vars: &[usize], rhs: bool) -> Vec<Vec<(usize, bool)>> {
+        (0u32..1 << vars.len())
+            .filter(|bits| (bits.count_ones() % 2 == 1) != rhs)
+            .map(|bits| {
+                let lit = |(i, &v): (usize, &usize)| (v, (bits >> i) & 1 == 0);
+                vars.iter().enumerate().map(lit).collect()
+            })
+            .collect()
+    }
+
+    fn add_xors(s: &mut Solver, rows: &[(Vec<usize>, bool)]) {
+        for (vars, rhs) in rows {
+            add_clauses(s, &xor_clauses(vars, *rhs));
+            let vars: Vec<Var> = vars.iter().map(|&v| Var(v as u32)).collect();
+            s.add_xor(&vars, *rhs);
+        }
+    }
+
+    /// Random clauses plus parity rows over at most 10 variables, and the
+    /// assumptions of 1–3 incremental solves.
+    #[derive(Debug, Clone)]
+    struct XorFormula {
+        num_vars: usize,
+        rows: Vec<(Vec<usize>, bool)>,
+        clauses: Vec<Vec<(usize, bool)>>,
+        solves: Vec<Vec<(usize, bool)>>,
+    }
+
+    fn arb_xor_formula() -> impl Strategy<Value = XorFormula> {
+        (2usize..11).prop_flat_map(|num_vars| {
+            let row = (
+                proptest::collection::btree_set(0..num_vars, 1..6),
+                any::<bool>(),
+            );
+            let clause = proptest::collection::vec((0..num_vars, any::<bool>()), 1..4);
+            let assumptions = proptest::collection::vec((0..num_vars, any::<bool>()), 0..3);
+            (
+                proptest::collection::vec(row, 0..7),
+                proptest::collection::vec(clause, 0..16),
+                proptest::collection::vec(assumptions, 1..4),
+            )
+                .prop_map(move |(rows, clauses, solves)| XorFormula {
+                    num_vars,
+                    rows: (rows.into_iter())
+                        .map(|(vars, rhs)| (vars.into_iter().collect(), rhs))
+                        .collect(),
+                    clauses,
+                    solves,
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Gauss–Jordan propagation only adds inferences: with every row
+        // given both as its CNF and through `add_xor`, each solve matches
+        // brute force and each model satisfies every clause, row and
+        // assumption. Half the rows arrive after the first solve, so the
+        // matrix is rebuilt; a tiny `reduce_base` gets explanation clauses
+        // reduced and collected.
+        #[test]
+        fn gauss_jordan_agrees_with_brute_force(f in arb_xor_formula(), tiny_reduce in any::<bool>()) {
+            let reduce_base = if tiny_reduce { 1 } else { 1000 };
+            let mut s = build_with(
+                &RandomCnf { num_vars: f.num_vars, clauses: vec![] },
+                SolverConfig { reduce_base, ..SolverConfig::default() },
+            );
+            add_clauses(&mut s, &f.clauses);
+            let mut cnf = f.clauses.clone();
+            let split = if f.solves.len() > 1 { f.rows.len() / 2 } else { f.rows.len() };
+            for (i, assumptions) in f.solves.iter().enumerate() {
+                let batch = match i {
+                    0 => &f.rows[..split],
+                    1 => &f.rows[split..],
+                    _ => &[],
+                };
+                add_xors(&mut s, batch);
+                cnf.extend(batch.iter().flat_map(|(vars, rhs)| xor_clauses(vars, *rhs)));
+                let lits: Vec<Lit> = (assumptions.iter())
+                    .map(|&(v, pos)| Lit::new(Var(v as u32), pos))
+                    .collect();
+                let got = s.solve(&lits);
+                let brute = (0u32..1 << f.num_vars).any(|bits| {
+                    let holds = |&(v, pos): &(usize, bool)| ((bits >> v) & 1 == 1) == pos;
+                    cnf.iter().all(|c| c.iter().any(holds)) && assumptions.iter().all(holds)
+                });
+                prop_assert!((got == SatResult::Sat) == brute, "solve {i}: {got:?}, brute force {brute}");
+                if got == SatResult::Sat {
+                    let model = s.model();
+                    let holds = |&(v, pos): &(usize, bool)| model[v] == pos;
+                    prop_assert!(cnf.iter().all(|c| c.iter().any(holds)));
+                    prop_assert!(assumptions.iter().all(holds));
+                    for (vars, rhs) in &f.rows[..if i == 0 { split } else { f.rows.len() }] {
+                        let parity = vars.iter().filter(|&&v| model[v]).count() % 2 == 1;
+                        prop_assert_eq!(parity, *rhs);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Tseitin's parity formula on the 5 × 5 torus grid, one variable per
+    /// edge: each vertex's incident edges sum to its charge, and the
+    /// charges sum to 1. Summing every row gives 0 = 1, which resolution
+    /// has to search for; the Gauss–Jordan pass refutes it at the root.
+    #[test]
+    fn gauss_jordan_refutes_an_odd_tseitin_formula_without_deciding() {
+        let n = 5;
+        let right = |i: usize, j: usize| (i % n) * n + j % n;
+        let down = |i: usize, j: usize| n * n + (i % n) * n + j % n;
+        let rows: Vec<(Vec<usize>, bool)> = (0..n * n)
+            .map(|v| {
+                let (i, j) = (v / n, v % n);
+                let edges = vec![
+                    right(i, j),
+                    right(i, j + n - 1),
+                    down(i, j),
+                    down(i + n - 1, j),
+                ];
+                (edges, v == 0)
+            })
+            .collect();
+        let mut s = build_with(
+            &RandomCnf {
+                num_vars: 2 * n * n,
+                clauses: vec![],
+            },
+            SolverConfig::default(),
+        );
+        add_xors(&mut s, &rows);
+        assert_eq!(s.solve(&[]), SatResult::Unsat);
+        assert_eq!(s.stats().decisions, 0);
+        assert_eq!(s.stats().gauss_rows, 25);
     }
 }

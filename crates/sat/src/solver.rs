@@ -1,12 +1,14 @@
 //! A CDCL SAT solver: two-watched literals, first-UIP learning, VSIDS
 //! branching with phase saving, Luby restarts and glue-tiered learned-clause
-//! reduction over a flat clause arena, with optional learnt-clause sharing
+//! reduction over a flat clause arena, Gauss–Jordan propagation over the
+//! parity rows of [`Solver::add_xor`], with optional learnt-clause sharing
 //! between solvers racing on one formula ([`ClausePool`]).
 //!
 //! This is the engine behind the `veriqec_smt` formula layer and thus the
 //! reproduction's stand-in for the paper's Z3/CVC5 back end.
 
 use crate::arena::{ClauseArena, ClauseRef};
+use crate::gauss::Gauss;
 use crate::heap::ActivityHeap;
 use crate::share::{ClausePool, Membership, SHARE_LBD};
 use crate::{LBool, Lit, Stop, Var};
@@ -151,6 +153,14 @@ pub struct SolverStats {
     /// Clauses taken from other members of a [`ClausePool`] (those already
     /// satisfied at the root are skipped and not counted).
     pub imported: u64,
+    /// Rows in the Gauss–Jordan matrix (see [`Solver::add_xor`]). A gauge,
+    /// like `arena_bytes`.
+    pub gauss_rows: u64,
+    /// Literals the Gauss–Jordan passes implied.
+    pub gauss_propagations: u64,
+    /// Conflicts the Gauss–Jordan passes found (also counted in
+    /// `conflicts`).
+    pub gauss_conflicts: u64,
 }
 
 impl SolverStats {
@@ -183,6 +193,9 @@ impl SolverStats {
         m.push_count("arena_bytes", self.arena_bytes);
         m.push_count("exported", self.exported);
         m.push_count("imported", self.imported);
+        m.push_count("gauss_rows", self.gauss_rows);
+        m.push_count("gauss_propagations", self.gauss_propagations);
+        m.push_count("gauss_conflicts", self.gauss_conflicts);
         m.push_value("mean_lbd", self.mean_learnt_lbd());
         m
     }
@@ -202,6 +215,9 @@ impl std::ops::AddAssign for SolverStats {
         self.arena_bytes += rhs.arena_bytes;
         self.exported += rhs.exported;
         self.imported += rhs.imported;
+        self.gauss_rows += rhs.gauss_rows;
+        self.gauss_propagations += rhs.gauss_propagations;
+        self.gauss_conflicts += rhs.gauss_conflicts;
     }
 }
 
@@ -279,6 +295,23 @@ pub struct Solver {
     /// The clause pool this solver races in, if any (see
     /// [`Solver::join_pool`]).
     share: Option<Membership>,
+    /// The parity rows of [`Solver::add_xor`] and their matrix.
+    gauss: Gauss,
+    /// Reusable buffer for the clause explaining a Gauss–Jordan result.
+    xor_buf: Vec<Lit>,
+}
+
+/// What a Gauss–Jordan pass did (see [`Solver::propagate_xor`]).
+enum XorStep {
+    /// Nothing: the rows imply no unassigned literal.
+    Quiet,
+    /// Enqueued at least one implied literal.
+    Implied,
+    /// A violated row, attached as a learnt clause whose literals are all
+    /// false.
+    Conflict(ClauseRef),
+    /// A violated row at the root: the formula is unsatisfiable.
+    Unsat,
 }
 
 impl Default for Solver {
@@ -324,6 +357,8 @@ impl Solver {
             stop: Stop::default(),
             unknown_cause: None,
             share: None,
+            gauss: Gauss::default(),
+            xor_buf: Vec::new(),
         }
     }
 
@@ -527,6 +562,24 @@ impl Solver {
                 true
             }
         }
+    }
+
+    /// Registers the parity row `Σ vars = rhs` (a variable listed twice
+    /// cancels) for Gauss–Jordan propagation. The row must be one the
+    /// clauses already imply, such as the output of a Tseitin XOR chain:
+    /// the propagator only adds inferences, explaining each as a clause
+    /// implied by the formula, so verdicts, models and
+    /// [`Solver::export_cnf`] do not change. The matrix is built at the
+    /// next [`Solver::solve`], and rebuilt when rows arrive after one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable was never allocated.
+    pub fn add_xor(&mut self, vars: &[Var], rhs: bool) {
+        for v in vars {
+            assert!(v.index() < self.num_vars(), "unknown variable {v:?}");
+        }
+        self.gauss.add(vars, rhs);
     }
 
     fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
@@ -780,7 +833,9 @@ impl Solver {
         };
 
         // LBD must be read off before backtracking invalidates the levels.
-        let lbd = self.current_lbd();
+        let buf = std::mem::take(&mut self.learnt_buf);
+        let lbd = self.lbd(&buf);
+        self.learnt_buf = buf;
 
         self.seen[self.learnt_buf[0].var().index()] = false;
         for i in 0..self.to_clear.len() {
@@ -790,14 +845,14 @@ impl Solver {
         (bt_level, lbd)
     }
 
-    /// Number of distinct decision levels among the literals of
-    /// `learnt_buf` — the clause's LBD ("glue"). Uses a stamped per-level
-    /// scratch array: O(clause length), no clearing pass.
-    fn current_lbd(&mut self) -> u32 {
+    /// Number of distinct decision levels among `lits` — the clause's LBD
+    /// ("glue"). Uses a stamped per-level scratch array: O(clause length),
+    /// no clearing pass.
+    fn lbd(&mut self, lits: &[Lit]) -> u32 {
         self.lbd_stamp += 1;
         let mut lbd = 0;
-        for i in 0..self.learnt_buf.len() {
-            let lvl = self.level[self.learnt_buf[i].var().index()] as usize;
+        for l in lits {
+            let lvl = self.level[l.var().index()] as usize;
             if self.level_stamp[lvl] != self.lbd_stamp {
                 self.level_stamp[lvl] = self.lbd_stamp;
                 lbd += 1;
@@ -1008,6 +1063,8 @@ impl Solver {
         let track = veriqec_obs::active();
         let solve_t0 = track.then(std::time::Instant::now);
         self.backtrack_to(0);
+        self.gauss.build();
+        self.stats.gauss_rows = self.gauss.num_rows() as u64;
         if !self.import_shared() || self.propagate().is_some() {
             self.ok = false;
             return SatResult::Unsat;
@@ -1026,7 +1083,20 @@ impl Solver {
                 self.unknown_cause = Some(UnknownCause::Interrupted);
                 return SatResult::Unknown;
             }
-            if let Some(conflict) = self.propagate() {
+            let conflict = match self.propagate() {
+                None => match self.propagate_xor() {
+                    XorStep::Quiet => None,
+                    XorStep::Implied => continue,
+                    XorStep::Conflict(cref) => Some(cref),
+                    XorStep::Unsat => {
+                        self.stats.conflicts += 1;
+                        self.ok = false;
+                        return SatResult::Unsat;
+                    }
+                },
+                conflict => conflict,
+            };
+            if let Some(conflict) = conflict {
                 self.stats.conflicts += 1;
                 conflicts_this_solve += 1;
                 if track && conflicts_this_solve.is_multiple_of(CONFLICT_SAMPLE) {
@@ -1131,6 +1201,79 @@ impl Solver {
                     }
                 }
             }
+        }
+    }
+
+    /// The Gauss–Jordan pass after a conflict-free propagation fixpoint
+    /// (see [`crate::gauss`]), its results turned into learnt clauses
+    /// without level-0 literals. An implied literal is enqueued with its
+    /// explanation as reason: implied literal in slot 0, highest-level
+    /// false literal in slot 1. A violated row becomes a clause whose
+    /// literals are all false, after a backtrack to its highest level if
+    /// that is below the current one. At the root an implied literal is a
+    /// unit and a violated row makes the formula unsatisfiable; a
+    /// one-literal clause above the root backtracks there first.
+    fn propagate_xor(&mut self) -> XorStep {
+        if self.gauss.num_rows() == 0 {
+            return XorStep::Quiet;
+        }
+        let mut lits = std::mem::take(&mut self.xor_buf);
+        let step = if let Some(row) = self.gauss.pass(&self.assigns) {
+            self.stats.gauss_conflicts += 1;
+            self.gauss
+                .explain(row, &self.assigns, &self.level, &mut lits);
+            self.raise_highest(&mut lits, 0);
+            self.raise_highest(&mut lits, 1);
+            match lits.len() {
+                0 => {
+                    self.backtrack_to(0);
+                    XorStep::Unsat
+                }
+                1 => {
+                    self.backtrack_to(0);
+                    self.unchecked_enqueue(lits[0], None);
+                    XorStep::Implied
+                }
+                _ => {
+                    self.backtrack_to(self.level[lits[0].var().index()]);
+                    let lbd = self.lbd(&lits);
+                    XorStep::Conflict(self.attach_clause(&lits, true, lbd))
+                }
+            }
+        } else {
+            let mut step = XorStep::Quiet;
+            for i in 0..self.gauss.implied().len() {
+                let row = self.gauss.implied()[i];
+                self.stats.gauss_propagations += 1;
+                self.gauss
+                    .explain(row, &self.assigns, &self.level, &mut lits);
+                step = XorStep::Implied;
+                if lits.len() == 1 {
+                    let above_root = self.decision_level() > 0;
+                    self.backtrack_to(0);
+                    self.unchecked_enqueue(lits[0], None);
+                    if above_root {
+                        break; // the other explanations may name unassigned literals now
+                    }
+                } else {
+                    self.raise_highest(&mut lits, 1);
+                    // The implied literal lands on the current level.
+                    let lbd = self.lbd(&lits[1..])
+                        + u32::from(self.level[lits[1].var().index()] < self.decision_level());
+                    let cref = self.attach_clause(&lits, true, lbd);
+                    self.unchecked_enqueue(lits[0], Some(cref));
+                }
+            }
+            step
+        };
+        self.xor_buf = lits;
+        step
+    }
+
+    /// Swaps the highest-level literal of `lits[k..]` into slot `k`.
+    fn raise_highest(&self, lits: &mut [Lit], k: usize) {
+        if let Some(i) = (k..lits.len()).max_by_key(|&i| self.level[lits[i].var().index()]) {
+            lits.swap(k, i);
         }
     }
 
@@ -1339,6 +1482,9 @@ mod tests {
             arena_bytes: 256,
             exported: 3,
             imported: 2,
+            gauss_rows: 161,
+            gauss_propagations: 297,
+            gauss_conflicts: 87,
         };
         let total: SolverStats = [a, a].into_iter().sum();
         assert_eq!(total.conflicts, 2);
@@ -1348,6 +1494,14 @@ mod tests {
         assert_eq!(total.gc_runs, 2);
         assert_eq!(total.arena_bytes, 512);
         assert_eq!((total.exported, total.imported), (6, 4));
+        assert_eq!(
+            (
+                total.gauss_rows,
+                total.gauss_propagations,
+                total.gauss_conflicts
+            ),
+            (322, 594, 174)
+        );
         assert!((a.mean_learnt_lbd() - 2.0).abs() < 1e-12);
         assert_eq!(SolverStats::default().mean_learnt_lbd(), 0.0);
     }

@@ -50,5 +50,7 @@ pub use veriqec_obs::json;
 
 pub use cache::{fnv1a, ResultCache};
 pub use pool::{SessionPool, WarmSession};
-pub use protocol::{canonical_request, parse_request, resolve_code, Request, VerifyRequest};
+pub use protocol::{
+    canonical_request, parse_request, resolve_code, Request, RequestError, VerifyRequest,
+};
 pub use server::{ServeConfig, ServeMetrics, Server, ServerHandle};

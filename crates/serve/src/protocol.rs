@@ -122,13 +122,34 @@ impl CodeSpec {
     }
 }
 
-/// Parses one request line. Every failure is a client-visible message; the
-/// server wraps it in a structured error response.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = Json::parse(line).map_err(|e| format!("parse: {e}"))?;
+/// A request line [`parse_request`] rejects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RequestError {
+    /// The client's `id`, when one parsed, re-rendered as a JSON token for
+    /// the error response to echo.
+    pub id: Option<String>,
+    /// The client-visible message.
+    pub message: String,
+}
+
+/// Parses one request line. Every failure is a client-visible message,
+/// carrying the request's `id` when one parsed; the server wraps it in a
+/// structured error response.
+pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    let bare = |message: String| RequestError { id: None, message };
+    let doc = Json::parse(line).map_err(|e| bare(format!("parse: {e}")))?;
     if !matches!(doc, Json::Obj(_)) {
-        return Err("parse: request must be a JSON object".into());
+        return Err(bare("parse: request must be a JSON object".into()));
     }
+    let id = doc
+        .get("id")
+        .map(render_id_token)
+        .transpose()
+        .map_err(bare)?;
+    parse_op(&doc, &id).map_err(|message| RequestError { id, message })
+}
+
+fn parse_op(doc: &Json, id: &Option<String>) -> Result<Request, String> {
     let op = match doc.get("op") {
         None => "verify",
         Some(v) => v.as_str().ok_or("parse: \"op\" must be a string")?,
@@ -136,15 +157,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     match op {
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "verify" => Ok(Request::Verify(Box::new(parse_verify(&doc)?))),
+        "verify" => Ok(Request::Verify(Box::new(parse_verify(doc, id.clone())?))),
         other => Err(format!(
             "unsupported op {other:?} (expected \"verify\", \"stats\" or \"shutdown\")"
         )),
     }
 }
 
-fn parse_verify(doc: &Json) -> Result<VerifyRequest, String> {
-    let id = doc.get("id").map(render_id_token).transpose()?;
+fn parse_verify(doc: &Json, id: Option<String>) -> Result<VerifyRequest, String> {
     let kind_name = doc
         .get("kind")
         .and_then(Json::as_str)
@@ -451,7 +471,7 @@ mod tests {
                 "unknown model",
             ),
         ] {
-            let err = parse_request(line).unwrap_err();
+            let err = parse_request(line).unwrap_err().message;
             assert!(err.contains(needle), "{line}: {err}");
         }
     }

@@ -349,9 +349,9 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> String {
     let _g = veriqec_obs::span("serve", "request");
     let req = match parse_request(line) {
         Ok(req) => req,
-        Err(msg) => {
+        Err(e) => {
             shared.metrics.malformed.add(1);
-            return error_response(None, &msg);
+            return error_response(e.id.as_deref(), &e.message);
         }
     };
     match req {
@@ -790,6 +790,8 @@ mod tests {
                 r#"{"id":3,"kind":"distance","code":"bogus_code"}"#,
                 r#"{"id":4,"kind":"fault_tolerance","stabilizers":["iZZI","IZZ"],"model":"x"}"#,
                 r#"{"kind":"distance","code":"five_qubit","max":3}"#,
+                r#"{"id":31,"kind":"distance","code":"steane","conflict_budget":-1}"#,
+                r#"{"id":35,"op":"frobnicate"}"#,
             ],
         );
         assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(false));
@@ -813,6 +815,11 @@ mod tests {
             .contains("must be Hermitian"));
         // The server survives all of it.
         assert_eq!(rs[4].get("ok").unwrap().as_bool(), Some(true));
+        // A request whose fields fail to parse still echoes its id.
+        for (r, id) in rs[5..].iter().zip([31.0, 35.0]) {
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
+            assert_eq!(r.get("id").unwrap().as_f64(), Some(id));
+        }
         handle.shutdown();
         handle.join().expect("clean join");
     }
@@ -916,11 +923,12 @@ mod tests {
     fn daemon_and_engine_report_the_same_starved_frontier() {
         use veriqec::scenario::{faulty_memory_scenario, ErrorModel};
         use veriqec::FrontierPoint;
-        // Twenty conflicts per query decide every surface-3 grid point but
+        // Ten conflicts per query decide every surface-3 grid point but
         // (t_data, t_meas) = (1, 0); the sweep goes on past it to (1, 1),
-        // in the daemon as in the engine.
+        // in the daemon as in the engine. Budgets from 4 to 18 starve
+        // exactly that point; 19 decides it too.
         let handle = Server::start(ServeConfig::default()).expect("bind");
-        let request = r#"{"kind":"fault_tolerance","code":"surface_3","rounds":1,"max_t_data":1,"max_t_meas":1,"conflict_budget":20}"#;
+        let request = r#"{"kind":"fault_tolerance","code":"surface_3","rounds":1,"max_t_data":1,"max_t_meas":1,"conflict_budget":10}"#;
         let r = roundtrip(handle.addr(), &[request]).remove(0);
         handle.shutdown();
         handle.join().expect("clean join");
@@ -945,7 +953,7 @@ mod tests {
         let scenario =
             faulty_memory_scenario(&veriqec_codes::rotated_surface(3), ErrorModel::YErrors, 1);
         let solver = SolverConfig {
-            conflict_budget: Some(20),
+            conflict_budget: Some(10),
             ..SolverConfig::default()
         };
         let report = Engine::new(EngineConfig { workers: 1, solver })

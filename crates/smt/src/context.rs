@@ -252,12 +252,28 @@ impl SmtContext {
     /// other form is encoded as given, not in reduced form, exactly as it
     /// would be without the rows. Rows asserted later leave an earlier
     /// reification alone.
+    ///
+    /// The solver also gets the chain's row (see
+    /// [`veriqec_sat::Solver::add_xor`]): `a`'s variables plus the output
+    /// literal's. A one-variable form's row cancels to nothing.
     pub fn reify_affine(&mut self, a: &Affine) -> Result<Lit, bool> {
         let reduced = self.basis.reduce(a.clone());
         if reduced.is_constant() {
             return Err(reduced.constant_part());
         }
-        Ok(self.xor_chain(a))
+        let l = self.xor_chain(a);
+        // l ≡ Σ vars ⊕ c, so Σ vars ⊕ var(l) = c ⊕ [l is negative].
+        let mut row = self.row_vars(a);
+        row.push(l.var());
+        self.solver
+            .add_xor(&row, a.constant_part() ^ !l.is_positive());
+        Ok(l)
+    }
+
+    /// The SAT variables of `a`'s variables, which [`SmtContext::xor_chain`]
+    /// has allocated, in its order.
+    fn row_vars(&mut self, a: &Affine) -> Vec<veriqec_sat::Var> {
+        a.vars().map(|v| self.lit_of(v).var()).collect()
     }
 
     /// The Tseitin encoding of an XOR-affine form. `Affine::vars` scans the
@@ -287,10 +303,13 @@ impl SmtContext {
     /// Asserts `affine = value` and records the row in the basis that
     /// [`SmtContext::reify_affine`] reduces against. The XOR chain and its
     /// unit clause are emitted even for a row the basis already spans, so
-    /// an inconsistent row still makes the formula unsatisfiable.
+    /// an inconsistent row still makes the formula unsatisfiable. The
+    /// solver also gets the row, for Gauss–Jordan propagation.
     pub fn assert_affine_eq(&mut self, a: &Affine, value: bool) {
         let l = self.xor_chain(a);
         self.solver.add_clause([if value { l } else { !l }]);
+        let vars = self.row_vars(a);
+        self.solver.add_xor(&vars, value ^ a.constant_part());
         let mut row = a.clone();
         row.xor_const(value);
         self.basis.record(row);

@@ -41,6 +41,11 @@ fn check_envelope(doc: &Json) -> Vec<Json> {
         // other kind).
         assert!(job.get("exported").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("imported").unwrap().as_f64().unwrap() >= 0.0);
+        // Gauss-Jordan counters: matrix rows (a gauge), and the literals
+        // and conflicts the passes found (zero for a job without rows).
+        for key in ["gauss_rows", "gauss_propagations", "gauss_conflicts"] {
+            assert!(job.get(key).unwrap().as_f64().unwrap() >= 0.0, "{key}");
+        }
     }
     jobs.to_vec()
 }
@@ -122,6 +127,8 @@ fn raced_correction_report_carries_sharing_counters() {
         imported <= exported,
         "imported {imported} > exported {exported}"
     );
+    // The guard and decoder rows reach every racer's Gauss-Jordan matrix.
+    assert!(jobs[0].get("gauss_rows").unwrap().as_f64().unwrap() > 0.0);
     let md = batch.to_markdown();
     assert!(md.contains(" exported | imported |"));
 }
