@@ -7,12 +7,14 @@
 //! detection + distance jobs on small codes) through the engine's shared
 //! worker pool, with outcome assertions. `enumerators` runs the
 //! decision-diagram counting backend over the code zoo (add `--quick` for
-//! the CI subset) and writes the machine-readable `BENCH_enumerators.json`
-//! artifact next to the working directory. `fault_tolerance` sweeps the
-//! (t_d, t_m) correctable frontier of multi-round faulty-measurement
-//! extraction (add `--quick` for the CI subset), asserts the textbook
-//! repeated-measurement result symbolically *and* by exhaustive
-//! frame-sampling, and writes `BENCH_fault_tolerance.json`.
+//! the CI subset), checks each code's least failure weight against a SAT
+//! distance sweep in the same batch, and writes the machine-readable
+//! `BENCH_enumerators.json` artifact next to the working directory.
+//! `fault_tolerance` sweeps the (t_d, t_m) correctable frontier of
+//! multi-round faulty-measurement extraction (add `--quick` for the CI
+//! subset), asserts the textbook repeated-measurement result symbolically
+//! *and* by exhaustive frame-sampling, and writes
+//! `BENCH_fault_tolerance.json`.
 //!
 //! `gate` is the perf-regression gate (`veriqec_bench::gate`): it measures
 //! the hot GF(2)/frame kernels, CDCL throughput on pinned pure-SAT and zoo
@@ -409,9 +411,10 @@ fn fault_tolerance(quick: bool) {
 
 /// Failure weight enumerators for the code zoo through the engine's
 /// counting jobs (`veriqec::engine::JobKind::Count`): exact
-/// coefficients per weight, cross-checked against the claimed distance and
-/// the group-theoretic failure total `2^{n+k} − 2^{n−k}`. Emits the
-/// machine-readable `BENCH_enumerators.json` batch report.
+/// coefficients per weight, cross-checked against the claimed distance,
+/// the group-theoretic failure total `2^{n+k} − 2^{n−k}` and, in the same
+/// batch, a SAT distance sweep per code. Emits the machine-readable
+/// `BENCH_enumerators.json` batch report.
 fn enumerators(quick: bool) {
     println!("\n### Failure weight enumerators (decision-diagram backend)\n");
     let mut codes = vec![
@@ -433,21 +436,29 @@ fn enumerators(quick: bool) {
             xzzx_surface(5),
         ]);
     }
-    let jobs: Vec<Job> = codes
+    // One count per code, then one distance sweep per code just past its
+    // claimed distance: every run cross-checks the SAT sweep against the
+    // diagram's least nonzero weight.
+    let mut jobs: Vec<Job> = codes
         .iter()
         .map(|code| Job::count(code.name().to_string(), code.clone()))
         .collect();
-    // This mode exercises the full vertical — engine scheduling, smt
-    // formula assembly and CNF export, sat clause export, dd compiles — so
-    // a trace lacking any of those categories means instrumentation went
-    // dark.
+    jobs.extend(codes.iter().map(|code| {
+        let d = code.claimed_distance().expect("zoo codes claim a distance");
+        Job::distance(format!("{} distance", code.name()), code.clone(), d + 1)
+    }));
+    // This mode exercises the full vertical — engine scheduling, dd
+    // compiles for the counts, smt formula assembly and sat solves for the
+    // distance sweeps — so a trace lacking any of those categories means
+    // instrumentation went dark.
     *REQUIRED_CATS.lock().unwrap() = vec!["engine", "smt", "sat", "dd"];
     let engine = Engine::new(EngineConfig::default());
     let mut batch = engine.run(jobs);
     batch.attach_phase_summary(phase_summary_now());
     println!("| code | [[n,k,d]] | min weight | A_d | total failures | busy | dd nodes |");
     println!("|------|-----------|------------|-----|----------------|------|----------|");
-    for (code, job) in codes.iter().zip(&batch.jobs) {
+    let (counts, distances) = batch.jobs.split_at(codes.len());
+    for ((code, job), sweep) in codes.iter().zip(counts).zip(distances) {
         let JobOutcome::Enumerator(e) = &job.outcome else {
             panic!("{}: counting job failed: {:?}", job.name, job.outcome);
         };
@@ -457,6 +468,12 @@ fn enumerators(quick: bool) {
             code.claimed_distance(),
             "{}: enumerator distance disagrees with the claimed distance",
             code.name()
+        );
+        assert!(
+            matches!(sweep.outcome, JobOutcome::Distance(DistanceOutcome::Exact(s)) if s == d),
+            "{}: the SAT distance sweep disagrees with the enumerator's {d}: {:?}",
+            code.name(),
+            sweep.outcome
         );
         let (n, k) = (code.n() as u32, code.k() as u32);
         assert_eq!(
@@ -481,7 +498,8 @@ fn enumerators(quick: bool) {
     let artifact = "BENCH_enumerators.json";
     std::fs::write(artifact, batch.to_json()).expect("artifact writable");
     println!(
-        "\n{} codes on {} workers in {:?}; batch report written to {artifact}",
+        "\n{} codes ({} jobs) on {} workers in {:?}; batch report written to {artifact}",
+        codes.len(),
         batch.jobs.len(),
         batch.workers,
         batch.wall_time

@@ -1,12 +1,12 @@
 //! The decision-diagram layer of the perf gate ([`crate::gate`]).
 //!
 //! A pinned set of codes compiled through the same [`FailureEnumerator`]
-//! sessions the engine's counting jobs use — full projected compilation
-//! plus the stratified count — each measured as the median wall time of a
-//! session, with its node traffic (allocations, peak and final live
-//! nodes), apply-cache hit rate, and memory-management telemetry (GC runs
-//! and reclaimed nodes, arena bytes). Every run re-asserts
-//! the enumerator coefficients against the group-theoretic failure total
+//! sessions the engine's counting jobs use — the diagram built from the
+//! parity rows plus the stratified count — each measured as the median
+//! wall time of a session, with its node traffic (allocations, peak and
+//! final live nodes), apply-cache hit rate, and memory-management
+//! telemetry (GC runs and reclaimed nodes, arena bytes). Every run
+//! re-asserts the enumerator coefficients against the group-theoretic failure total
 //! and the claimed distance, and the carbon \[\[12,2,4\]\] coefficients
 //! bit-for-bit, so the perf gate can never green-light a fast-but-wrong
 //! kernel.
@@ -31,7 +31,10 @@ fn measure(code: &StabilizerCode, runs: usize, expect: Option<&[u128]>) -> Vec<R
     let (secs, (fe, coefficients)) = median_run(runs, || {
         let mut fe = FailureEnumerator::new(code, &CompileConfig::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", code.name()));
-        let coefficients = fe.coefficients().to_vec();
+        let coefficients = fe
+            .coefficients()
+            .unwrap_or_else(|e| panic!("{}: {e}", code.name()))
+            .to_vec();
         (fe, coefficients)
     });
     let stats = fe.dd_stats();

@@ -273,23 +273,23 @@ mod tests {
                 ("solver", "surface9_proof", "wall_ms", 750.0),
                 ("solver", "surface9_proof", "conflicts", 12_000.0),
                 ("solver", "aggregate", "props_per_sec", 1.0e6),
-                ("dd", "five-qubit [[5,1,3]]", "wall_ms", 18.0),
-                ("dd", "Steane [[7,1,3]]", "wall_ms", 36.0),
-                ("dd", "rotated surface d=3", "wall_ms", 18.0),
+                ("dd", "five-qubit [[5,1,3]]", "wall_ms", 1.5),
+                ("dd", "Steane [[7,1,3]]", "wall_ms", 4.5),
+                ("dd", "rotated surface d=3", "wall_ms", 3.0),
                 (
                     "dd",
                     "carbon-substitute [[12,2,4]] (searched)",
                     "wall_ms",
-                    4_500.0
+                    300.0
                 ),
-                ("dd", "five-qubit [[5,1,3]]", "peak_nodes", 27_000.0),
-                ("dd", "Steane [[7,1,3]]", "peak_nodes", 54_000.0),
-                ("dd", "rotated surface d=3", "peak_nodes", 36_000.0),
+                ("dd", "five-qubit [[5,1,3]]", "peak_nodes", 2_700.0),
+                ("dd", "Steane [[7,1,3]]", "peak_nodes", 7_800.0),
+                ("dd", "rotated surface d=3", "peak_nodes", 7_500.0),
                 (
                     "dd",
                     "carbon-substitute [[12,2,4]] (searched)",
                     "peak_nodes",
-                    900_000.0
+                    165_000.0
                 ),
             ]
         );

@@ -32,13 +32,13 @@ use std::time::{Duration, Instant};
 
 use veriqec_cexpr::{BExp, CMem, VarId};
 use veriqec_codes::StabilizerCode;
-use veriqec_dd::{CompileConfig, CompileError, DdStats};
+use veriqec_dd::{CompileConfig, CompileError, CountOverflow, DdStats};
 use veriqec_obs::json::{escape, push_metrics};
 use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats, Stop, UnknownCause};
 use veriqec_smt::{CardinalityHandle, CheckResult, SmtContext};
 use veriqec_vcgen::{VcOutcome, VcProblem, VcSession};
 
-use crate::enumerator::{FailureEnumerator, WeightEnumerator};
+use crate::enumerator::{DetectionFormula, FailureEnumerator, WeightEnumerator};
 use crate::parallel::{racer_config, SplitConfig};
 use crate::scenario::Scenario;
 use crate::tasks::{build_problem_unbounded, DetectionOutcome, DistanceOutcome};
@@ -84,19 +84,8 @@ impl DetectionSession {
         schedule: &veriqec_codes::ExtractionSchedule,
         config: SolverConfig,
     ) -> Self {
-        Self::from_parts(crate::enumerator::detection_parts_with_schedule(
-            code, schedule, config,
-        ))
-    }
-
-    fn from_parts(parts: crate::enumerator::DetectionParts) -> Self {
-        let crate::enumerator::DetectionParts {
-            mut ctx,
-            ex,
-            ez,
-            support: support_lits,
-            ..
-        } = parts;
+        let formula = DetectionFormula::new(code, schedule);
+        let (mut ctx, support_lits) = formula.to_smt(config);
         // One totalizer serves the whole sweep: the lower bound (≥ 1) is
         // constant and baked in, the upper bound arrives per query as an
         // assumption.
@@ -106,8 +95,8 @@ impl DetectionSession {
         }
         DetectionSession {
             ctx,
-            ex,
-            ez,
+            ex: formula.ex,
+            ez: formula.ez,
             support,
             queries: 0,
         }
@@ -1271,9 +1260,16 @@ impl Engine {
                 };
                 match FailureEnumerator::new(code, &config) {
                     Ok(mut fe) => {
-                        let out = fe.enumerator();
                         st.lock().dd += fe.dd_stats();
-                        st.record(JobOutcome::Enumerator(out));
+                        match fe.enumerator() {
+                            Ok(out) => {
+                                st.record(JobOutcome::Enumerator(out));
+                            }
+                            Err(CountOverflow) => {
+                                st.record_reason(Some("count_overflow".to_string()));
+                                st.record(JobOutcome::Unknown);
+                            }
+                        }
                     }
                     Err(CompileError::NodeLimit { nodes }) => {
                         // Surface how far the diagram got so a report
@@ -1761,6 +1757,25 @@ mod tests {
             "{:?}",
             report.jobs[0].outcome
         );
+    }
+
+    #[test]
+    fn count_past_u128_reports_count_overflow() {
+        // repetition(130) has 3·2^129 failures: the count is an error with
+        // its own reason, not a panic caught by the worker.
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            solver: SolverConfig::default(),
+        });
+        let report = engine.run(vec![Job::count("rep130", veriqec_codes::repetition(130))]);
+        let job = &report.jobs[0];
+        assert!(
+            matches!(job.outcome, JobOutcome::Unknown),
+            "{:?}",
+            job.outcome
+        );
+        assert_eq!(job.reason.as_deref(), Some("count_overflow"));
+        assert!(job.dd.nodes > 0, "the diagram was built: {:?}", job.dd);
     }
 
     #[test]

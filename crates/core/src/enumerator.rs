@@ -10,20 +10,30 @@
 //! profile is what analytic bounds (quantum MacWilliams identities,
 //! pseudo-threshold estimates) consume.
 //!
-//! The encoding is shared with the SAT path: the same
-//! [`veriqec_smt::SmtContext`] assembles syndrome-zero XOR equations, the
-//! logical-flip disjunction and per-qubit support indicators, then exports
-//! the clause set ([`SmtContext::export_cnf`]) for one-time BDD compilation
-//! (`veriqec_dd`). Every auxiliary variable is functionally determined by
-//! the error components, so BDD model counts are error-configuration counts
-//! exactly; the whole enumerator falls out of a single weight-stratified
-//! pass instead of one SAT call per (weight, count) step of a
-//! blocking-clause loop ([`sat_enumerator`], kept as the differential
+//! The formula is assembled once (`DetectionFormula`): the observed
+//! syndrome forms, one GF(2) parity row per extraction site, the logical
+//! forms and the per-qubit error pairs, all over classical variables. It
+//! has two lowerings. The SAT lowering (`DetectionFormula::to_smt`)
+//! Tseitin-encodes the rows through a [`veriqec_smt::SmtContext`] for
+//! [`crate::engine::DetectionSession`] and [`sat_enumerator`]. The diagram
+//! lowering, behind [`FailureEnumerator`], never turns a row into clauses:
+//! it numbers the variables per qubit as `(ex_q, s_q, ez_q)` with the
+//! measurement flips last, builds each support definition
+//! `s_q ↔ ex_q ∨ ez_q` and each row's parity right before conjoining it
+//! (`veriqec_dd::compile`), in order of lowest variable, and the
+//! some-logical-flips disjunction last. Every support indicator is
+//! determined by its error pair, so weight-stratified model counts over the
+//! indicators are error-configuration counts exactly: the whole enumerator
+//! falls out of one pass instead of one SAT call per (weight, count) step
+//! of a blocking-clause loop ([`sat_enumerator`], kept as the differential
 //! baseline and the benchmark's contender).
+
+use std::collections::HashMap;
 
 use veriqec_cexpr::{Affine, CMem, VarId, VarRole, VarTable};
 use veriqec_codes::{ExtractionSchedule, StabilizerCode};
-use veriqec_dd::{compile_cnf_projected, Bdd, BddManager, CompileConfig, CompileError, DdStats};
+use veriqec_dd::{compile, Bdd, BddManager, CompileConfig, CompileError, CountOverflow, DdStats};
+use veriqec_pauli::PauliString;
 use veriqec_sat::{Lit, SolverConfig};
 use veriqec_smt::{CheckResult, SmtContext};
 
@@ -50,26 +60,23 @@ impl WeightEnumerator {
 /// extracted without touching a solver.
 ///
 /// The counting analogue of [`crate::engine::DetectionSession`] — same
-/// formula, same single-encode discipline, but the backend is `veriqec_dd`
-/// and the answer is the full weight distribution instead of one
-/// SAT/UNSAT bit.
+/// formula, same single-assembly discipline, but the backend is
+/// `veriqec_dd` and the answer is the full weight distribution instead of
+/// one SAT/UNSAT bit.
 #[derive(Clone, Debug)]
 pub struct FailureEnumerator {
     name: String,
-    /// Largest possible support weight (`n` for the perfect model, plus one
-    /// per measurement site under a noisy schedule).
-    max_weight: usize,
     manager: BddManager,
     root: Bdd,
-    /// Variables surviving the projection (error components + indicators).
-    counted: Vec<usize>,
-    /// Support-indicator literals as `(BDD variable, polarity)`.
+    /// Support indicators as `(BDD variable, polarity)`: one per qubit
+    /// (`n` for the perfect model), plus one per measurement site under a
+    /// noisy schedule.
     indicators: Vec<(usize, bool)>,
     coefficients: Option<Vec<u128>>,
 }
 
 impl FailureEnumerator {
-    /// Encodes and compiles the counting formula for `code` once (the
+    /// Assembles and compiles the counting formula for `code` once (the
     /// perfect-measurement model).
     ///
     /// # Errors
@@ -97,30 +104,7 @@ impl FailureEnumerator {
         schedule: &ExtractionSchedule,
         config: &CompileConfig,
     ) -> Result<Self, CompileError> {
-        // No weight constraint on top of the shared parts: stratification
-        // happens in the diagram, not the encoding.
-        let DetectionParts { ctx, support, .. } =
-            detection_parts_with_schedule(code, schedule, SolverConfig::default());
-        let cnf = ctx.export_cnf();
-        // Keep the error components and the support indicators; everything
-        // else (XOR chain links, flip parities, the constant) is determined
-        // and gets eliminated as the diagram is built.
-        let mut keep: Vec<usize> = ctx.var_map().map(|(_, l)| l.var().index()).collect();
-        keep.extend(support.iter().map(|l| l.var().index()));
-        let compiled = compile_cnf_projected(&cnf, &keep, config)?;
-        let indicators: Vec<(usize, bool)> = support
-            .iter()
-            .map(|l| (l.var().index(), l.is_positive()))
-            .collect();
-        Ok(FailureEnumerator {
-            name: code.name().to_string(),
-            max_weight: indicators.len(),
-            manager: compiled.manager,
-            root: compiled.root,
-            counted: keep,
-            indicators,
-            coefficients: None,
-        })
+        DetectionFormula::new(code, schedule).to_bdd(code.name(), config)
     }
 
     /// The code's name.
@@ -128,27 +112,33 @@ impl FailureEnumerator {
         &self.name
     }
 
-    /// Enumerator coefficients by support weight (`0..=max_weight`),
-    /// computed on first call and cached.
-    pub fn coefficients(&mut self) -> &[u128] {
+    /// Enumerator coefficients by support weight
+    /// (`0..=` the number of indicators), computed on first call and
+    /// cached.
+    ///
+    /// # Errors
+    ///
+    /// [`CountOverflow`] when a count exceeds `u128`, as it can from 128
+    /// qubits on.
+    pub fn coefficients(&mut self) -> Result<&[u128], CountOverflow> {
         if self.coefficients.is_none() {
-            let w = self
-                .manager
-                .weight_count_over(self.root, &self.counted, &self.indicators);
-            debug_assert_eq!(w.len(), self.max_weight + 1);
-            self.coefficients = Some(w);
+            self.coefficients = Some(self.manager.weight_count(self.root, &self.indicators)?);
         }
-        self.coefficients.as_deref().expect("just computed")
+        Ok(self.coefficients.as_deref().expect("just computed"))
     }
 
     /// The full enumerator report.
-    pub fn enumerator(&mut self) -> WeightEnumerator {
-        let coefficients = self.coefficients().to_vec();
+    ///
+    /// # Errors
+    ///
+    /// See [`FailureEnumerator::coefficients`].
+    pub fn enumerator(&mut self) -> Result<WeightEnumerator, CountOverflow> {
+        let coefficients = self.coefficients()?.to_vec();
         let min_weight = coefficients.iter().position(|&c| c > 0);
-        WeightEnumerator {
+        Ok(WeightEnumerator {
             coefficients,
             min_weight,
-        }
+        })
     }
 
     /// Decision-diagram kernel counters.
@@ -162,116 +152,214 @@ impl FailureEnumerator {
     }
 }
 
-/// The detection formula (Eqn. 15) assembled once for every backend that
-/// consumes it: [`crate::engine::DetectionSession`] (adds a cardinality
-/// totalizer for weight sweeps), [`FailureEnumerator`] (exports the CNF for
-/// diagram compilation) and [`sat_enumerator`] (adds a baked weight bound).
-/// One assembly site means the SAT and counting backends cannot drift apart
-/// on the encoding.
-pub(crate) struct DetectionParts {
-    /// The context holding observed-syndrome-zero equations and the
-    /// logical-flip disjunction.
-    pub ctx: SmtContext,
+/// The detection formula (Eqn. 15) under an extraction schedule, over
+/// classical variables: every observed syndrome vanishes
+/// (`syn_i(e) ⊕ m_{i,j} = 0` per round `j`, the flip term present only
+/// at noisy sites) and some logical operator anticommutes with the error.
+/// No weight constraint — each consumer adds its own (totalizer
+/// assumptions, a baked bound, or a stratified count).
+///
+/// This is the single assembly site behind [`crate::engine::DetectionSession`],
+/// [`sat_enumerator`] and [`FailureEnumerator`], with or without
+/// measurement errors, so the SAT and counting backends cannot drift apart
+/// on the formula; only the lowering differs.
+pub(crate) struct DetectionFormula {
     /// Per-qubit X error components.
     pub ex: Vec<VarId>,
-    /// Per-qubit Z error components.
+    /// Per-qubit Z error components; qubit `q` is in the support iff
+    /// `ex[q] ∨ ez[q]`.
     pub ez: Vec<VarId>,
     /// Measurement-flip indicators per (round, generator) in round-major
-    /// order; empty for perfect schedules.
-    pub em: Vec<VarId>,
-    /// Support indicators: per-qubit (`ex_q ∨ ez_q`) followed by one
-    /// literal per measurement-flip indicator. The per-qubit indicators are
-    /// interleaved with their inputs in allocation order, which the diagram
-    /// compiler's first-use order inherits.
-    pub support: Vec<Lit>,
+    /// order; empty for perfect schedules. Each is one unit of weight.
+    pub flips: Vec<VarId>,
+    /// The observed syndrome forms, one per extraction site in schedule
+    /// order, each asserted to vanish.
+    pub rows: Vec<Affine>,
+    /// The logical forms (X logicals, then Z): some one is 1.
+    pub logicals: Vec<Affine>,
 }
 
-/// Assembles the detection formula for `code` under an extraction
-/// schedule: per-qubit error components with support indicators, the
-/// *observed*-syndromes-all-zero XOR equations (`syn_i(e) ⊕ m_{i,j} = 0`
-/// per round `j`, with the flip term present only for noisy schedules),
-/// and the some-logical-flips disjunction. No weight constraint — each
-/// caller adds its own (totalizer assumptions, baked bound, or none for
-/// counting). This is the single assembly site shared by the SAT and
-/// decision-diagram backends, with or without measurement errors.
-pub(crate) fn detection_parts_with_schedule(
-    code: &StabilizerCode,
-    schedule: &ExtractionSchedule,
-    config: SolverConfig,
-) -> DetectionParts {
-    let n = code.n();
-    assert_eq!(
-        schedule.num_checks(),
-        code.generators().len(),
-        "schedule must cover every generator"
-    );
-    let mut vt = VarTable::new();
-    let ex: Vec<VarId> = (0..n)
-        .map(|q| vt.fresh_indexed("ex", q, VarRole::Error))
-        .collect();
-    let ez: Vec<VarId> = (0..n)
-        .map(|q| vt.fresh_indexed("ez", q, VarRole::Error))
-        .collect();
-    let mut ctx = SmtContext::with_config(config);
-    let mut support: Vec<Lit> = (0..n)
-        .map(|q| {
-            let lx = ctx.lit_of(ex[q]);
-            let lz = ctx.lit_of(ez[q]);
-            ctx.reify_disj(&[lx, lz])
+/// One conjunct of the diagram lowering.
+enum Conjunct<'a> {
+    /// The support definition of qubit `q`.
+    Support(usize),
+    /// A syndrome row vanishes.
+    Row(&'a Affine),
+    /// Some logical form is 1.
+    SomeFlip,
+}
+
+impl DetectionFormula {
+    /// Assembles the formula for `code` under `schedule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule does not cover every generator.
+    pub fn new(code: &StabilizerCode, schedule: &ExtractionSchedule) -> Self {
+        let n = code.n();
+        assert_eq!(
+            schedule.num_checks(),
+            code.generators().len(),
+            "schedule must cover every generator"
+        );
+        let mut vt = VarTable::new();
+        let ex: Vec<VarId> = (0..n)
+            .map(|q| vt.fresh_indexed("ex", q, VarRole::Error))
+            .collect();
+        let ez: Vec<VarId> = (0..n)
+            .map(|q| vt.fresh_indexed("ez", q, VarRole::Error))
+            .collect();
+        // The symplectic product with the error: 1 iff `p` anticommutes.
+        let form = |p: &PauliString| {
+            let mut aff = Affine::zero();
+            for q in 0..n {
+                if p.x_bit(q) {
+                    aff.xor_var(ez[q]);
+                }
+                if p.z_bit(q) {
+                    aff.xor_var(ex[q]);
+                }
+            }
+            aff
+        };
+        let mut flips = Vec::new();
+        let mut rows = Vec::new();
+        for site in schedule.sites() {
+            let mut aff = form(code.generators()[site.check].pauli());
+            if site.noisy {
+                let m = vt.fresh(
+                    &format!("m_r{}_{}", site.round, site.check),
+                    VarRole::MeasError,
+                );
+                aff.xor_var(m);
+                flips.push(m);
+            }
+            rows.push(aff);
+        }
+        let logicals = code
+            .logical_x()
+            .iter()
+            .chain(code.logical_z())
+            .map(|l| form(l.pauli()))
+            .collect();
+        DetectionFormula {
+            ex,
+            ez,
+            flips,
+            rows,
+            logicals,
+        }
+    }
+
+    /// The SAT lowering: a fresh context holding the Tseitin encoding, and
+    /// the support literals — per qubit (`ex_q ∨ ez_q`), then one per
+    /// measurement flip.
+    pub fn to_smt(&self, config: SolverConfig) -> (SmtContext, Vec<Lit>) {
+        let mut ctx = SmtContext::with_config(config);
+        let mut support: Vec<Lit> = self
+            .ex
+            .iter()
+            .zip(&self.ez)
+            .map(|(&x, &z)| {
+                let lx = ctx.lit_of(x);
+                let lz = ctx.lit_of(z);
+                ctx.reify_disj(&[lx, lz])
+            })
+            .collect();
+        for row in &self.rows {
+            ctx.assert_affine_eq(row, false);
+        }
+        // The syndrome rows never decide a logical form (it would be a
+        // stabilizer); one they did would flip always or never.
+        let mut flips = Vec::new();
+        for l in &self.logicals {
+            match ctx.reify_affine(l) {
+                Ok(flip) => flips.push(flip),
+                Err(true) => flips.push(ctx.lit_true()),
+                Err(false) => {}
+            }
+        }
+        ctx.add_clause(flips);
+        support.extend(self.flips.iter().map(|&m| ctx.lit_of(m)));
+        (ctx, support)
+    }
+
+    /// The diagram lowering: the compiled formula as a counting session,
+    /// its support indicators in the order of
+    /// [`DetectionFormula::to_smt`]'s support literals.
+    fn to_bdd(
+        &self,
+        name: &str,
+        config: &CompileConfig,
+    ) -> Result<FailureEnumerator, CompileError> {
+        let n = self.ex.len();
+        // Per qubit (ex_q, s_q, ez_q), then the flips: a row's parity
+        // diagram has at most two nodes per level, and each support
+        // indicator sits between the two components that define it.
+        let var_of: HashMap<VarId, usize> = (0..n)
+            .flat_map(|q| [(self.ex[q], 3 * q), (self.ez[q], 3 * q + 2)])
+            .chain(self.flips.iter().enumerate().map(|(i, &m)| (m, 3 * n + i)))
+            .collect();
+        let mut conjuncts: Vec<(usize, Conjunct)> = (0..n)
+            .map(|q| (3 * q, Conjunct::Support(q)))
+            .chain(self.rows.iter().map(|row| {
+                let lowest = row.vars().map(|v| var_of[&v]).min();
+                (lowest.unwrap_or(0), Conjunct::Row(row))
+            }))
+            .collect();
+        conjuncts.sort_by_key(|&(lowest, _)| lowest);
+        conjuncts.push((usize::MAX, Conjunct::SomeFlip));
+        // `form = 0` as one parity diagram, built bottom-up so each XOR
+        // adds its variable above everything built so far.
+        let vanishes = |m: &mut BddManager, form: &Affine| {
+            let mut vars: Vec<usize> = form.vars().map(|v| var_of[&v]).collect();
+            vars.sort_unstable();
+            let mut f = if form.constant_part() {
+                Bdd::FALSE
+            } else {
+                Bdd::TRUE
+            };
+            for v in vars.into_iter().rev() {
+                let x = m.var(v);
+                f = m.xor_budgeted(f, x, config)?;
+            }
+            Ok(f)
+        };
+        let (manager, root) = compile(
+            3 * n + self.flips.len(),
+            conjuncts.into_iter().map(|(_, c)| c),
+            |m, conjunct| match conjunct {
+                // s_q ↔ ex_q ∨ ez_q, that is s_q ⊕ (¬ex_q ∧ ¬ez_q).
+                Conjunct::Support(q) => {
+                    let (x, z) = (m.literal(3 * q, false), m.literal(3 * q + 2, false));
+                    let clean = m.and_budgeted(x, z, config)?;
+                    let s = m.var(3 * q + 1);
+                    m.xor_budgeted(s, clean, config)
+                }
+                Conjunct::Row(row) => vanishes(m, row),
+                Conjunct::SomeFlip => {
+                    let mut none = Bdd::TRUE;
+                    for l in &self.logicals {
+                        let f = vanishes(m, l)?;
+                        none = m.and_budgeted(none, f, config)?;
+                    }
+                    m.xor_budgeted(none, Bdd::TRUE, config)
+                }
+            },
+            config,
+        )?;
+        let indicators = (0..n)
+            .map(|q| 3 * q + 1)
+            .chain(3 * n..3 * n + self.flips.len())
+            .map(|v| (v, true))
+            .collect();
+        Ok(FailureEnumerator {
+            name: name.to_string(),
+            manager,
+            root,
+            indicators,
+            coefficients: None,
         })
-        .collect();
-    // All *observed* syndromes zero in every round: the true syndrome of
-    // the error, XOR the round's flip, vanishes.
-    let mut em = Vec::new();
-    for site in schedule.sites() {
-        let g = &code.generators()[site.check];
-        let mut aff = Affine::zero();
-        for q in 0..n {
-            if g.pauli().x_bit(q) {
-                aff.xor_var(ez[q]);
-            }
-            if g.pauli().z_bit(q) {
-                aff.xor_var(ex[q]);
-            }
-        }
-        if site.noisy {
-            let m = vt.fresh(
-                &format!("m_r{}_{}", site.round, site.check),
-                VarRole::MeasError,
-            );
-            aff.xor_var(m);
-            em.push(m);
-        }
-        ctx.assert_affine_eq(&aff, false);
-    }
-    // Some logical operator anticommutes with the error. The syndrome rows
-    // never decide a logical form (it would be a stabilizer); one they did
-    // would flip always or never.
-    let mut flips = Vec::new();
-    for l in code.logical_x().iter().chain(code.logical_z()) {
-        let mut aff = Affine::zero();
-        for q in 0..n {
-            if l.pauli().x_bit(q) {
-                aff.xor_var(ez[q]);
-            }
-            if l.pauli().z_bit(q) {
-                aff.xor_var(ex[q]);
-            }
-        }
-        match ctx.reify_affine(&aff) {
-            Ok(flip) => flips.push(flip),
-            Err(true) => flips.push(ctx.lit_true()),
-            Err(false) => {}
-        }
-    }
-    ctx.add_clause(flips);
-    support.extend(em.iter().map(|&m| ctx.lit_of(m)));
-    DetectionParts {
-        ctx,
-        ex,
-        ez,
-        em,
-        support,
     }
 }
 
@@ -297,24 +385,21 @@ pub fn sat_enumerator_with_schedule(
     schedule: &ExtractionSchedule,
     max_weight: usize,
 ) -> Vec<u128> {
-    let n = code.n();
-    let DetectionParts {
-        mut ctx,
-        ex,
-        ez,
-        em,
-        support,
-    } = detection_parts_with_schedule(code, schedule, SolverConfig::default());
+    let formula = DetectionFormula::new(code, schedule);
+    let (mut ctx, support) = formula.to_smt(SolverConfig::default());
     ctx.assert_at_most(&support, max_weight as i64);
+    let DetectionFormula { ex, ez, flips, .. } = &formula;
     let mut coefficients = vec![0u128; max_weight + 1];
     while ctx.check(&[]) == CheckResult::Sat {
         let m = ctx.model();
-        let weight = (0..n)
-            .filter(|&q| m.get(ex[q]).as_bool() || m.get(ez[q]).as_bool())
+        let weight = ex
+            .iter()
+            .zip(ez)
+            .filter(|&(&x, &z)| m.get(x).as_bool() || m.get(z).as_bool())
             .count()
-            + em.iter().filter(|&&v| m.get(v).as_bool()).count();
+            + flips.iter().filter(|&&v| m.get(v).as_bool()).count();
         coefficients[weight] += 1;
-        block_model(&mut ctx, &m, ex.iter().chain(&ez).chain(&em));
+        block_model(&mut ctx, &m, ex.iter().chain(ez).chain(flips));
     }
     coefficients
 }
@@ -341,8 +426,8 @@ mod tests {
     use super::*;
     use crate::tasks::{find_distance, DistanceOutcome};
     use veriqec_codes::{
-        c4_422, cube_color_822, five_qubit, gottesman8, rotated_surface, shor9, six_qubit, steane,
-        xzzx_surface,
+        c4_422, cube_color_822, five_qubit, gottesman8, repetition, rotated_surface, shor9,
+        six_qubit, steane, xzzx_surface,
     };
 
     /// Truth-table reference for tiny codes: enumerate all `4^n` error
@@ -382,17 +467,23 @@ mod tests {
     fn c4_enumerator_matches_truth_table() {
         let code = c4_422();
         let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
-        assert_eq!(fe.coefficients(), brute_force_enumerator(&code).as_slice());
-        assert_eq!(fe.enumerator().min_weight, Some(2));
+        assert_eq!(
+            fe.coefficients().unwrap(),
+            brute_force_enumerator(&code).as_slice()
+        );
+        assert_eq!(fe.enumerator().unwrap().min_weight, Some(2));
     }
 
     #[test]
     fn steane_enumerator_matches_truth_table_and_group_theory() {
         let code = steane();
         let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
-        assert_eq!(fe.coefficients(), brute_force_enumerator(&code).as_slice());
+        assert_eq!(
+            fe.coefficients().unwrap(),
+            brute_force_enumerator(&code).as_slice()
+        );
         // |N(S)| − |S·⟨logical identity⟩|: 2^{n+k} − 2^{n−k} failures.
-        let e = fe.enumerator();
+        let e = fe.enumerator().unwrap();
         assert_eq!(e.total(), (1 << 8) - (1 << 6));
         assert_eq!(e.min_weight, Some(3));
     }
@@ -407,7 +498,7 @@ mod tests {
             let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
             let sat = sat_enumerator(&code, code.n());
             assert_eq!(
-                fe.coefficients(),
+                fe.coefficients().unwrap(),
                 sat.as_slice(),
                 "{} enumerators disagree",
                 code.name()
@@ -433,7 +524,7 @@ mod tests {
             let (n, k) = (code.n() as u32, code.k() as u32);
             let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
             assert_eq!(
-                fe.enumerator().total(),
+                fe.enumerator().unwrap().total(),
                 (1u128 << (n + k)) - (1u128 << (n - k)),
                 "{}",
                 code.name()
@@ -458,7 +549,11 @@ mod tests {
             xzzx_surface(3),
         ] {
             let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
-            let via_dd = fe.enumerator().min_weight.expect("every code has failures");
+            let via_dd = fe
+                .enumerator()
+                .unwrap()
+                .min_weight
+                .expect("every code has failures");
             let via_sat = find_distance(&code, code.n());
             assert_eq!(
                 DistanceOutcome::Exact(via_dd),
@@ -476,7 +571,7 @@ mod tests {
         let code = rotated_surface(3);
         let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
         let sat = sat_enumerator(&code, 4);
-        assert_eq!(&fe.coefficients()[..5], sat.as_slice());
+        assert_eq!(&fe.coefficients().unwrap()[..5], sat.as_slice());
     }
 
     /// Truth-table reference under a noisy schedule: the flips masking an
@@ -531,7 +626,7 @@ mod tests {
                     FailureEnumerator::with_schedule(&code, &schedule, &CompileConfig::default())
                         .unwrap();
                 assert_eq!(
-                    fe.coefficients(),
+                    fe.coefficients().unwrap(),
                     brute_force_faulty_enumerator(&code, rounds).as_slice(),
                     "{} rounds={rounds}",
                     code.name()
@@ -553,10 +648,10 @@ mod tests {
                 let mut fe =
                     FailureEnumerator::with_schedule(&code, &schedule, &CompileConfig::default())
                         .unwrap();
-                let coefficients = fe.coefficients().to_vec();
+                let coefficients = fe.coefficients().unwrap().to_vec();
                 let mut session =
                     DetectionSession::with_schedule(&code, &schedule, SolverConfig::default());
-                let max_dt = fe.enumerator().min_weight.expect("failures exist") + 2;
+                let max_dt = fe.enumerator().unwrap().min_weight.expect("failures exist") + 2;
                 for dt in 2..=max_dt {
                     let sat_says = session.check(dt);
                     let dd_says_all_detected = coefficients[1..dt.min(coefficients.len())]
@@ -586,7 +681,11 @@ mod tests {
                 FailureEnumerator::with_schedule(&code, &schedule, &CompileConfig::default())
                     .unwrap();
             let sat = sat_enumerator_with_schedule(&code, &schedule, 4);
-            assert_eq!(&fe.coefficients()[..5], sat.as_slice(), "rounds={rounds}");
+            assert_eq!(
+                &fe.coefficients().unwrap()[..5],
+                sat.as_slice(),
+                "rounds={rounds}"
+            );
         }
     }
 
@@ -604,5 +703,51 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CompileError::Cancelled);
+    }
+
+    #[test]
+    fn repetition_127_counts_exactly_and_130_overflows() {
+        // n + k = 128: the total 2^128 − 2^126 = 3·2^126 still fits in
+        // u128, although 2^{n+k} alone does not.
+        let mut fe = FailureEnumerator::new(&repetition(127), &CompileConfig::default()).unwrap();
+        let e = fe.enumerator().unwrap();
+        assert_eq!(e.total(), 3 << 126);
+        assert_eq!(e.min_weight, Some(1));
+        // Three more qubits and the count no longer fits: an error, not a
+        // panic.
+        let mut fe = FailureEnumerator::new(&repetition(130), &CompileConfig::default()).unwrap();
+        assert_eq!(fe.coefficients(), Err(CountOverflow));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn bdd_and_sat_lowerings_agree_on_random_codes(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..7,
+            k in 1usize..3,
+            noisy in proptest::prelude::any::<bool>(),
+        ) {
+            // The two lowerings of the one assembly against each other and
+            // against the 4^n truth table, on random codes, perfect and
+            // with two noisy rounds.
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let code = veriqec_codes::search::random_code(n, k.min(n - 1), &mut rng);
+            let m = code.generators().len();
+            let (schedule, truth) = if noisy {
+                (ExtractionSchedule::repeated(m, 2), brute_force_faulty_enumerator(&code, 2))
+            } else {
+                (ExtractionSchedule::perfect(m), brute_force_enumerator(&code))
+            };
+            let mut fe =
+                FailureEnumerator::with_schedule(&code, &schedule, &CompileConfig::default())
+                    .unwrap();
+            let dd = fe.coefficients().unwrap().to_vec();
+            proptest::prop_assert_eq!(&dd, &truth);
+            let sat = sat_enumerator_with_schedule(&code, &schedule, dd.len() - 1);
+            proptest::prop_assert_eq!(&dd, &sat);
+        }
     }
 }

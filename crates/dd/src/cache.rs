@@ -16,7 +16,7 @@
 //! canonicalization.
 
 /// Packs `(op, a, b)` into the cache key. Operands must fit in 31 bits —
-/// arena indices and variable ids both do long before memory runs out.
+/// arena indices do long before memory runs out.
 #[inline]
 pub(crate) fn pack_key(op: u8, a: u32, b: u32) -> u64 {
     // Only 2 bits of key space: a fifth op tag would silently alias an
@@ -26,14 +26,14 @@ pub(crate) fn pack_key(op: u8, a: u32, b: u32) -> u64 {
     ((op as u64) << 62) | ((a as u64) << 31) | b as u64
 }
 
-/// No packed key is all-ones: operand 2³¹ − 1 would require an arena (or
-/// variable count) past the 31-bit ceiling asserted in [`pack_key`].
+/// No packed key is all-ones: operand 2³¹ − 1 would require an arena past
+/// the 31-bit ceiling asserted in [`pack_key`].
 const EMPTY_KEY: u64 = u64::MAX;
 
 const INITIAL_BITS: u32 = 12;
 const MAX_BITS: u32 = 22;
 
-/// Direct-mapped lossy memoization table for `apply` and `exists`.
+/// Direct-mapped lossy memoization table for `apply`.
 #[derive(Clone, Debug)]
 pub(crate) struct ApplyCache {
     keys: Vec<u64>,

@@ -1,9 +1,11 @@
 //! Decision-diagram counting backend for the Veri-QEC reproduction.
 //!
 //! The SAT pipeline answers *existence* questions — "does a weight-`≤ t`
-//! uncorrectable error exist?" (Eqns. 14–15 of the paper). This crate turns
-//! the same CNF encodings into *counting* queries: a reduced ordered BDD is
-//! compiled from the clause set once, and then exact model counts — total or
+//! uncorrectable error exist?" (Eqns. 14–15 of the paper). This crate
+//! answers the *counting* form of the same questions: the caller conjoins
+//! the formula's parts (after the paper's §5.1 reduction: GF(2) parity
+//! rows over error indicators, plus their definitions) into one reduced
+//! ordered BDD with [`compile`], and then exact model counts — total or
 //! stratified by the Hamming weight of a designated indicator-literal set —
 //! fall out of a single bottom-up pass. That yields the code's failure
 //! weight enumerator (the number of undetectable/uncorrectable error
@@ -14,22 +16,37 @@
 //! arena per [`BddManager`], a unique table making semantic equality
 //! pointer equality, and a memoized `apply`. The variable order — not the
 //! operation set — decides whether a QEC instance compiles in milliseconds
-//! or never; the compiler fixes one, first use in the clause list, which
-//! inherits the interleaving the SMT layer allocates its auxiliaries in.
+//! or never; the caller fixes it by how it numbers the variables
+//! (variable `v` sits at level `v`).
 //!
 //! # Examples
 //!
 //! ```
-//! use veriqec_dd::{compile_cnf, CompileConfig};
-//! use veriqec_sat::Cnf;
+//! use veriqec_dd::{compile, Bdd, CompileConfig};
 //!
-//! // (x1 ∨ x2) ∧ (x2 ∨ x3): 5 of 8 assignments satisfy it.
-//! let cnf = Cnf::parse("p cnf 3 2\n1 2 0\n2 3 0\n").unwrap();
-//! let compiled = compile_cnf(&cnf, &CompileConfig::default()).unwrap();
-//! assert_eq!(compiled.manager.model_count(compiled.root), 5);
-//! // Stratified by how many of x1, x2 are true:
-//! let by_weight = compiled.manager.weight_count(compiled.root, &[(0, true), (1, true)]);
-//! assert_eq!(by_weight, vec![0, 3, 2]);
+//! // Two parity rows over x0, x1, x2: x0 ⊕ x1 = 1 and x1 ⊕ x2 = 0, each
+//! // built bottom-up right before it is conjoined.
+//! let config = CompileConfig::default();
+//! let rows: [(&[usize], bool); 2] = [(&[0, 1], true), (&[1, 2], false)];
+//! let (manager, root) = compile(
+//!     3,
+//!     rows,
+//!     |m, (vars, odd)| {
+//!         let mut parity = if odd { Bdd::FALSE } else { Bdd::TRUE };
+//!         for &v in vars.iter().rev() {
+//!             let x = m.var(v);
+//!             parity = m.xor_budgeted(parity, x, &config)?;
+//!         }
+//!         Ok(parity)
+//!     },
+//!     &config,
+//! )
+//! .unwrap();
+//! // 2 of the 8 assignments satisfy both rows.
+//! assert_eq!(manager.model_count(root), Ok(2));
+//! // Stratified by how many of x0, x2 are true:
+//! let by_weight = manager.weight_count(root, &[(0, true), (2, true)]);
+//! assert_eq!(by_weight, Ok(vec![0, 2, 0]));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,12 +58,13 @@ mod compile;
 #[cfg(test)]
 mod oracle;
 
-pub use bdd::{Bdd, BddManager, DdStats, OpBudget, RootId};
-pub use compile::{compile_cnf, compile_cnf_projected, CompileConfig, CompileError, CompiledCnf};
+pub use bdd::{Bdd, BddManager, CountOverflow, DdStats, RootId};
+pub use compile::{compile, CompileConfig, CompileError};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use compile::compile_clauses;
     use proptest::prelude::*;
     use veriqec_sat::{Cnf, Lit, Var};
 
@@ -111,8 +129,8 @@ mod proptests {
             // The headline differential: BDD model count vs brute force for
             // random CNFs with n ≤ 14.
             let expected: u128 = brute_force(&cnf, &[]).iter().sum();
-            let compiled = compile_cnf(&cnf.to_cnf(), &CompileConfig::default()).unwrap();
-            prop_assert_eq!(compiled.manager.model_count(compiled.root), expected);
+            let (m, root) = compile_clauses(&cnf.to_cnf(), &CompileConfig::default()).unwrap();
+            prop_assert_eq!(m.model_count(root), Ok(expected));
         }
 
         #[test]
@@ -126,70 +144,35 @@ mod proptests {
                 .map(|v| (v, polarity[v]))
                 .collect();
             let expected = brute_force(&cnf, &inds);
-            let compiled = compile_cnf(&cnf.to_cnf(), &CompileConfig::default()).unwrap();
-            let got = compiled.manager.weight_count(compiled.root, &inds);
-            prop_assert_eq!(got, expected);
-        }
-
-        #[test]
-        fn projected_count_matches_truth_table(
-            cnf in arb_cnf(10),
-            keep_bits in proptest::collection::vec(any::<bool>(), 10),
-        ) {
-            // Projected compilation counts the distinct kept-variable
-            // assignments extendable to a model — brute-force the shadow.
-            let keep: Vec<usize> = (0..cnf.num_vars).filter(|&v| keep_bits[v]).collect();
-            let mut shadow = std::collections::HashSet::new();
-            for bits in 0u32..1 << cnf.num_vars {
-                let sat = cnf
-                    .clauses
-                    .iter()
-                    .all(|c| c.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos));
-                if sat {
-                    let mut proj = 0u32;
-                    for &v in &keep {
-                        proj |= bits & (1 << v);
-                    }
-                    shadow.insert(proj);
-                }
-            }
-            let compiled = compile_cnf_projected(&cnf.to_cnf(), &keep, &CompileConfig::default()).unwrap();
-            let got = compiled.manager.weight_count_over(compiled.root, &keep, &[]);
-            prop_assert_eq!(got[0], shadow.len() as u128);
+            let (m, root) = compile_clauses(&cnf.to_cnf(), &CompileConfig::default()).unwrap();
+            prop_assert_eq!(m.weight_count(root, &inds), Ok(expected));
         }
 
         #[test]
         fn packed_arena_matches_hashmap_oracle(
             cnf in arb_cnf(12),
-            keep_bits in proptest::collection::vec(any::<bool>(), 12),
+            ind_bits in proptest::collection::vec(any::<bool>(), 12),
         ) {
             // Differential harness for the packed-arena rewrite: the
             // retained HashMap kernel (`oracle`) compiles the same CNF with
-            // the same order and schedule; projected shadow counts and
-            // weight stratifications must agree bit for bit.
-            let keep: Vec<usize> = (0..cnf.num_vars).filter(|&v| keep_bits[v]).collect();
+            // the same order and schedule; weight stratifications must
+            // agree bit for bit.
             let dimacs = cnf.to_cnf();
-            let order = compile::first_use_order(&dimacs);
-            let compiled =
-                compile_cnf_projected(&dimacs, &keep, &CompileConfig::default()).unwrap();
-            let (om, oroot) = oracle::oracle_compile_projected(&dimacs, order, Some(&keep));
+            let (m, root) = compile_clauses(&dimacs, &CompileConfig::default()).unwrap();
+            let (om, oroot) = oracle::oracle_compile(&dimacs);
             let inds: Vec<(usize, bool)> =
-                keep.iter().step_by(2).map(|&v| (v, true)).collect();
-            prop_assert_eq!(
-                compiled.manager.weight_count_over(compiled.root, &keep, &inds),
-                om.weight_count_over(oroot, &keep, &inds)
-            );
+                (0..cnf.num_vars).filter(|&v| ind_bits[v]).map(|v| (v, true)).collect();
+            prop_assert_eq!(m.weight_count(root, &inds), Ok(om.weight_count(oroot, &inds)));
         }
 
         #[test]
         fn gc_is_invisible_on_random_cnfs(
             cnf in arb_cnf(12),
-            keep_bits in proptest::collection::vec(any::<bool>(), 12),
+            ind_bits in proptest::collection::vec(any::<bool>(), 12),
         ) {
             // Memory management must never change semantics: compile with
             // eager GC and with GC disabled, and compare full weight
-            // stratifications over the kept variables.
-            let keep: Vec<usize> = (0..cnf.num_vars).filter(|&v| keep_bits[v]).collect();
+            // stratifications.
             let dimacs = cnf.to_cnf();
             let eager = CompileConfig {
                 gc_dead_ratio: Some(0.0),
@@ -199,13 +182,11 @@ mod proptests {
                 gc_dead_ratio: None,
                 ..CompileConfig::default()
             };
-            let a = compile_cnf_projected(&dimacs, &keep, &eager).unwrap();
-            let b = compile_cnf_projected(&dimacs, &keep, &plain).unwrap();
-            let inds: Vec<(usize, bool)> = keep.iter().map(|&v| (v, true)).collect();
-            prop_assert_eq!(
-                a.manager.weight_count_over(a.root, &keep, &inds),
-                b.manager.weight_count_over(b.root, &keep, &inds)
-            );
+            let (a, ra) = compile_clauses(&dimacs, &eager).unwrap();
+            let (b, rb) = compile_clauses(&dimacs, &plain).unwrap();
+            let inds: Vec<(usize, bool)> =
+                (0..cnf.num_vars).filter(|&v| ind_bits[v]).map(|v| (v, true)).collect();
+            prop_assert_eq!(a.weight_count(ra, &inds), b.weight_count(rb, &inds));
         }
 
         #[test]
@@ -214,12 +195,9 @@ mod proptests {
             // added for DD-vs-SAT debugging artifacts is lossless.
             let original = cnf.to_cnf();
             let reparsed = Cnf::parse(&original.to_dimacs()).unwrap();
-            let a = compile_cnf(&original, &CompileConfig::default()).unwrap();
-            let b = compile_cnf(&reparsed, &CompileConfig::default()).unwrap();
-            prop_assert_eq!(
-                a.manager.model_count(a.root),
-                b.manager.model_count(b.root)
-            );
+            let (a, ra) = compile_clauses(&original, &CompileConfig::default()).unwrap();
+            let (b, rb) = compile_clauses(&reparsed, &CompileConfig::default()).unwrap();
+            prop_assert_eq!(a.model_count(ra), b.model_count(rb));
         }
     }
 }

@@ -226,7 +226,8 @@ mod proptests {
             // Loading into a solver and exporting back may reshape the
             // clause set (units on the trail, satisfied clauses dropped,
             // root-false literals stripped) but must preserve the exact set
-            // of satisfying assignments — the counting backend depends on it.
+            // of satisfying assignments — any model count of an export
+            // depends on it.
             let solver = cnf.into_solver();
             let exported = solver.export_cnf();
             prop_assert_eq!(exported.num_vars, cnf.num_vars);

@@ -478,8 +478,8 @@ impl Solver {
     }
 
     /// Exports the solver's clause database as a model-equivalent CNF over
-    /// the same variable set — the bridge to the decision-diagram counting
-    /// backend (`veriqec_dd`) and to DIMACS debugging artifacts.
+    /// the same variable set — the bridge to DIMACS debugging artifacts and
+    /// to the tests that pin an encoding clause for clause.
     ///
     /// The solver simplifies clauses as they arrive (dropping satisfied
     /// clauses, stripping root-false literals, enqueuing units straight onto

@@ -879,6 +879,27 @@ mod tests {
     }
 
     #[test]
+    fn a_count_past_u128_reports_count_overflow() {
+        // repetition_130's count does not fit in u128: the one-worker
+        // engine reports it, and the reply echoes the reason.
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let r = roundtrip(
+            handle.addr(),
+            &[r#"{"id":7,"kind":"count","code":"repetition_130"}"#],
+        )
+        .remove(0);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(r.get("id").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(r.get("outcome").and_then(Json::as_str), Some("unknown"));
+        assert_eq!(
+            r.get("reason").and_then(Json::as_str),
+            Some("count_overflow")
+        );
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
     fn admission_control_sheds_past_the_high_water_mark() {
         let config = ServeConfig {
             max_pending: 0,

@@ -674,16 +674,15 @@ impl SmtContext {
         self.solver.num_vars()
     }
 
-    // ------------------------------------------------------------- counting
+    // ---------------------------------------------------------------- export
 
     /// Exports the assembled clause set as a model-equivalent CNF (see
-    /// [`veriqec_sat::Solver::export_cnf`]). Together with
-    /// [`SmtContext::sat_lit`] this is the hand-off to the decision-diagram
-    /// counting backend: every auxiliary variable this context introduces
-    /// (Tseitin definitions, totalizer outputs, capped or full) is
-    /// functionally determined by the classical variables, so the exported
-    /// CNF has exactly one model per satisfying assignment of the classical
-    /// variables.
+    /// [`veriqec_sat::Solver::export_cnf`]), for DIMACS artifacts and for
+    /// the tests that pin an encoding clause for clause. Every auxiliary
+    /// variable this context introduces (Tseitin definitions, totalizer
+    /// outputs, capped or full) is functionally determined by the
+    /// classical variables, so the exported CNF has exactly one model per
+    /// satisfying assignment of the classical variables.
     pub fn export_cnf(&self) -> veriqec_sat::Cnf {
         let _span = veriqec_obs::span("smt", "export_cnf");
         self.solver.export_cnf()
@@ -691,14 +690,14 @@ impl SmtContext {
 
     /// The SAT literal already allocated for a classical variable, or `None`
     /// if the context has never seen it. Unlike [`SmtContext::lit_of`] this
-    /// never allocates, so it is safe to call while assembling an
-    /// indicator-literal map for an exported CNF.
+    /// never allocates, so it is safe to call while reading the variables
+    /// of an exported CNF.
     pub fn sat_lit(&self, v: VarId) -> Option<Lit> {
         self.varmap.get(&v).map(|sv| sv.positive())
     }
 
     /// The full classical-variable → SAT-literal map, in first-use order
-    /// (the indicator map shipped alongside [`SmtContext::export_cnf`]).
+    /// (the variable map of an [`SmtContext::export_cnf`] export).
     pub fn var_map(&self) -> impl Iterator<Item = (VarId, Lit)> + '_ {
         self.tracked
             .iter()
@@ -951,12 +950,12 @@ mod tests {
 
     #[test]
     fn export_cnf_has_one_model_per_classical_assignment() {
-        // The counting backend relies on every auxiliary variable (Tseitin
-        // definitions, totalizer outputs) being functionally determined by
-        // the classical variables: the exported CNF must have exactly one
-        // model per satisfying classical assignment. Σx ≤ 2 over 4 vars has
-        // C(4,0) + C(4,1) + C(4,2) = 11 of them, through a handle's full
-        // totalizer and through the hard bound's capped one alike.
+        // Every auxiliary variable (Tseitin definitions, totalizer outputs)
+        // is functionally determined by the classical variables, so the
+        // exported CNF must have exactly one model per satisfying classical
+        // assignment. Σx ≤ 2 over 4 vars has C(4,0) + C(4,1) + C(4,2) = 11
+        // of them, through a handle's full totalizer and through the hard
+        // bound's capped one alike.
         for hard in [false, true] {
             let (_, vs) = vars(4);
             let mut ctx = SmtContext::new();

@@ -94,7 +94,7 @@ fn engine_batch_trace_satisfies_chrome_schema() {
         assert!(e.args.contains(&("decided", 6.0)), "{e:?}");
     }
 
-    // Every diagram compile closes with the size of what it compiled, so
+    // Every diagram compile closes with the size of what it conjoined, so
     // a trace shows whether a slow count was a blown-up diagram.
     let compiles: Vec<_> = collector
         .events()
@@ -104,7 +104,7 @@ fn engine_batch_trace_satisfies_chrome_schema() {
     assert!(!compiles.is_empty(), "the count job must compile");
     for e in &compiles {
         let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, ["clauses", "vars", "kept", "peak_nodes", "gc_runs"]);
+        assert_eq!(keys, ["conjuncts", "vars", "peak_nodes", "gc_runs"]);
         for &(k, v) in &e.args {
             assert!(if k == "gc_runs" { v >= 0.0 } else { v > 0.0 }, "{e:?}");
         }
