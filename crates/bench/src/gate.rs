@@ -272,6 +272,8 @@ mod tests {
                 ("solver", "surface7_proof", "conflicts", 4_500.0),
                 ("solver", "surface9_proof", "wall_ms", 750.0),
                 ("solver", "surface9_proof", "conflicts", 12_000.0),
+                ("solver", "surface11_distance", "wall_ms", 450.0),
+                ("solver", "surface11_distance", "conflicts", 9_000.0),
                 ("solver", "aggregate", "props_per_sec", 1.0e6),
                 ("dd", "five-qubit [[5,1,3]]", "wall_ms", 1.5),
                 ("dd", "Steane [[7,1,3]]", "wall_ms", 4.5),

@@ -1,7 +1,7 @@
 //! The CDCL solver layer of the perf gate ([`crate::gate`]).
 //!
 //! A pinned set of instances — pigeonhole and seeded random 3-SAT at the
-//! pure-SAT layer, plus zoo workloads (a distance sweep, incremental
+//! pure-SAT layer, plus zoo workloads (distance sweeps, incremental
 //! correction sweeps and one-shot Eqn. 14 proofs on the rotated surface
 //! code) through the same sessions the engine uses — each
 //! measured as the median wall time of a fresh solve, with its
@@ -19,6 +19,12 @@
 //! inside the bounds; `capped_cardinality_pins_the_surface_query_size`
 //! pins that encoding instead.
 //!
+//! Both modes also run the surface-11 distance sweep, the longest job of
+//! the code-analysis benchmark. Its baselines, 150 ms and 3,000
+//! conflicts, put the bounds at 450 ms and 9,000. A detection session
+//! counting along the code's logical layers reads about 40 ms and 976
+//! conflicts; one totalizer in qubit order read about 1.2 s and 25,197.
+//!
 //! The aggregate propagations/s row has a baseline of 3.0e6, so its floor
 //! is 1.0e6/s. On a 2-core Xeon dev container, quick runs read
 //! 4.1–4.6e6/s and full runs 3.5–4.1e6/s: 3.5–4.6× headroom, enough to
@@ -27,7 +33,7 @@
 use veriqec::engine::{DetectionSession, FaultToleranceSweep};
 use veriqec::scenario::{memory_scenario, ErrorModel};
 use veriqec::tasks::DistanceOutcome;
-use veriqec_codes::{rotated_surface, steane, toric};
+use veriqec_codes::{rotated_surface, steane, toric, StabilizerCode};
 use veriqec_sat::{Lit, SatResult, Solver, SolverConfig, SolverStats, Var};
 use veriqec_vcgen::VcOutcome;
 
@@ -132,6 +138,22 @@ fn surface_proof(
     })
 }
 
+/// A distance sweep (Eqn. 15 up to `d + 1`) on a fresh detection
+/// session, asserting the claimed distance `d` exactly.
+fn distance_sweep(
+    name: &'static str,
+    code: &StabilizerCode,
+    runs: usize,
+    config: SolverConfig,
+) -> (&'static str, f64, SolverStats) {
+    let d = code.claimed_distance().expect("a claimed distance");
+    measure(name, runs, || {
+        let mut session = DetectionSession::new(code, config);
+        assert_eq!(session.find_distance(d + 1), DistanceOutcome::Exact(d));
+        ("exact", session.solver_stats())
+    })
+}
+
 /// Measures every pinned instance. `quick` is the CI mode: fewer timed
 /// runs; the full mode adds PHP(8,7), the toric-3 distance and the
 /// surface-5 correction sweep.
@@ -151,12 +173,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
             assert_ne!(r, SatResult::Unknown);
             (sat_verdict(r), s.stats())
         }),
-        measure("steane_distance", runs, || {
-            let mut session = DetectionSession::new(&steane(), config);
-            let out = session.find_distance(4);
-            assert_eq!(out, DistanceOutcome::Exact(3));
-            ("distance_3", session.solver_stats())
-        }),
+        distance_sweep("steane_distance", &steane(), runs, config),
         measure("surface3_sweep_w2", runs, || {
             let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
             let mut sweep = FaultToleranceSweep::new(&scenario, vec![], config);
@@ -167,6 +184,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
         surface_proof("surface5_proof", 5, runs, config),
         surface_proof("surface7_proof", 7, runs, config),
         surface_proof("surface9_proof", 9, runs, config),
+        distance_sweep("surface11_distance", &rotated_surface(11), runs, config),
     ];
     if !quick {
         measured.extend([
@@ -176,12 +194,7 @@ pub(crate) fn rows(quick: bool) -> Vec<Row> {
                 assert_eq!(r, SatResult::Unsat);
                 (sat_verdict(r), s.stats())
             }),
-            measure("toric3_distance", runs, || {
-                let mut session = DetectionSession::new(&toric(3), config);
-                let out = session.find_distance(4);
-                assert_eq!(out, DistanceOutcome::Exact(3));
-                ("distance_3", session.solver_stats())
-            }),
+            distance_sweep("toric3_distance", &toric(3), runs, config),
             measure("surface5_sweep_w3", runs, || {
                 let scenario = memory_scenario(&rotated_surface(5), ErrorModel::YErrors);
                 let mut sweep = FaultToleranceSweep::new(&scenario, vec![], config);
@@ -293,6 +306,23 @@ mod tests {
         assert_eq!(regs.len(), 2, "{regs:?}");
         assert!(regs.iter().any(|r| r.contains("slow")));
         assert!(regs.iter().any(|r| r.contains("gone")));
+        // The checked-in surface-11 distance rows pass the layer-order
+        // sweep (about 40 ms, 976 conflicts) and fail the qubit-order one
+        // (about 1.3 s, 25,197 conflicts) on both metrics.
+        let checked_in = parse_baseline(include_str!("../../../bench_baselines.json")).unwrap();
+        let flagged = |wall_ms, conflicts| {
+            let stats = SolverStats {
+                conflicts,
+                ..SolverStats::default()
+            };
+            let rows = stats_rows(&[("surface11_distance", wall_ms, stats)]);
+            check(&rows, &checked_in)
+                .into_iter()
+                .filter(|r| r.starts_with("solver/surface11_distance/"))
+                .count()
+        };
+        assert_eq!(flagged(40.0, 976), 0);
+        assert_eq!(flagged(1300.0, 25_197), 2);
     }
 
     #[test]

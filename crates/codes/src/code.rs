@@ -219,6 +219,94 @@ impl StabilizerCode {
         Some(m)
     }
 
+    /// The qubit orders along the code's logical layers, for counting the
+    /// error support one representative at a time.
+    ///
+    /// Two qubits are adjacent when some generator acts on both. Each
+    /// qubit gets its BFS distance from the support of `X̄₁` and from the
+    /// support of `Z̄₁`; the first order sorts the qubits by (distance from
+    /// `X̄₁`, distance from `Z̄₁`, index), the second with the two
+    /// distances swapped, and a second order equal to the first is
+    /// dropped. A qubit no generator path reaches sorts after every
+    /// reachable one. A code with `k = 0` keeps the qubit order.
+    ///
+    /// On a lattice code each layer of equal distance is a translate of
+    /// the logical it grows from, and so a disjoint logical
+    /// representative: a weight totalizer over either order keeps every
+    /// such representative in one contiguous block (see DESIGN.md). For
+    /// [`crate::rotated_surface`], where `X̄₁` runs down column 0 and `Z̄₁`
+    /// along row 0, the two orders are column-major and row-major.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use veriqec_codes::rotated_surface;
+    /// let orders = rotated_surface(3).layer_orders();
+    /// assert_eq!(orders, [vec![0, 3, 6, 1, 4, 7, 2, 5, 8], (0..9).collect()]);
+    /// ```
+    pub fn layer_orders(&self) -> Vec<Vec<usize>> {
+        let n = self.n();
+        let (Some(lx), Some(lz)) = (self.logical_x.first(), self.logical_z.first()) else {
+            return vec![(0..n).collect()];
+        };
+        let support = |p: &SymPauli| -> Vec<usize> {
+            p.pauli()
+                .x_bits()
+                .ored(p.pauli().z_bits())
+                .iter_ones()
+                .collect()
+        };
+        let supports: Vec<Vec<usize>> = self.generators().iter().map(support).collect();
+        let mut on_qubit: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, support) in supports.iter().enumerate() {
+            for &q in support {
+                on_qubit[q].push(i);
+            }
+        }
+        // Breadth-first over the qubit–generator incidence: one layer per
+        // generator hop.
+        let distances = |from: &SymPauli| {
+            let mut dist = vec![usize::MAX; n];
+            let mut frontier = support(from);
+            for &q in &frontier {
+                dist[q] = 0;
+            }
+            let mut seen = vec![false; supports.len()];
+            let mut layer = 0;
+            while !frontier.is_empty() {
+                layer += 1;
+                let mut next = Vec::new();
+                for q in frontier {
+                    for &g in &on_qubit[q] {
+                        if std::mem::replace(&mut seen[g], true) {
+                            continue;
+                        }
+                        for &r in &supports[g] {
+                            if dist[r] == usize::MAX {
+                                dist[r] = layer;
+                                next.push(r);
+                            }
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            dist
+        };
+        let (dx, dz) = (distances(lx), distances(lz));
+        let order_by = |first: &[usize], second: &[usize]| {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&q| (first[q], second[q], q));
+            order
+        };
+        let mut orders = vec![order_by(&dx, &dz)];
+        let swapped = order_by(&dz, &dx);
+        if swapped != orders[0] {
+            orders.push(swapped);
+        }
+        orders
+    }
+
     /// Exact code distance by brute-force enumeration of errors up to weight
     /// `max_weight`: the minimum weight of a Pauli that commutes with every
     /// generator but is not itself a stabilizer.
@@ -313,5 +401,38 @@ mod tests {
         let mut count = 0;
         enumerate_errors(4, 2, &mut |_| count += 1);
         assert_eq!(count, 6 * 9); // C(4,2) * 3^2
+    }
+
+    #[test]
+    fn layer_orders_follow_the_lattice_of_the_surface_codes() {
+        // X̄ runs down column 0 and Z̄ along row 0 (conjugated by local
+        // Hadamards on XZZX, which keeps every support): column-major,
+        // then row-major.
+        let column_major: Vec<usize> = (0..5)
+            .flat_map(|c| (0..5).map(move |r| 5 * r + c))
+            .collect();
+        let row_major: Vec<usize> = (0..25).collect();
+        for code in [crate::rotated_surface(5), crate::xzzx_surface(5)] {
+            assert_eq!(
+                code.layer_orders(),
+                [column_major.clone(), row_major.clone()],
+                "{}",
+                code.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_code_without_logicals_keeps_the_qubit_order() {
+        let gens = ["ZZ", "XX"]
+            .map(|s| SymPauli::plain(PauliString::from_letters(s).unwrap()))
+            .to_vec();
+        let bell = StabilizerCode::with_completed_logicals(
+            "bell",
+            StabilizerGroup::new(gens).unwrap(),
+            None,
+        );
+        assert_eq!(bell.k(), 0);
+        assert_eq!(bell.layer_orders(), [vec![0, 1]]);
     }
 }

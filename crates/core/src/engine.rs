@@ -47,25 +47,41 @@ use crate::tasks::{build_problem_unbounded, DetectionOutcome, DistanceOutcome};
 
 /// An incremental precise-detection session (Eqn. 15) for one code.
 ///
-/// The syndrome-zero equations, the logical-flip disjunction and a single
-/// support totalizer are encoded once at construction; each
-/// [`DetectionSession::check`] call decides one threshold `dt` by assuming
-/// `Σ support ≤ dt − 1` on the shared [`CardinalityHandle`]. Distance
-/// discovery ([`DetectionSession::find_distance`]) is therefore one base
-/// encoding plus a sequence of assumption-only queries, with learnt clauses
-/// carried across the sweep.
+/// The syndrome-zero equations, the logical-flip disjunction and the
+/// support count are encoded once at construction; each query decides one
+/// threshold `dt` by assuming `Σ support ≤ dt − 1` on the shared
+/// [`CardinalityHandle`], with learnt clauses carried from query to query.
+///
+/// Under a perfect schedule the support is counted along the code's
+/// logical layers ([`StabilizerCode::layer_orders`]): one full totalizer
+/// per order, the trees linked output to output so that one assumption
+/// binds them all. Either tree keeps each layer, a disjoint logical
+/// representative, in one block, which is where the solver learns its
+/// per-layer lemmas; a code with `k = 0` has one tree in qubit order. The
+/// lemmas are learnt one bound at a time, so [`DetectionSession::check`]
+/// climbs to its bound through every bound the session has not yet
+/// proven, as [`DetectionSession::find_distance`] does. A schedule with
+/// measurement flips, which both a second tree and the climb slow down,
+/// keeps one tree in qubit order and asks each threshold directly (see
+/// DESIGN.md).
 #[derive(Clone, Debug)]
 pub struct DetectionSession {
     ctx: SmtContext,
     ex: Vec<VarId>,
     ez: Vec<VarId>,
     support: CardinalityHandle,
+    /// Counts along the layer orders (a schedule without measurement
+    /// flips), so [`DetectionSession::check`] climbs.
+    layered: bool,
+    /// The largest threshold answered `AllDetected` (1 before any): every
+    /// weight below it is proven detected.
+    detected_below: usize,
     queries: usize,
 }
 
 impl DetectionSession {
     /// Encodes the detection formula for `code` once (the shared Eqn. 15
-    /// assembly of [`crate::enumerator`], plus this session's totalizer).
+    /// assembly of [`crate::enumerator`], plus this session's totalizers).
     pub fn new(code: &StabilizerCode, config: SolverConfig) -> Self {
         Self::with_schedule(
             code,
@@ -86,10 +102,23 @@ impl DetectionSession {
     ) -> Self {
         let formula = DetectionFormula::new(code, schedule);
         let (mut ctx, support_lits) = formula.to_smt(config);
-        // One totalizer serves the whole sweep: the lower bound (≥ 1) is
-        // constant and baked in, the upper bound arrives per query as an
-        // assumption.
-        let support = ctx.cardinality(&support_lits);
+        // Under a schedule with measurement flips a second tree costs more
+        // than it saves (1.1–2.7× slower sweeps), and so does the climb
+        // (up to 7× slower witnesses, DESIGN.md): one tree over the qubits
+        // in index order, then the flips, asked each threshold directly.
+        let (qubits, flips) = support_lits.split_at(code.n());
+        let layered = flips.is_empty();
+        let orders: Vec<Vec<Lit>> = if layered {
+            code.layer_orders()
+                .iter()
+                .map(|order| order.iter().map(|&q| qubits[q]).collect())
+                .collect()
+        } else {
+            vec![support_lits.clone()]
+        };
+        // The lower bound (≥ 1) is constant and baked in; the upper bound
+        // arrives per query as an assumption.
+        let support = ctx.linked_cardinality(&orders);
         if let Some(l) = support.at_least(1) {
             ctx.add_clause([l]);
         }
@@ -98,18 +127,51 @@ impl DetectionSession {
             ex: formula.ex,
             ez: formula.ez,
             support,
+            layered,
+            detected_below: 1,
             queries: 0,
         }
     }
 
     /// Decides threshold `dt`: does an undetected logical error of weight
-    /// in `[1, dt − 1]` exist? Solver-budget exhaustion reports
+    /// in `[1, dt − 1]` exist? Under a perfect schedule the session first
+    /// climbs through the bounds it has not proven below `dt`, so a
+    /// witness is one of least weight; under a noisy one a witness may be
+    /// of any weight below `dt`. Solver-budget exhaustion reports
     /// [`DetectionOutcome::Inconclusive`] — never a silent `AllDetected`.
     pub fn check(&mut self, dt: usize) -> DetectionOutcome {
+        if self.layered {
+            self.climb(dt)
+        } else {
+            self.query(dt)
+        }
+    }
+
+    /// Queries every bound between the last one proven and `dt`, then
+    /// `dt`: the first undetected logical error found is one of least
+    /// weight.
+    fn climb(&mut self, dt: usize) -> DetectionOutcome {
+        // The bound at L + 1 for L support indicators bounds nothing, nor
+        // does any larger one: the climb ends there, however large `dt`.
+        // Only a code without logical operators gets that far.
+        for bound in self.detected_below + 1..dt.min(self.support.len() + 1) {
+            match self.query(bound) {
+                DetectionOutcome::AllDetected => {}
+                found => return found,
+            }
+        }
+        self.query(dt)
+    }
+
+    /// One assumption query at threshold `dt`.
+    fn query(&mut self, dt: usize) -> DetectionOutcome {
         self.queries += 1;
         let assumptions: Vec<Lit> = self.support.at_most(dt as i64 - 1).into_iter().collect();
         match self.ctx.check(&assumptions) {
-            CheckResult::Unsat => DetectionOutcome::AllDetected,
+            CheckResult::Unsat => {
+                self.detected_below = self.detected_below.max(dt);
+                DetectionOutcome::AllDetected
+            }
             CheckResult::Sat => {
                 let m = self.ctx.model();
                 let sup = |vars: &[VarId], m: &CMem| {
@@ -129,29 +191,25 @@ impl DetectionSession {
 
     /// Sweeps `dt` upward until an undetected logical error appears — the
     /// paper's distance-discovery workflow, incremental: one base encoding,
-    /// at most `min(max, L)` assumption queries for `L` support indicators.
+    /// at most `min(max, L)` assumption queries for `L` support indicators,
+    /// fewer on a session that has already proven some bounds.
     pub fn find_distance(&mut self, max: usize) -> DistanceOutcome {
-        // The query at dt = L + 1 bounds nothing; if every weight is
-        // detected there, every larger bound answers the same, so the
-        // sweep stops. Only a code without logical operators gets that far.
-        let last = (max + 1).min(self.support.len() + 1);
-        for dt in 2..=last {
-            match self.check(dt) {
-                DetectionOutcome::AllDetected => {}
-                DetectionOutcome::UndetectedLogical { .. } => {
-                    return DistanceOutcome::Exact(dt - 1)
-                }
-                DetectionOutcome::Inconclusive => {
-                    // The last UNSAT answer was at dt − 1, which proves
-                    // weights < dt − 1 detected; claiming `dt` here would
-                    // silently extend the detection claim by one weight.
-                    return DistanceOutcome::Inconclusive {
-                        verified_below: dt - 1,
-                    };
-                }
-            }
+        if max == 0 {
+            return DistanceOutcome::AtLeast(1);
         }
-        DistanceOutcome::AtLeast(max + 1)
+        match self.climb(max + 1) {
+            DetectionOutcome::AllDetected => DistanceOutcome::AtLeast(max + 1),
+            // The climb answered every bound below the witness's: its
+            // weight is the distance.
+            DetectionOutcome::UndetectedLogical { .. } => {
+                DistanceOutcome::Exact(self.detected_below)
+            }
+            // Claiming the failed bound here would silently extend the
+            // detection claim by one weight.
+            DetectionOutcome::Inconclusive => DistanceOutcome::Inconclusive {
+                verified_below: self.detected_below,
+            },
+        }
     }
 
     /// Installs a cooperative stop (see [`SmtContext::set_stop`]); an
@@ -1450,6 +1508,111 @@ mod tests {
     }
 
     #[test]
+    fn a_threshold_climb_stops_once_the_bound_covers_the_support() {
+        use veriqec_pauli::{PauliString, StabilizerGroup, SymPauli};
+        // Every query on ⟨ZZ, XX⟩ is UNSAT, and is so before the solver
+        // polls a stop: the climb to a huge `dt` must end by itself.
+        let gens = ["ZZ", "XX"]
+            .map(|s| SymPauli::plain(PauliString::from_letters(s).unwrap()))
+            .to_vec();
+        let group = StabilizerGroup::new(gens).unwrap();
+        let code = StabilizerCode::with_completed_logicals("bell", group, None);
+        let mut session = DetectionSession::new(&code, SolverConfig::default());
+        assert_eq!(session.check(1 << 20), DetectionOutcome::AllDetected);
+        assert!(session.query_count() <= 3, "{}", session.query_count());
+    }
+
+    #[test]
+    fn a_noisy_session_asks_each_threshold_directly() {
+        // With measurement flips the session does not climb: a sweep asks
+        // each bound once, and a lone threshold is one query.
+        let code = rotated_surface(3);
+        let schedule = veriqec_codes::ExtractionSchedule::repeated(code.generators().len(), 3);
+        let mut session =
+            DetectionSession::with_schedule(&code, &schedule, SolverConfig::default());
+        assert_eq!(session.find_distance(10), DistanceOutcome::Exact(3));
+        assert_eq!(session.query_count(), 3, "one query per bound 2, 3, 4");
+        let mut fresh = DetectionSession::with_schedule(&code, &schedule, SolverConfig::default());
+        assert!(matches!(
+            fresh.check(4),
+            DetectionOutcome::UndetectedLogical { .. }
+        ));
+        assert_eq!(fresh.query_count(), 1);
+    }
+
+    /// `code` with its qubits relabeled by a seeded random permutation, and
+    /// its logicals carried along or, with `complete`, derived afresh by
+    /// symplectic completion.
+    fn relabeled(code: &StabilizerCode, seed: u64, complete: bool) -> StabilizerCode {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        use veriqec_pauli::{PauliString, StabilizerGroup, SymPauli};
+        let n = code.n();
+        let mut to: Vec<usize> = (0..n).collect();
+        to.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let map = |p: &SymPauli| {
+            let mut out = PauliString::identity(n);
+            for (q, &r) in to.iter().enumerate() {
+                out.set_local(r, p.pauli().x_bit(q), p.pauli().z_bit(q));
+            }
+            out.add_ipow(p.pauli().ipow());
+            SymPauli::new(out, p.phase().clone())
+        };
+        let group = StabilizerGroup::new(code.generators().iter().map(map).collect()).unwrap();
+        let name = format!("{} relabeled ({seed})", code.name());
+        let d = code.claimed_distance();
+        if complete {
+            return StabilizerCode::with_completed_logicals(name, group, d);
+        }
+        let lx = code.logical_x().iter().map(map).collect();
+        let lz = code.logical_z().iter().map(map).collect();
+        StabilizerCode::new(name, group, lx, lz, d)
+    }
+
+    #[test]
+    fn relabeled_codes_keep_their_distances_and_least_witnesses() {
+        use veriqec_codes::{toric, xzzx_surface};
+        use veriqec_pauli::PauliString;
+        // Scrambled qubits scramble the lattice layers' index order, and
+        // completed logicals are other representatives than the lattice
+        // strings: neither may move a verdict or a witness's weight.
+        for code in [
+            rotated_surface(5),
+            rotated_surface(7),
+            xzzx_surface(5),
+            toric(3),
+        ] {
+            let d = code.claimed_distance().unwrap();
+            for (seed, complete) in [(1, false), (2, false), (3, true), (4, true)] {
+                let code = relabeled(&code, seed, complete);
+                code.validate().unwrap();
+                let mut sweep = DetectionSession::new(&code, SolverConfig::default());
+                assert_eq!(sweep.find_distance(d + 1), DistanceOutcome::Exact(d));
+                let mut session = DetectionSession::new(&code, SolverConfig::default());
+                assert_eq!(session.check(d), DetectionOutcome::AllDetected);
+                let DetectionOutcome::UndetectedLogical {
+                    x_support,
+                    z_support,
+                } = session.check(d + 1)
+                else {
+                    panic!("{}: no witness at dt = d + 1", code.name());
+                };
+                let mut witness = PauliString::identity(code.n());
+                for q in 0..code.n() {
+                    witness.set_local(q, x_support.contains(&q), z_support.contains(&q));
+                }
+                assert_eq!(witness.weight(), d, "{}", code.name());
+                assert!(code.group().is_undetected(&witness), "{}", code.name());
+                assert!(
+                    code.group().decompose(&witness).is_none(),
+                    "{}",
+                    code.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn detection_session_matches_fresh_solves() {
         let code = steane();
         let mut session = DetectionSession::new(&code, SolverConfig::default());
@@ -1942,6 +2105,21 @@ mod proptests {
                     code.name(), dt, incremental, fresh
                 );
             }
+        }
+
+        #[test]
+        fn distance_sweep_matches_brute_force_on_random_codes(
+            seed in any::<u64>(),
+            n in 2usize..7,
+            k in 1usize..3,
+        ) {
+            // The layer orders of a code without lattice structure, against
+            // the exhaustive search over every Pauli error.
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let code = veriqec_codes::search::random_code(n, k.min(n - 1), &mut rng);
+            let d = code.brute_force_distance(n).expect("a logical has weight at most n");
+            prop_assert_eq!(crate::tasks::find_distance(&code, n), DistanceOutcome::Exact(d));
         }
 
         #[test]

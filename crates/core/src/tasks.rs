@@ -9,7 +9,9 @@ use veriqec_codes::StabilizerCode;
 use veriqec_decoder::MinWeightSpec;
 use veriqec_pauli::Gate1;
 use veriqec_sat::SolverConfig;
-use veriqec_vcgen::{reduce_commuting, verify_nonpauli, NonPauliOutcome, VcOutcome, VcProblem};
+use veriqec_vcgen::{
+    reduce_commuting, verify_nonpauli, NonPauliError, NonPauliOutcome, VcOutcome, VcProblem,
+};
 use veriqec_wp::qec_wp;
 
 use crate::engine::DetectionSession;
@@ -310,6 +312,12 @@ pub fn find_distance(code: &StabilizerCode, max: usize) -> DistanceOutcome {
 /// memory scenario, discharging via the case-3 heuristic with the exact
 /// minimum-weight lookup decoder as `P_f` witness.
 ///
+/// # Errors
+///
+/// [`NonPauliError::QubitOutOfRange`] for a qubit outside the code,
+/// [`NonPauliError::Wp`] when the wp engine rejects the scenario, and the
+/// heuristic's own errors (see [`NonPauliError`]).
+///
 /// # Panics
 ///
 /// Panics when the code is not CSS (the fixed-error pipeline builds the
@@ -318,10 +326,12 @@ pub fn verify_nonpauli_memory(
     code: &StabilizerCode,
     gate: Gate1,
     qubit: usize,
-) -> Result<NonPauliOutcome, veriqec_vcgen::NonPauliError> {
+) -> Result<NonPauliOutcome, NonPauliError> {
+    if qubit >= code.n() {
+        return Err(NonPauliError::QubitOutOfRange { qubit, n: code.n() });
+    }
     let scenario = nonpauli_scenario(code, gate, qubit);
-    let wp = qec_wp(&scenario.program, scenario.post.clone())
-        .expect("fixed-error scenarios stay in the QEC fragment");
+    let wp = qec_wp(&scenario.program, scenario.post.clone()).map_err(NonPauliError::Wp)?;
     let decoder = veriqec_decoder::CssLookupDecoder::for_code(
         code,
         (code.claimed_distance().unwrap_or(3) / 2).max(1),
@@ -481,6 +491,15 @@ mod tests {
         // claiming an exact distance.
         assert_eq!(find_distance(&steane(), 2), DistanceOutcome::AtLeast(3));
         assert_eq!(DistanceOutcome::AtLeast(3).exact(), None);
+    }
+
+    #[test]
+    fn nonpauli_memory_rejects_a_qubit_outside_the_code() {
+        assert_eq!(
+            verify_nonpauli_memory(&steane(), Gate1::T, 99),
+            Err(NonPauliError::QubitOutOfRange { qubit: 99, n: 7 })
+        );
+        assert!(verify_nonpauli_memory(&steane(), Gate1::T, 6).is_ok());
     }
 
     #[test]

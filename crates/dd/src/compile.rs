@@ -9,16 +9,16 @@
 //! polled *inside* every budgeted apply, every [`POLL_EVERY`] node builds
 //! — a single runaway conjunction can overshoot the limit by at most one
 //! poll interval. Between conjunctions the loop may run a mark-and-sweep
-//! collection (when the dead-node share passes
-//! [`CompileConfig::gc_dead_ratio`]), which is invisible to the counts.
+//! collection (when the dead-node share passes [`GC_DEAD_RATIO`]), which
+//! is invisible to the counts.
 
 use veriqec_sat::Stop;
 
 use crate::bdd::{Bdd, BddManager};
 
-/// Budget and memory-management knobs for [`compile`] and the budgeted
-/// operations ([`BddManager::and_budgeted`], [`BddManager::xor_budgeted`]).
-#[derive(Clone, Debug)]
+/// The budget of [`compile`] and of the budgeted operations
+/// ([`BddManager::and_budgeted`], [`BddManager::xor_budgeted`]).
+#[derive(Clone, Debug, Default)]
 pub struct CompileConfig {
     /// Abort compilation once the manager holds this many nodes.
     pub node_limit: Option<usize>,
@@ -28,20 +28,6 @@ pub struct CompileConfig {
     /// neither displaces the other. Checked before every conjunct and
     /// polled inside every budgeted apply.
     pub stop: Stop,
-    /// Run a garbage collection between conjunctions when at least this
-    /// share of the arena is dead (`None` disables GC; the final diagram
-    /// is then left uncompacted).
-    pub gc_dead_ratio: Option<f64>,
-}
-
-impl Default for CompileConfig {
-    fn default() -> Self {
-        CompileConfig {
-            node_limit: None,
-            stop: Stop::default(),
-            gc_dead_ratio: Some(0.5),
-        }
-    }
 }
 
 /// Why a compilation was abandoned.
@@ -73,6 +59,10 @@ impl std::error::Error for CompileError {}
 /// compacting: the bookkeeping would cost more than the memory it frees.
 const GC_MIN_NODES: usize = 1 << 14;
 
+/// Dead share of the arena at which a collection between conjunctions
+/// runs.
+const GC_DEAD_RATIO: f64 = 0.5;
+
 /// Node builds between two budget polls inside one budgeted apply: the
 /// node limit can overshoot by at most this many nodes.
 pub(crate) const POLL_EVERY: u64 = 1024;
@@ -92,8 +82,21 @@ pub(crate) const POLL_EVERY: u64 = 1024;
 pub fn compile<T>(
     num_vars: usize,
     conjuncts: impl IntoIterator<Item = T>,
+    build: impl FnMut(&mut BddManager, T) -> Result<Bdd, CompileError>,
+    config: &CompileConfig,
+) -> Result<(BddManager, Bdd), CompileError> {
+    compile_with_gc(num_vars, conjuncts, build, config, Some(GC_DEAD_RATIO))
+}
+
+/// [`compile`], collecting between conjunctions at `gc_dead_ratio`; `None`
+/// runs no collection and leaves the final diagram uncompacted, which the
+/// tests compare against.
+fn compile_with_gc<T>(
+    num_vars: usize,
+    conjuncts: impl IntoIterator<Item = T>,
     mut build: impl FnMut(&mut BddManager, T) -> Result<Bdd, CompileError>,
     config: &CompileConfig,
+    gc_dead_ratio: Option<f64>,
 ) -> Result<(BddManager, Bdd), CompileError> {
     let span = veriqec_obs::span("dd", "compile");
     let progress = veriqec_obs::active();
@@ -117,7 +120,7 @@ pub fn compile<T>(
         if root == Bdd::FALSE {
             break; // contradiction: no later conjunct can resurrect it
         }
-        if let Some(ratio) = config.gc_dead_ratio {
+        if let Some(ratio) = gc_dead_ratio {
             if manager.node_count() >= gc_check_at {
                 let nodes_before = manager.node_count();
                 manager.collect_if_worthwhile(ratio);
@@ -145,7 +148,7 @@ pub fn compile<T>(
     manager.check_budget(config)?;
     // Hand back a compact arena: counting allocates memo space per arena
     // slot, so sweeping the construction garbage pays for itself.
-    if config.gc_dead_ratio.is_some() && manager.node_count() >= GC_MIN_NODES {
+    if gc_dead_ratio.is_some() && manager.node_count() >= GC_MIN_NODES {
         manager.collect_garbage();
         root = manager.root(root_id);
     }
@@ -167,7 +170,18 @@ pub(crate) fn compile_clauses(
     cnf: &veriqec_sat::Cnf,
     config: &CompileConfig,
 ) -> Result<(BddManager, Bdd), CompileError> {
-    compile(
+    compile_clauses_with_gc(cnf, config, Some(GC_DEAD_RATIO))
+}
+
+/// [`compile_clauses`] under a chosen collection policy (see
+/// `compile_with_gc`).
+#[cfg(test)]
+pub(crate) fn compile_clauses_with_gc(
+    cnf: &veriqec_sat::Cnf,
+    config: &CompileConfig,
+    gc_dead_ratio: Option<f64>,
+) -> Result<(BddManager, Bdd), CompileError> {
+    compile_with_gc(
         cnf.num_vars,
         &cnf.clauses,
         |m, clause| {
@@ -182,6 +196,7 @@ pub(crate) fn compile_clauses(
             Ok(f)
         },
         config,
+        gc_dead_ratio,
     )
 }
 
@@ -371,16 +386,9 @@ mod tests {
             text.push_str(&format!("{} {} 0\n{} -{} 0\n", v, v + 1, -v, v + 1));
         }
         let parsed = cnf(&text);
-        let eager = CompileConfig {
-            gc_dead_ratio: Some(0.0),
-            ..CompileConfig::default()
-        };
-        let plain = CompileConfig {
-            gc_dead_ratio: None,
-            ..CompileConfig::default()
-        };
-        let (fa, ra) = compile_clauses(&parsed, &eager).unwrap();
-        let (fb, rb) = compile_clauses(&parsed, &plain).unwrap();
+        let config = CompileConfig::default();
+        let (fa, ra) = compile_clauses_with_gc(&parsed, &config, Some(0.0)).unwrap();
+        let (fb, rb) = compile_clauses_with_gc(&parsed, &config, None).unwrap();
         assert!(fa.stats().gc_runs > 0, "{:?}", fa.stats());
         assert_eq!(fb.stats().gc_runs, 0);
         let inds = [(0, true), (3, false)];

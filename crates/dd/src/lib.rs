@@ -64,7 +64,7 @@ pub use compile::{compile, CompileConfig, CompileError};
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use compile::compile_clauses;
+    use compile::{compile_clauses, compile_clauses_with_gc};
     use proptest::prelude::*;
     use veriqec_sat::{Cnf, Lit, Var};
 
@@ -174,16 +174,9 @@ mod proptests {
             // eager GC and with GC disabled, and compare full weight
             // stratifications.
             let dimacs = cnf.to_cnf();
-            let eager = CompileConfig {
-                gc_dead_ratio: Some(0.0),
-                ..CompileConfig::default()
-            };
-            let plain = CompileConfig {
-                gc_dead_ratio: None,
-                ..CompileConfig::default()
-            };
-            let (a, ra) = compile_clauses(&dimacs, &eager).unwrap();
-            let (b, rb) = compile_clauses(&dimacs, &plain).unwrap();
+            let config = CompileConfig::default();
+            let (a, ra) = compile_clauses_with_gc(&dimacs, &config, Some(0.0)).unwrap();
+            let (b, rb) = compile_clauses_with_gc(&dimacs, &config, None).unwrap();
             let inds: Vec<(usize, bool)> =
                 (0..cnf.num_vars).filter(|&v| ind_bits[v]).map(|v| (v, true)).collect();
             prop_assert_eq!(a.weight_count(ra, &inds), b.weight_count(rb, &inds));

@@ -728,7 +728,7 @@ mod tests {
         );
         assert_eq!(rs[0].get("session").unwrap().as_str(), Some("warm"));
         // dt = 2, 3, 4 for the distance, then one more: a rebuilt session
-        // would answer 1.
+        // would climb through dt = 2, 3 and answer 2.
         assert_eq!(rs[0].get("queries").unwrap().as_f64(), Some(4.0));
         let m = handle.metrics();
         assert!(m.count("serve_cache_hits") >= 1);
@@ -739,8 +739,10 @@ mod tests {
 
     #[test]
     fn a_deadline_that_passes_mid_sweep_stops_it() {
+        // The surface-21 sweep takes about 0.5 s in a release build on a
+        // 2-core VM, several times the deadline.
         let handle = Server::start(ServeConfig::default()).expect("bind");
-        let request = r#"{"kind":"distance","code":"surface_11","deadline_ms":100}"#;
+        let request = r#"{"kind":"distance","code":"surface_21","deadline_ms":100}"#;
         let r = roundtrip(handle.addr(), &[request]).remove(0);
         assert_eq!(
             r.get("outcome").and_then(Json::as_str),
@@ -772,6 +774,26 @@ mod tests {
         assert_eq!(
             job.get("distance_at_least").and_then(Json::as_f64),
             Some(1_048_577.0)
+        );
+        assert!(
+            r.get("queries").and_then(Json::as_f64).unwrap() <= 3.0,
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn a_detection_climb_ends_once_its_bound_covers_the_support() {
+        // The same code at a huge threshold: the climb to it must end at
+        // the support's size, not hold the worker for 2^20 queries.
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let request = r#"{"kind":"detection","stabilizers":["ZZ","XX"],"dt":1048576}"#;
+        let r = roundtrip(handle.addr(), &[request]).remove(0);
+        handle.shutdown();
+        handle.join().expect("clean join");
+        assert_eq!(
+            r.get("outcome").and_then(Json::as_str),
+            Some("all_detected"),
+            "{r:?}"
         );
         assert!(
             r.get("queries").and_then(Json::as_f64).unwrap() <= 3.0,

@@ -148,7 +148,7 @@ pub fn run_smoke() -> Result<(), String> {
     )?;
     expect(
         field_count(&r, "queries") == 4.0,
-        "warm reuse continues the session's queries (a rebuild answers 1)",
+        "warm reuse continues the session's queries (a rebuild answers 2)",
         &r,
     )?;
     println!("serve smoke: warm session reused (4th query on one encoding)");

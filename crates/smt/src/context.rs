@@ -324,7 +324,30 @@ impl SmtContext {
     /// weight sweeps are built on this). The handle's totalizer is full and
     /// private: a later query may ask it any bound.
     pub fn cardinality(&mut self, lits: &[Lit]) -> CardinalityHandle {
-        let outputs = self.totalizer(lits, lits.len());
+        self.linked_cardinality(&[lits.to_vec()])
+    }
+
+    /// Like [`SmtContext::cardinality`], over several orders of the same
+    /// inputs: one full totalizer per order, each output tied to the first
+    /// tree's output of the same count (`o_A[i] ↔ o_B[i]`). A bound assumed
+    /// on the handle then binds every tree at once, and what the solver
+    /// learns about a count in one tree carries over to the others. Where
+    /// a tree groups its inputs matters to the search: see DESIGN.md on
+    /// how a detection session counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `orders` is empty or two orders differ in length.
+    pub fn linked_cardinality(&mut self, orders: &[Vec<Lit>]) -> CardinalityHandle {
+        let (first, rest) = orders.split_first().expect("at least one order");
+        let outputs = self.totalizer(first, first.len());
+        for order in rest {
+            assert_eq!(order.len(), first.len(), "orders of the same inputs");
+            for (&a, b) in outputs.iter().zip(self.totalizer(order, order.len())) {
+                self.solver.add_clause([!a, b]);
+                self.solver.add_clause([a, !b]);
+            }
+        }
         let lit_false = !self.lit_true();
         CardinalityHandle { outputs, lit_false }
     }
@@ -688,14 +711,6 @@ impl SmtContext {
         self.solver.export_cnf()
     }
 
-    /// The SAT literal already allocated for a classical variable, or `None`
-    /// if the context has never seen it. Unlike [`SmtContext::lit_of`] this
-    /// never allocates, so it is safe to call while reading the variables
-    /// of an exported CNF.
-    pub fn sat_lit(&self, v: VarId) -> Option<Lit> {
-        self.varmap.get(&v).map(|sv| sv.positive())
-    }
-
     /// The full classical-variable → SAT-literal map, in first-use order
     /// (the variable map of an [`SmtContext::export_cnf`] export).
     pub fn var_map(&self) -> impl Iterator<Item = (VarId, Lit)> + '_ {
@@ -955,25 +970,45 @@ mod tests {
         // exported CNF must have exactly one model per satisfying classical
         // assignment. Σx ≤ 2 over 4 vars has C(4,0) + C(4,1) + C(4,2) = 11
         // of them, through a handle's full totalizer and through the hard
-        // bound's capped one alike.
-        for hard in [false, true] {
+        // bound's capped one alike, and through two linked full ones.
+        for (hard, orders) in [(false, 1), (false, 2), (true, 1)] {
             let (_, vs) = vars(4);
             let mut ctx = SmtContext::new();
             let lits: Vec<Lit> = vs.iter().map(|&v| ctx.lit_of(v)).collect();
             if hard {
                 ctx.assert_at_most(&lits, 2);
             } else {
-                let h = ctx.cardinality(&lits);
+                let reversed = lits.iter().rev().copied().collect();
+                let h = ctx.linked_cardinality(&[lits.clone(), reversed][..orders]);
                 if let Some(l) = h.at_most(2) {
                     ctx.add_clause([l]);
                 }
             }
-            assert_eq!(exported_models(&ctx), 11, "hard: {hard}");
+            assert_eq!(exported_models(&ctx), 11, "hard: {hard}, orders: {orders}");
             // And the indicator map points at the right literals.
-            for (&v, &l) in vs.iter().zip(&lits) {
-                assert_eq!(ctx.sat_lit(v), Some(l));
-            }
-            assert_eq!(ctx.var_map().count(), 4);
+            let map: Vec<(VarId, Lit)> = ctx.var_map().collect();
+            assert_eq!(map, vs.iter().copied().zip(lits).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn linked_trees_answer_every_bound_as_one() {
+        // Three orders of five inputs, exactly 3 of them true: the linked
+        // handle answers every bound as a single tree would.
+        let (_, vs) = vars(5);
+        let mut ctx = SmtContext::new();
+        let lits: Vec<Lit> = vs.iter().map(|&v| ctx.lit_of(v)).collect();
+        let orders: Vec<Vec<Lit>> = [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [0, 2, 4, 1, 3]]
+            .iter()
+            .map(|o| o.iter().map(|&i| lits[i]).collect())
+            .collect();
+        let h = ctx.linked_cardinality(&orders);
+        assert_eq!(h.len(), 5);
+        for (i, &l) in lits.iter().enumerate() {
+            ctx.add_clause([if [1, 3, 4].contains(&i) { l } else { !l }]);
+        }
+        for k in 0..=5i64 {
+            assert_eq!(ctx.check(&h.exactly(k)).is_sat(), k == 3, "exactly {k}");
         }
     }
 

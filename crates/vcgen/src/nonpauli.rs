@@ -46,6 +46,15 @@ pub enum NonPauliError {
     TooLarge,
     /// The left-hand side is not a valid generating set.
     BadLhs,
+    /// The fixed error sits on a qubit the code does not have.
+    QubitOutOfRange {
+        /// The error's qubit.
+        qubit: usize,
+        /// The code's qubit count.
+        n: usize,
+    },
+    /// The weakest-precondition engine rejected the scenario.
+    Wp(veriqec_wp::WpError),
 }
 
 impl fmt::Display for NonPauliError {
@@ -61,6 +70,10 @@ impl fmt::Display for NonPauliError {
             }
             NonPauliError::TooLarge => write!(f, "too many branch variables to enumerate"),
             NonPauliError::BadLhs => write!(f, "invalid left-hand generating set"),
+            NonPauliError::QubitOutOfRange { qubit, n } => {
+                write!(f, "qubit {qubit} out of range for a {n}-qubit code")
+            }
+            NonPauliError::Wp(e) => write!(f, "weakest precondition: {e}"),
         }
     }
 }
