@@ -434,6 +434,7 @@ fn enumerators(quick: bool) {
             carbon_12_2_4(),
             rotated_surface(5),
             xzzx_surface(5),
+            rotated_surface(7),
         ]);
     }
     // One count per code, then one distance sweep per code just past its

@@ -79,6 +79,7 @@ fn stats_rows(name: &str, wall_ms: f64, stats: &DdStats, final_nodes: usize) -> 
         row("gc_runs", stats.gc_runs as f64, "count"),
         row("gc_reclaimed", stats.gc_reclaimed as f64, "count"),
         row("arena_bytes", stats.arena_bytes as f64, "bytes"),
+        row("count_peak_bytes", stats.count_peak_bytes as f64, "bytes"),
     ]
 }
 
@@ -118,6 +119,7 @@ mod tests {
             gc_runs: 2,
             gc_reclaimed: 500,
             arena_bytes: 12_000,
+            count_peak_bytes: 3_000,
             ..DdStats::default()
         };
         stats_rows(name, wall_ms, &stats, peak_nodes as usize / 2)
@@ -129,7 +131,7 @@ mod tests {
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
         assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
         let parsed = doc.get("rows").unwrap().as_arr().unwrap();
-        assert_eq!(parsed.len(), 8);
+        assert_eq!(parsed.len(), 9);
         let value = |metric: &str| {
             let row = parsed
                 .iter()
@@ -147,6 +149,7 @@ mod tests {
         assert_eq!(value("gc_runs"), 2.0);
         assert_eq!(value("gc_reclaimed"), 500.0);
         assert_eq!(value("arena_bytes"), 12_000.0);
+        assert_eq!(value("count_peak_bytes"), 3_000.0);
     }
 
     #[test]

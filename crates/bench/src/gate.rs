@@ -293,6 +293,12 @@ mod tests {
                     "peak_nodes",
                     165_000.0
                 ),
+                (
+                    "dd",
+                    "carbon-substitute [[12,2,4]] (searched)",
+                    "count_peak_bytes",
+                    1_200_000.0
+                ),
             ]
         );
     }

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use veriqec_cexpr::{BExp, CMem, VarId};
 use veriqec_codes::StabilizerCode;
-use veriqec_dd::{CompileConfig, CompileError, CountOverflow, DdStats};
+use veriqec_dd::{CompileConfig, CompileError, CountError, DdStats};
 use veriqec_obs::json::{escape, push_metrics};
 use veriqec_sat::{ClausePool, Lit, SolverConfig, SolverStats, Stop, UnknownCause};
 use veriqec_smt::{CardinalityHandle, CheckResult, SmtContext};
@@ -1014,6 +1014,18 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A count job's outcome and reason once its diagram compiled: the
+/// enumerator, or `Unknown` with `count_overflow`. `None` when `stop` ended
+/// the count, which, like a cancelled compile, records nothing: a real
+/// outcome or the raised stop already explains the job.
+fn count_outcome(fe: &mut FailureEnumerator, stop: &Stop) -> Option<(JobOutcome, Option<String>)> {
+    match fe.enumerator_until(stop) {
+        Ok(out) => Some((JobOutcome::Enumerator(out), None)),
+        Err(CountError::Overflow) => Some((JobOutcome::Unknown, Some("count_overflow".into()))),
+        Err(CountError::Cancelled) => None,
+    }
+}
+
 /// Best-effort text of a panic payload (the `&str`/`String` payloads that
 /// `panic!` and the assert macros produce).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -1318,15 +1330,11 @@ impl Engine {
                 };
                 match FailureEnumerator::new(code, &config) {
                     Ok(mut fe) => {
+                        let counted = count_outcome(&mut fe, &config.stop);
                         st.lock().dd += fe.dd_stats();
-                        match fe.enumerator() {
-                            Ok(out) => {
-                                st.record(JobOutcome::Enumerator(out));
-                            }
-                            Err(CountOverflow) => {
-                                st.record_reason(Some("count_overflow".to_string()));
-                                st.record(JobOutcome::Unknown);
-                            }
+                        if let Some((outcome, reason)) = counted {
+                            st.record_reason(reason);
+                            st.record(outcome);
                         }
                     }
                     Err(CompileError::NodeLimit { nodes }) => {
@@ -1939,6 +1947,25 @@ mod tests {
         );
         assert_eq!(job.reason.as_deref(), Some("count_overflow"));
         assert!(job.dd.nodes > 0, "the diagram was built: {:?}", job.dd);
+    }
+
+    #[test]
+    fn a_count_stopped_after_compiling_is_cancelled_not_overflowed() {
+        // repetition(130)'s diagram compiles, and its count would overflow.
+        // With the job's stop raised after the compile, the count ends with
+        // the cancellation and the job records nothing, which `Engine::run`
+        // reports as `Cancelled` (and the daemon, past a deadline, as
+        // `deadline_exceeded`), never as `Unknown` with `count_overflow`.
+        let code = veriqec_codes::repetition(130);
+        let mut fe = FailureEnumerator::new(&code, &CompileConfig::default()).unwrap();
+        let flag = Arc::new(AtomicBool::new(true));
+        let stop = Stop::new(vec![Arc::clone(&flag)], None);
+        assert!(count_outcome(&mut fe, &stop).is_none());
+        // Under the lowered stop the same session overflows as before.
+        flag.store(false, Ordering::Relaxed);
+        let (outcome, reason) = count_outcome(&mut fe, &stop).expect("the count ran");
+        assert!(matches!(outcome, JobOutcome::Unknown), "{outcome:?}");
+        assert_eq!(reason.as_deref(), Some("count_overflow"));
     }
 
     #[test]

@@ -32,9 +32,11 @@ use std::collections::HashMap;
 
 use veriqec_cexpr::{Affine, CMem, VarId, VarRole, VarTable};
 use veriqec_codes::{ExtractionSchedule, StabilizerCode};
-use veriqec_dd::{compile, Bdd, BddManager, CompileConfig, CompileError, CountOverflow, DdStats};
+use veriqec_dd::{
+    compile, Bdd, BddManager, CompileConfig, CompileError, CountError, CountOverflow, DdStats,
+};
 use veriqec_pauli::PauliString;
-use veriqec_sat::{Lit, SolverConfig};
+use veriqec_sat::{Lit, SolverConfig, Stop};
 use veriqec_smt::{CheckResult, SmtContext};
 
 /// The failure weight enumerator of one code.
@@ -49,6 +51,14 @@ pub struct WeightEnumerator {
 }
 
 impl WeightEnumerator {
+    fn new(coefficients: Vec<u128>) -> Self {
+        let min_weight = coefficients.iter().position(|&c| c > 0);
+        WeightEnumerator {
+            coefficients,
+            min_weight,
+        }
+    }
+
     /// Total number of failure configurations across all weights.
     pub fn total(&self) -> u128 {
         self.coefficients.iter().sum()
@@ -133,12 +143,29 @@ impl FailureEnumerator {
     ///
     /// See [`FailureEnumerator::coefficients`].
     pub fn enumerator(&mut self) -> Result<WeightEnumerator, CountOverflow> {
-        let coefficients = self.coefficients()?.to_vec();
-        let min_weight = coefficients.iter().position(|&c| c > 0);
-        Ok(WeightEnumerator {
-            coefficients,
-            min_weight,
-        })
+        Ok(WeightEnumerator::new(self.coefficients()?.to_vec()))
+    }
+
+    /// [`FailureEnumerator::enumerator`] under a stop, which the count
+    /// polls as it goes (see [`BddManager::weight_count_until`]): the
+    /// engine's counting jobs run this with the stop that bounded their
+    /// compile.
+    ///
+    /// # Errors
+    ///
+    /// [`CountError::Overflow`] when a count exceeds `u128`;
+    /// [`CountError::Cancelled`] once `stop` is raised, which leaves the
+    /// session able to count again.
+    pub fn enumerator_until(&mut self, stop: &Stop) -> Result<WeightEnumerator, CountError> {
+        if self.coefficients.is_none() {
+            let counted = self
+                .manager
+                .weight_count_until(self.root, &self.indicators, stop)?;
+            self.coefficients = Some(counted);
+        }
+        Ok(WeightEnumerator::new(
+            self.coefficients.clone().expect("just computed"),
+        ))
     }
 
     /// Decision-diagram kernel counters.
@@ -427,7 +454,7 @@ mod tests {
     use crate::tasks::{find_distance, DistanceOutcome};
     use veriqec_codes::{
         c4_422, cube_color_822, five_qubit, gottesman8, repetition, rotated_surface, shor9,
-        six_qubit, steane, xzzx_surface,
+        six_qubit, steane, toric, xzzx_surface,
     };
 
     /// Truth-table reference for tiny codes: enumerate all `4^n` error
@@ -703,6 +730,45 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CompileError::Cancelled);
+    }
+
+    #[test]
+    fn a_count_stopped_after_compiling_returns_the_cancellation() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let flag = Arc::new(AtomicBool::new(false));
+        let config = CompileConfig {
+            stop: Stop::new(vec![Arc::clone(&flag)], None),
+            ..CompileConfig::default()
+        };
+        let mut fe = FailureEnumerator::new(&steane(), &config).unwrap();
+        flag.store(true, Ordering::Relaxed);
+        assert_eq!(
+            fe.enumerator_until(&config.stop),
+            Err(CountError::Cancelled)
+        );
+        // The session counts again once the stop is lowered.
+        flag.store(false, Ordering::Relaxed);
+        let e = fe.enumerator_until(&config.stop).unwrap();
+        assert_eq!(e.coefficients, [0, 0, 0, 21, 0, 126, 0, 45]);
+        assert_eq!(e, fe.enumerator().unwrap());
+    }
+
+    #[test]
+    fn counting_toric_3_holds_a_sliver_of_the_full_memo() {
+        // One full-width u128 polynomial per node is what the count held
+        // before it streamed by level; the live cut, with polynomials sized
+        // by the indicators below them, holds under a sixteenth of that
+        // (it holds about 1/22).
+        let mut fe = FailureEnumerator::new(&toric(3), &CompileConfig::default()).unwrap();
+        let width = fe.coefficients().unwrap().len();
+        assert_eq!(width, 19);
+        let memo = (fe.node_count() * width * 16) as u64;
+        let peak = fe.dd_stats().count_peak_bytes;
+        assert!(
+            peak > 0 && peak <= memo / 16,
+            "{peak} bytes held against a full memo of {memo}"
+        );
     }
 
     #[test]

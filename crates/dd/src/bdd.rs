@@ -11,8 +11,12 @@
 //! level `u32::MAX`.
 //!
 //! All traversals — `apply`, counting, GC marking — are iterative with
-//! explicit stacks: recursion depth would otherwise scale with the number
-//! of variable levels.
+//! explicit stacks or work lists: recursion depth would otherwise scale
+//! with the number of variable levels.
+
+use std::cell::Cell;
+
+use veriqec_sat::Stop;
 
 use crate::arena::{NodeArena, UniqueTable};
 use crate::cache::{pack_key, ApplyCache};
@@ -62,12 +66,38 @@ impl std::fmt::Display for CountOverflow {
 
 impl std::error::Error for CountOverflow {}
 
+/// Why [`BddManager::weight_count_until`] returned no coefficients.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CountError {
+    /// A coefficient does not fit in `u128` ([`CountOverflow`]).
+    Overflow,
+    /// The stop was raised before the count finished.
+    Cancelled,
+}
+
+impl From<CountOverflow> for CountError {
+    fn from(_: CountOverflow) -> Self {
+        CountError::Overflow
+    }
+}
+
+impl std::fmt::Display for CountError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CountError::Overflow => CountOverflow.fmt(f),
+            CountError::Cancelled => f.write_str("model count cancelled"),
+        }
+    }
+}
+
+impl std::error::Error for CountError {}
+
 /// Counters of the decision-diagram kernel, reported alongside
 /// [`veriqec_sat::SolverStats`] by the engine's counting jobs.
 ///
 /// Summing (via `+=` / `Sum`) aggregates per-job managers: cumulative
-/// counters add naturally; `peak_nodes`, `unique_slots` and `arena_bytes`
-/// then read as the combined footprint across managers.
+/// counters add naturally; `peak_nodes`, `unique_slots`, `arena_bytes` and
+/// `count_peak_bytes` then read as the combined footprint across managers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DdStats {
     /// Decision nodes allocated over the manager's lifetime (shared nodes
@@ -101,6 +131,9 @@ pub struct DdStats {
     pub reorder_swaps: u64,
     /// Resident bytes across the arena, unique table and apply cache.
     pub arena_bytes: u64,
+    /// Most bytes of weight polynomials a count on the manager held at
+    /// once (the largest over its counts).
+    pub count_peak_bytes: u64,
 }
 
 impl DdStats {
@@ -149,6 +182,7 @@ impl DdStats {
         m.push_count("dd_gc_runs", self.gc_runs);
         m.push_count("dd_gc_reclaimed", self.gc_reclaimed);
         m.push_count("dd_arena_bytes", self.arena_bytes);
+        m.push_count("dd_count_peak_bytes", self.count_peak_bytes);
         m
     }
 }
@@ -168,6 +202,7 @@ impl std::ops::AddAssign for DdStats {
         self.gc_reclaimed += rhs.gc_reclaimed;
         self.reorder_swaps += rhs.reorder_swaps;
         self.arena_bytes += rhs.arena_bytes;
+        self.count_peak_bytes += rhs.count_peak_bytes;
     }
 }
 
@@ -214,6 +249,8 @@ pub struct BddManager {
     /// GC roots: handles held by callers across collections.
     roots: Vec<Option<u32>>,
     stats: DdStats,
+    /// [`DdStats::count_peak_bytes`]: counting takes `&self`.
+    count_peak_bytes: Cell<u64>,
     // Scratch stacks reused across iterative traversals.
     apply_frames: Vec<Frame>,
     apply_results: Vec<u32>,
@@ -230,6 +267,7 @@ impl BddManager {
             num_vars,
             roots: Vec::new(),
             stats: DdStats::default(),
+            count_peak_bytes: Cell::new(0),
             apply_frames: Vec::new(),
             apply_results: Vec::new(),
         }
@@ -257,6 +295,7 @@ impl BddManager {
         s.unique_probes = self.unique.probes;
         s.unique_slots = self.unique.capacity() as u64;
         s.arena_bytes = (self.arena.bytes() + self.unique.bytes() + self.cache.bytes()) as u64;
+        s.count_peak_bytes = self.count_peak_bytes.get();
         s
     }
 
@@ -609,7 +648,8 @@ impl BddManager {
     /// satisfying assignments of `f` in which exactly `w` of the
     /// `indicators` literals are satisfied (a literal is `(variable,
     /// positive)`). The result has length `indicators.len() + 1` and sums to
-    /// [`BddManager::model_count`]. One bottom-up pass over the diagram.
+    /// [`BddManager::model_count`]. One bottom-up pass over the diagram:
+    /// [`BddManager::weight_count_until`] under a stop that is never raised.
     ///
     /// # Errors
     ///
@@ -624,6 +664,39 @@ impl BddManager {
         f: Bdd,
         indicators: &[(usize, bool)],
     ) -> Result<Vec<u128>, CountOverflow> {
+        match self.weight_count_until(f, indicators, &Stop::default()) {
+            Ok(poly) => Ok(poly),
+            Err(CountError::Overflow) => Err(CountOverflow),
+            Err(CountError::Cancelled) => unreachable!("the default stop is never raised"),
+        }
+    }
+
+    /// [`BddManager::weight_count`] under a stop, polled every 1,024 nodes
+    /// from the first.
+    ///
+    /// The count streams through the diagram bottom-up, one level at a
+    /// time. A node's weight polynomial is only as long as the indicator
+    /// levels at or below it (plus one), and a child's polynomial is freed
+    /// as soon as its last parent is built, so the polynomials held at
+    /// once are those of the diagram's cut between two levels, not one per
+    /// node. The most bytes held at once is the
+    /// [`DdStats::count_peak_bytes`] gauge and the `peak_bytes` argument
+    /// of the count's `dd/count` span.
+    ///
+    /// # Errors
+    ///
+    /// [`CountError::Overflow`] where [`BddManager::weight_count`] returns
+    /// [`CountOverflow`]; [`CountError::Cancelled`] once `stop` is raised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an indicator variable is out of range or repeated.
+    pub fn weight_count_until(
+        &self,
+        f: Bdd,
+        indicators: &[(usize, bool)],
+        stop: &Stop,
+    ) -> Result<Vec<u128>, CountError> {
         let mut marker: Vec<Mark> = vec![Mark::Count; self.num_vars];
         for &(v, positive) in indicators {
             assert!(v < self.num_vars, "indicator variable {v} out of range");
@@ -633,10 +706,23 @@ impl BddManager {
             );
             marker[v] = Mark::Ind(positive);
         }
-        let width = indicators.len() + 1;
         let levels = LevelCounts::new(&marker);
-        let poly = self.count_iter(f.0, &marker, &levels, width)?;
-        levels.lift(poly, 0, self.cut_level(f.0))
+        let span = veriqec_obs::span("dd", "count");
+        let mut pass = CountPass::default();
+        let poly = self
+            .count_levels(f.0, &marker, &levels, stop, &mut pass)
+            .and_then(|mut poly| {
+                levels.lift(&mut poly, 0, self.cut_level(f.0))?;
+                Ok(poly)
+            });
+        let peak = self.count_peak_bytes.get().max(pass.peak_bytes);
+        self.count_peak_bytes.set(peak);
+        span.close_with(&[
+            ("nodes", pass.nodes as f64),
+            ("width", (indicators.len() + 1) as f64),
+            ("peak_bytes", pass.peak_bytes as f64),
+        ]);
+        poly
     }
 
     /// The level of `f` clamped to the counting range (terminals sit on
@@ -645,74 +731,98 @@ impl BddManager {
         self.level(f).min(self.num_vars as u32)
     }
 
-    /// Iterative bottom-up weight polynomial of `f` over the levels
-    /// `level(f)..num_vars` (levels above `f`'s root are the caller's to
-    /// account for via [`LevelCounts::lift`]). Memoized per arena index.
-    fn count_iter(
+    /// The weight polynomial of `f` over the levels `level(f)..num_vars`
+    /// (levels above `f`'s root are the caller's to account for via
+    /// [`LevelCounts::lift`]), built bottom-up one level at a time.
+    fn count_levels(
         &self,
         f: u32,
         marker: &[Mark],
         levels: &LevelCounts,
-        width: usize,
-    ) -> Result<Vec<u128>, CountOverflow> {
-        let terminal = |g: u32| {
-            let mut p = vec![0; width];
-            p[0] = u128::from(g == 1);
-            p
-        };
+        stop: &Stop,
+        pass: &mut CountPass,
+    ) -> Result<Vec<u128>, CountError> {
         if f <= 1 {
-            return Ok(terminal(f));
+            return Ok(vec![u128::from(f == 1)]);
         }
-        enum CFrame {
-            Visit(u32),
-            Build(u32),
-        }
-        let mut memo: Vec<Option<Box<[u128]>>> = vec![None; self.arena.len()];
-        let poly_of = |memo: &[Option<Box<[u128]>>], g: u32| -> Vec<u128> {
-            if g <= 1 {
-                terminal(g)
-            } else {
-                memo[g as usize]
-                    .as_deref()
-                    .expect("child counted first")
-                    .to_vec()
-            }
-        };
-        let mut frames = vec![CFrame::Visit(f)];
-        while let Some(frame) = frames.pop() {
-            match frame {
-                CFrame::Visit(g) => {
-                    if g <= 1 || memo[g as usize].is_some() {
-                        continue;
+        // The nodes reachable from `f`, each with its number of edges from
+        // reachable nodes: the root is nobody's child, and every other node
+        // joins the list on its first edge.
+        let mut parents = vec![0u32; self.arena.len()];
+        let mut nodes = Vec::with_capacity(self.node_count());
+        nodes.push(f);
+        let mut next = 0;
+        while let Some(&g) = nodes.get(next) {
+            next += 1;
+            for child in [self.arena.los[g as usize], self.arena.his[g as usize]] {
+                if child > 1 {
+                    parents[child as usize] += 1;
+                    if parents[child as usize] == 1 {
+                        nodes.push(child);
                     }
-                    frames.push(CFrame::Build(g));
-                    frames.push(CFrame::Visit(self.arena.his[g as usize]));
-                    frames.push(CFrame::Visit(self.arena.los[g as usize]));
-                }
-                CFrame::Build(g) => {
-                    let level = self.level(g);
-                    let (lo, hi) = (self.arena.los[g as usize], self.arena.his[g as usize]);
-                    let lo_p = levels.lift(poly_of(&memo, lo), level + 1, self.cut_level(lo))?;
-                    let hi_p = levels.lift(poly_of(&memo, hi), level + 1, self.cut_level(hi))?;
-                    let mut p = vec![0u128; width];
-                    for w in 0..width {
-                        let below = |q: &[u128]| if w > 0 { q[w - 1] } else { 0 };
-                        let (lo_w, hi_w) = match marker[level as usize] {
-                            // Indicator satisfied on the hi edge: hi models
-                            // shift up one weight; dually for a negative
-                            // indicator.
-                            Mark::Ind(true) => (lo_p[w], below(&hi_p)),
-                            Mark::Ind(false) => (below(&lo_p), hi_p[w]),
-                            Mark::Count => (lo_p[w], hi_p[w]),
-                        };
-                        p[w] = lo_w.checked_add(hi_w).ok_or(CountOverflow)?;
-                    }
-                    memo[g as usize] = Some(p.into_boxed_slice());
                 }
             }
         }
-        Ok(memo[f as usize].take().expect("root counted").into_vec())
+        // Bottom level first: every child is built before its parents.
+        nodes.sort_unstable_by_key(|&g| std::cmp::Reverse(self.level(g)));
+        pass.nodes = nodes.len();
+        let mut polys: Vec<Option<Box<[u128]>>> = vec![None; self.arena.len()];
+        let mut lifted = Vec::with_capacity(levels.width(0));
+        let mut live_bytes = 0;
+        for (built, &g) in nodes.iter().enumerate() {
+            if (built as u64).is_multiple_of(POLL_EVERY) && stop.is_raised() {
+                return Err(CountError::Cancelled);
+            }
+            let level = self.level(g);
+            let mut p = vec![0u128; levels.width(level)];
+            live_bytes += std::mem::size_of_val(&p[..]);
+            pass.peak_bytes = pass.peak_bytes.max(live_bytes as u64);
+            // Indicator satisfied on the hi edge: hi models shift up one
+            // weight; dually for a negative indicator.
+            let (lo_shift, hi_shift) = match marker[level as usize] {
+                Mark::Ind(true) => (0, 1),
+                Mark::Ind(false) => (1, 0),
+                Mark::Count => (0, 0),
+            };
+            let (lo, hi) = (self.arena.los[g as usize], self.arena.his[g as usize]);
+            for (child, shift) in [(lo, lo_shift), (hi, hi_shift)] {
+                // FALSE adds nothing, and lifting zeros cannot overflow.
+                if child == 0 {
+                    continue;
+                }
+                lifted.clear();
+                match child {
+                    1 => lifted.push(1),
+                    _ => lifted.extend_from_slice(
+                        polys[child as usize]
+                            .as_deref()
+                            .expect("children are built first"),
+                    ),
+                }
+                levels.lift(&mut lifted, level + 1, self.cut_level(child))?;
+                for (c, &q) in p[shift..].iter_mut().zip(&lifted) {
+                    *c = c.checked_add(q).ok_or(CountError::Overflow)?;
+                }
+                if child > 1 {
+                    parents[child as usize] -= 1;
+                    if parents[child as usize] == 0 {
+                        let freed = polys[child as usize].take().expect("built once");
+                        live_bytes -= std::mem::size_of_val(&freed[..]);
+                    }
+                }
+            }
+            polys[g as usize] = Some(p.into_boxed_slice());
+        }
+        Ok(polys[f as usize].take().expect("root counted").into_vec())
     }
+}
+
+/// What one counting pass saw: the nodes it built, and the most bytes of
+/// polynomials it held at once.
+#[derive(Default)]
+struct CountPass {
+    nodes: usize,
+    peak_bytes: u64,
 }
 
 /// Resolves an `apply` pair that needs no recursion: constants, identical
@@ -821,17 +931,27 @@ impl LevelCounts {
         }
     }
 
+    /// The length of a weight polynomial over the levels `level..`: the
+    /// indicator levels among them, plus one for weight 0.
+    fn width(&self, level: u32) -> usize {
+        let below = self.indicators[self.indicators.len() - 1] - self.indicators[level as usize];
+        below as usize + 1
+    }
+
     /// `lift` in `O(width · indicator levels)`: doubling and convolving
     /// with `(1 + x)` commute, so only how many counted and indicator
-    /// levels `from..to` holds matters. Both steps only grow coefficients,
-    /// so this overflows exactly when `lift` does.
-    fn lift(&self, mut p: Vec<u128>, from: u32, to: u32) -> Result<Vec<u128>, CountOverflow> {
+    /// levels `from..to` holds matters. Each indicator level lengthens `p`
+    /// by one, so a polynomial as long as [`LevelCounts::width`] of `to`
+    /// ends as long as that of `from`. Both steps only grow coefficients,
+    /// so this overflows exactly when `lift` on the full width does.
+    fn lift(&self, p: &mut Vec<u128>, from: u32, to: u32) -> Result<(), CountOverflow> {
         let (from, to) = (from as usize, to as usize);
         if from >= to {
-            return Ok(p);
+            return Ok(());
         }
         let indicators = self.indicators[to] - self.indicators[from];
         for _ in 0..indicators {
+            p.push(0);
             for w in (1..p.len()).rev() {
                 p[w] = p[w].checked_add(p[w - 1]).ok_or(CountOverflow)?;
             }
@@ -844,7 +964,7 @@ impl LevelCounts {
             }
             *c <<= doublings;
         }
-        Ok(p)
+        Ok(())
     }
 }
 
@@ -1104,8 +1224,13 @@ mod tests {
         ];
         let levels = LevelCounts::new(&marker);
         let top = marker.len() as u32;
-        // The last polynomial overflows u128 once lifted over all three
-        // counted levels: both lifts must fail on exactly the same ranges.
+        let full = levels.width(0);
+        assert_eq!(full, 3);
+        // A polynomial lifted from level `to` is `width(to)` long and grows
+        // to `width(from)`; padded with zeros, it must equal the level walk
+        // on the full width. The last polynomial overflows u128 once lifted
+        // over all three counted levels: both lifts must fail on exactly
+        // the same ranges.
         let polys = [
             vec![0, 0, 0],
             vec![1, 0, 0],
@@ -1113,17 +1238,79 @@ mod tests {
             vec![0, 2, 1],
             vec![1 << 125, 0, 1],
         ];
+        let mut overflows = 0;
         for from in 0..=top {
             for to in from..=top {
                 for p in &polys {
-                    assert_eq!(
-                        levels.lift(p.clone(), from, to),
-                        lift(p.clone(), from, to, &marker),
-                        "lift of {p:?} over {from}..{to}"
-                    );
+                    let short = &p[..levels.width(to)];
+                    let mut grown = short.to_vec();
+                    let grown = levels.lift(&mut grown, from, to).map(|()| {
+                        assert_eq!(grown.len(), levels.width(from), "{from}..{to}");
+                        grown.resize(full, 0);
+                        grown
+                    });
+                    let mut padded = short.to_vec();
+                    padded.resize(full, 0);
+                    let walked = lift(padded, from, to, &marker);
+                    overflows += usize::from(walked.is_err());
+                    assert_eq!(grown, walked, "lift of {short:?} over {from}..{to}");
                 }
             }
         }
+        assert!(overflows > 0, "the overflowing polynomial must overflow");
+    }
+
+    #[test]
+    fn counting_holds_the_cut_not_every_node() {
+        // A parity chain over n levels with every level an indicator: two
+        // nodes per level, each with two parents. The old kernel kept all
+        // 2n polynomials at full width (n + 1); streaming by level keeps
+        // the cut's four, each no longer than the levels below it.
+        let n = 64;
+        let mut m = BddManager::new(n);
+        let mut f = Bdd::FALSE;
+        for v in (0..n).rev() {
+            let x = m.var(v);
+            f = m.xor(f, x);
+        }
+        let inds: Vec<(usize, bool)> = (0..n).map(|v| (v, v % 3 != 0)).collect();
+        let counts = m.weight_count(f, &inds).unwrap();
+        assert_eq!(counts.iter().sum::<u128>(), 1 << (n - 1));
+        let peak = m.stats().count_peak_bytes;
+        let cut = 4 * (n as u64 + 1) * 16;
+        assert!(
+            peak > 0 && peak <= cut,
+            "{peak} bytes against a cut of {cut}"
+        );
+    }
+
+    #[test]
+    fn a_raised_stop_ends_a_count() {
+        // An AND chain longer than one poll interval.
+        let n = 2 * POLL_EVERY as usize;
+        let mut m = BddManager::new(n);
+        let mut f = Bdd::TRUE;
+        for v in (0..n).rev() {
+            let x = m.var(v);
+            f = m.and(x, f);
+        }
+        let flag = Arc::new(AtomicBool::new(true));
+        let stop = Stop::new(vec![Arc::clone(&flag)], None);
+        let inds = [(0, true), (n - 1, false)];
+        assert_eq!(
+            m.weight_count_until(f, &inds, &stop),
+            Err(CountError::Cancelled)
+        );
+        let passed = Stop::new(vec![], Some(std::time::Instant::now()));
+        assert_eq!(
+            m.weight_count_until(f, &inds, &passed),
+            Err(CountError::Cancelled)
+        );
+        // A cancelled count leaves nothing behind: under the lowered flag
+        // the same count is the plain one.
+        flag.store(false, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(m.weight_count_until(f, &inds, &stop), Ok(vec![0, 1, 0]));
+        assert_eq!(m.weight_count(f, &inds), Ok(vec![0, 1, 0]));
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod compile;
 #[cfg(test)]
 mod oracle;
 
-pub use bdd::{Bdd, BddManager, CountOverflow, DdStats, RootId};
+pub use bdd::{Bdd, BddManager, CountError, CountOverflow, DdStats, RootId};
 pub use compile::{compile, CompileConfig, CompileError};
 
 #[cfg(test)]
@@ -152,16 +152,21 @@ mod proptests {
         fn packed_arena_matches_hashmap_oracle(
             cnf in arb_cnf(12),
             ind_bits in proptest::collection::vec(any::<bool>(), 12),
+            polarity in proptest::collection::vec(any::<bool>(), 12),
         ) {
             // Differential harness for the packed-arena rewrite: the
             // retained HashMap kernel (`oracle`) compiles the same CNF with
-            // the same order and schedule; weight stratifications must
-            // agree bit for bit.
+            // the same order and schedule and counts on full-width
+            // polynomials; the arena kernel's truncated ones must agree bit
+            // for bit, under either polarity and with gaps between the
+            // indicator levels.
             let dimacs = cnf.to_cnf();
             let (m, root) = compile_clauses(&dimacs, &CompileConfig::default()).unwrap();
             let (om, oroot) = oracle::oracle_compile(&dimacs);
-            let inds: Vec<(usize, bool)> =
-                (0..cnf.num_vars).filter(|&v| ind_bits[v]).map(|v| (v, true)).collect();
+            let inds: Vec<(usize, bool)> = (0..cnf.num_vars)
+                .filter(|&v| ind_bits[v])
+                .map(|v| (v, polarity[v]))
+                .collect();
             prop_assert_eq!(m.weight_count(root, &inds), Ok(om.weight_count(oroot, &inds)));
         }
 

@@ -228,6 +228,13 @@ pub fn run_smoke() -> Result<(), String> {
         "five-qubit enumerator min weight",
         &r,
     )?;
+    expect(
+        job.get("dd_count_peak_bytes")
+            .and_then(Json::as_f64)
+            .is_some_and(|bytes| bytes > 0.0),
+        "count report carries the polynomial bytes the count held",
+        &r,
+    )?;
     println!("serve smoke: count request answered via the engine (min weight 3)");
 
     // (i) Fault-tolerance sweep, then a different grid against the same

@@ -68,7 +68,7 @@ fn enumerators_report_has_counts_matching_group_theory() {
         assert_eq!(job.get("outcome").unwrap().as_str(), Some("enumerator"));
         // Counting jobs carry the decision-diagram block: allocation and
         // cache counters plus the memory-management telemetry added with
-        // the packed-arena engine.
+        // the packed-arena engine and the streaming count.
         assert!(job.get("dd_nodes").unwrap().as_f64().unwrap() > 0.0);
         assert!(job.get("dd_peak_nodes").unwrap().as_f64().unwrap() > 0.0);
         assert!(job.get("dd_cache_lookups").unwrap().as_f64().unwrap() > 0.0);
@@ -81,6 +81,7 @@ fn enumerators_report_has_counts_matching_group_theory() {
         assert!(job.get("dd_gc_runs").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("dd_gc_reclaimed").unwrap().as_f64().unwrap() >= 0.0);
         assert!(job.get("dd_arena_bytes").unwrap().as_f64().unwrap() > 0.0);
+        assert!(job.get("dd_count_peak_bytes").unwrap().as_f64().unwrap() > 0.0);
         let min_weight = job.get("min_weight").unwrap().as_f64().unwrap() as usize;
         assert_eq!(Some(min_weight), code.claimed_distance());
         let coeffs = job.get("coefficients").unwrap().as_arr().unwrap();

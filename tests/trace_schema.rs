@@ -43,7 +43,7 @@ fn engine_batch_trace_satisfies_chrome_schema() {
 
     // The batch crosses every instrumented layer: engine scheduling, vcgen
     // encode/query (correction job), smt checks, sat solves, dd compiles
-    // (count job).
+    // and counts (count job).
     for cat in ["engine", "vcgen", "smt", "sat", "dd"] {
         assert!(
             summary.categories.iter().any(|c| c == cat),
@@ -108,6 +108,23 @@ fn engine_batch_trace_satisfies_chrome_schema() {
         for &(k, v) in &e.args {
             assert!(if k == "gc_runs" { v >= 0.0 } else { v > 0.0 }, "{e:?}");
         }
+    }
+
+    // Every count closes with the nodes it built, the width of the
+    // enumerator and the most polynomial bytes it held at once, so a trace
+    // shows what a slow or large count streamed through.
+    let counts: Vec<_> = collector
+        .events()
+        .iter()
+        .filter(|e| (e.cat, &*e.name, e.kind) == ("dd", "count", veriqec_obs::EventKind::End))
+        .collect();
+    assert!(!counts.is_empty(), "the count job must count");
+    for e in &counts {
+        let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["nodes", "width", "peak_bytes"]);
+        assert!(e.args.iter().all(|&(_, v)| v > 0.0), "{e:?}");
+        // The five-qubit enumerator runs over weights 0..=5.
+        assert!(e.args.contains(&("width", 6.0)), "{e:?}");
     }
 
     // The phase summary the batch reports render must see the same spans.
